@@ -9,6 +9,7 @@ that emits machine-checkable realization certificates.
 
 from .errors import (
     CoefficientFieldMismatch,
+    DecodeError,
     DependentFamily,
     NonInvertibleLeadingTerm,
     ParseError,
@@ -18,6 +19,7 @@ from .errors import (
     TruncationExhausted,
     UnsupportedGroup,
     VerificationFailed,
+    ZeroOperatorDivision,
 )
 from .scalars import Scalar, rational
 from .rationals import Poly, RatFunc, k_const, t_var, x_var, f_const

@@ -34,7 +34,7 @@ from .realization import (
     window_kernel_dimension,
 )
 from .scalars import rational
-from .series import random_two_var
+from .series import certified_window, random_two_var
 
 
 @dataclass
@@ -68,10 +68,7 @@ def _commutation(order: int = 12, samples: int = 100, seed: int = 20240801):
             f = random_two_var(rng, points[i % 3], order, order)
             lhs = f.dx().dt0(e)
             rhs = f.dt0(e).dx()
-            ow = int(min(lhs.trunc, rhs.trunc)) - 1
-            iv = min(lhs.inner_validity(), rhs.inner_validity())
-            iw = order if iv == float("inf") else int(iv) - 1
-            compared += lhs.agree(rhs, ow, iw)
+            compared += lhs.agree(rhs, *certified_window(lhs, rhs, order))
     return True, "%d samples per e in {1,2,3} at bi-truncation (%d,%d); %d coefficients agreed exactly" % (
         samples, order, order, compared)
 
@@ -327,33 +324,31 @@ def _z2_descent(order: int = 8, samples: int = 100):
     )
 
 
+def _series_order(order):
+    return {"order": order}
+
+
+def _window_width(order):
+    return {"width": max(4, order)}
+
+
+# (number, name, criterion, keyword arguments for a requested working order)
 CRITERIA = (
-    (1, "derivation commutation", _commutation),
-    (2, "building-block identities", _building_blocks),
-    (3, "sigma equivariance and mutation oracle", _sigma_equivariance),
-    (4, "classification round trip", _round_trip),
-    (5, "negative results are window-refused", _negatives),
-    (6, "operator algebra laws", _ore_laws),
-    (7, "end-to-end SL2 certificate", _sl2_certificate),
-    (8, "descent pipeline with nontrivial Galois group", _z2_descent),
+    (1, "derivation commutation", _commutation, lambda order: {"order": min(order, 12)}),
+    (2, "building-block identities", _building_blocks, _series_order),
+    (3, "sigma equivariance and mutation oracle", _sigma_equivariance, _series_order),
+    (4, "classification round trip", _round_trip, _window_width),
+    (5, "negative results are window-refused", _negatives, _window_width),
+    (6, "operator algebra laws", _ore_laws, lambda order: {}),
+    (7, "end-to-end SL2 certificate", _sl2_certificate, _series_order),
+    (8, "descent pipeline with nontrivial Galois group", _z2_descent, _series_order),
 )
 
 
 def run_all(order: int | None = None, numbers=None) -> list[CriterionResult]:
     """Run the acceptance criteria; order scales the series windows down."""
-    results = []
-    for number, name, fn in CRITERIA:
-        if numbers and number not in numbers:
-            continue
-        kwargs = {}
-        if order is not None:
-            if number == 1:
-                kwargs["order"] = min(order, 12)
-            elif number in (2, 3, 7):
-                kwargs["order"] = order
-            elif number == 8:
-                kwargs["order"] = order
-            elif number in (4, 5):
-                kwargs["width"] = max(4, order)
-        results.append(_result(number, name, fn, **kwargs))
-    return results
+    return [
+        _result(number, name, fn, **(scaled(order) if order is not None else {}))
+        for number, name, fn, scaled in CRITERIA
+        if not numbers or number in numbers
+    ]

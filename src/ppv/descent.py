@@ -20,6 +20,7 @@ import math
 import random
 from dataclasses import dataclass, replace
 
+from .checks import CheckRecord
 from .errors import PpvError, UnsupportedGroup, VerificationFailed
 from .groups import (
     FiniteCyclic,
@@ -29,18 +30,12 @@ from .groups import (
     closure_of_additive,
     group_eq,
 )
-from .local_blocks import (
-    IdentityCheck,
-    LocalBlock,
-    fp_membership,
-    make_block,
-    matrix_identity_check,
-)
+from .local_blocks import LocalBlock, fp_membership, make_block, matrix_identity_check
 from .matrices import exp_nilpotent, is_unipotent, mat, mat_map
 from .ore import OrePoly
 from .rationals import Poly, RatFunc, k_const, t_var
 from .scalars import Scalar
-from .series import TwoVarLaurent, default_order, random_two_var
+from .series import TwoVarLaurent, certified_window, default_order, random_two_var
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +213,7 @@ def find_free_orbits(gd: GaloisDatum, count: int) -> list[PointOrbit]:
     degenerate (e.g. a corrupted root of unity collapsing orbits).
     """
     orbits: list[PointOrbit] = []
-    used: list[Scalar] = []
+    used: set[Scalar] = set()
     candidate = 0
     bound = 100 * count * gd.order() + 100
     while len(orbits) < count:
@@ -229,17 +224,12 @@ def find_free_orbits(gd: GaloisDatum, count: int) -> list[PointOrbit]:
                 "the point action is degenerate" % (count, bound)
             )
         q = Scalar.from_rational(candidate, gd.field_order)
-        points = []
-        for g in gd.elements:
-            p = act_on_point(gd, g, q)
-            if not any(p == seen for seen in points):
-                points.append(p)
-        if len(points) != gd.order():
+        # dict keys keep the first image of each point, in group order
+        points = tuple(dict.fromkeys(act_on_point(gd, g, q) for g in gd.elements))
+        if len(points) != gd.order() or not used.isdisjoint(points):
             continue
-        if any(any(p == u for u in used) for p in points):
-            continue
-        orbits.append(PointOrbit(q, tuple(points), True))
-        used.extend(points)
+        orbits.append(PointOrbit(q, points, True))
+        used.update(points)
     return orbits
 
 
@@ -306,11 +296,8 @@ def verify_sigma_commutes(gd: GaloisDatum, g: GammaElement, samples: int = 100,
         for tag, deriv in (("dx", lambda u: u.dx()), ("dt0", lambda u: u.dt0(gd.e))):
             lhs = sigma_map(gd, g, deriv(f))
             rhs = deriv(sigma_map(gd, g, f))
-            ow = int(min(lhs.trunc, rhs.trunc)) - 1
-            iv = min(lhs.inner_validity(), rhs.inner_validity())
-            iw = order if iv == float("inf") else int(iv) - 1
             try:
-                compared += lhs.agree(rhs, ow, iw)
+                compared += lhs.agree(rhs, *certified_window(lhs, rhs, order))
             except AssertionError as exc:
                 failures.append("sample %d, %s: %s" % (i, tag, exc))
     return Transcript(
@@ -344,11 +331,8 @@ def twist_mutation_detected(gd: GaloisDatum, g: GammaElement, bad_zeta: Scalar,
         f = random_two_var(rng, q_source, order, order)
         lhs = twisted_transport(bad_zeta, gd.e, g.n, act, f.dt0(gd.e), q_target)
         rhs = twisted_transport(bad_zeta, gd.e, g.n, act, f, q_target).dt0(gd.e)
-        ow = int(min(lhs.trunc, rhs.trunc)) - 1
-        iv = min(lhs.inner_validity(), rhs.inner_validity())
-        iw = order if iv == float("inf") else int(iv) - 1
         try:
-            compared += lhs.agree(rhs, ow, iw)
+            compared += lhs.agree(rhs, *certified_window(lhs, rhs, order))
         except AssertionError:
             detected += 1
     return Transcript(
@@ -370,18 +354,13 @@ def verify_equivariance(gd: GaloisDatum, blocks: dict, orbit: PointOrbit,
     for g in gd.elements:
         for q in orbit.points:
             src = act_on_point(gd, g, q)
-            y_src = _lookup(blocks, src).fundamental_matrix
-            y_tgt = _lookup(blocks, q).fundamental_matrix
-            moved = sigma_map_matrix(gd, g, y_src)
+            moved = sigma_map_matrix(gd, g, blocks[src].fundamental_matrix)
+            y_tgt = blocks[q].fundamental_matrix
             for i, row in enumerate(moved):
                 for j, entry in enumerate(row):
                     tgt = y_tgt[i][j]
-                    ow = min(entry.trunc, tgt.trunc)
-                    ow = order if ow == float("inf") else int(ow) - 1
-                    iv = min(entry.inner_validity(), tgt.inner_validity())
-                    iw = order if iv == float("inf") else int(iv) - 1
                     try:
-                        compared += entry.agree(tgt, min(ow, order), iw)
+                        compared += entry.agree(tgt, *certified_window(entry, tgt, order))
                     except AssertionError as exc:
                         failures.append(
                             "%s at point %r, entry (%d,%d): %s" % (g.label(), q, i, j, exc)
@@ -394,13 +373,6 @@ def verify_equivariance(gd: GaloisDatum, blocks: dict, orbit: PointOrbit,
         (order, order),
         tuple(failures[:5]),
     )
-
-
-def _lookup(blocks: dict, q: Scalar) -> LocalBlock:
-    for key, blk in blocks.items():
-        if key == q:
-            return blk
-    raise PpvError("no block at point %r" % (q,))
 
 
 def transport_block(gd: GaloisDatum, g: GammaElement, block: LocalBlock) -> LocalBlock:
@@ -491,7 +463,7 @@ class Certificate:
     orbits: tuple[PointOrbit, ...]
     blocks: tuple  # ((point, LocalBlock), ...) in orbit order
     transcripts: tuple[Transcript, ...]
-    completeness: tuple[IdentityCheck, ...]
+    completeness: tuple[CheckRecord, ...]
     assumptions: tuple[Assumption, ...]
     order: int
 
@@ -540,7 +512,7 @@ def run_criterion(group: GroupSpec, decomposition, gd: GaloisDatum,
     orbits = find_free_orbits(gd, len(parts))
     all_blocks: list[tuple[Scalar, LocalBlock]] = []
     transcripts: list[Transcript] = []
-    completeness: list[IdentityCheck] = []
+    completeness: list[CheckRecord] = []
 
     for g in gd.elements:
         if not g.is_identity():
@@ -558,7 +530,7 @@ def run_criterion(group: GroupSpec, decomposition, gd: GaloisDatum,
                 continue
             moved = transport_block(gd, g, rep_block)
             orbit_blocks[moved.q] = moved
-        if len(orbit_blocks) != len(orbit.points):
+        if orbit_blocks.keys() != set(orbit.points):
             raise VerificationFailed("transport did not cover the orbit")
         tr = verify_equivariance(gd, orbit_blocks, orbit, order=order)
         transcripts.append(tr)
@@ -566,7 +538,7 @@ def run_criterion(group: GroupSpec, decomposition, gd: GaloisDatum,
             raise VerificationFailed("equivariance fails: %s" % (tr.failures,))
         completeness.append(_conjugation_check(gd, part, orbit_blocks, orbit))
         for q in orbit.points:
-            all_blocks.append((q, _lookup(orbit_blocks, q)))
+            all_blocks.append((q, orbit_blocks[q]))
 
     cert = Certificate(
         schema_version="1",
@@ -586,7 +558,7 @@ def run_criterion(group: GroupSpec, decomposition, gd: GaloisDatum,
 
 
 def _conjugation_check(gd: GaloisDatum, part: DecompositionPart, blocks: dict,
-                       orbit: PointOrbit) -> IdentityCheck:
+                       orbit: PointOrbit) -> CheckRecord:
     """Each transported block claims exactly the sigma-image of the part.
 
     For additive parts the expected group is recomputed independently as
@@ -597,7 +569,7 @@ def _conjugation_check(gd: GaloisDatum, part: DecompositionPart, blocks: dict,
     notes = []
     for g in gd.elements:
         q = act_on_point(gd, gd.inverse(g), orbit.representative)
-        blk = _lookup(blocks, q)
+        blk = blocks[q]
         if part.kind == "ga" and part.h is not None:
             expected = closure_of_additive(gd.act_k(g, part.h), gd.e)
         else:
@@ -605,7 +577,7 @@ def _conjugation_check(gd: GaloisDatum, part: DecompositionPart, blocks: dict,
         if not group_eq(blk.claimed_group, expected):
             ok = False
             notes.append("mismatch at %r under %s" % (q, g.label()))
-    return IdentityCheck(
+    return CheckRecord(
         "claimed groups are the sigma-conjugates of the part",
         ok,
         0,

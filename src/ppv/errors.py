@@ -37,6 +37,14 @@ class VerificationFailed(PpvError):
     """An exact identity that certification depends on did not hold."""
 
 
+class DecodeError(PpvError):
+    """A JSON node is not a well-formed encoding of a ppv object."""
+
+
+class ZeroOperatorDivision(PpvError, ZeroDivisionError):
+    """Right division by the zero operator."""
+
+
 class ParseError(PpvError):
     """Syntax error with position information."""
 

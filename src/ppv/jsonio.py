@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .checks import CheckRecord
 from .descent import (
     Assumption,
     Certificate,
@@ -18,13 +19,14 @@ from .descent import (
     PointOrbit,
     Transcript,
 )
+from .errors import DecodeError
 from .groups import FiniteCyclic, GaSub, Generated, GeneratedPart, GmConst, GmSub
-from .local_blocks import IdentityCheck, LocalBlock, MembershipCheck
+from .local_blocks import LocalBlock
 from .logext import LogExtElem
 from .ore import OrePoly
 from .partial_fractions import PFDecomp
 from .rationals import Poly, RatFunc
-from .realization import CheckRecord, NecessaryReport, Realization
+from .realization import NecessaryReport, Realization
 from .scalars import Scalar
 from .series import INF, TruncLaurent, TwoVarLaurent
 
@@ -97,26 +99,8 @@ def encode(obj):
         if obj.representation:
             out["representation"] = obj.representation
         return out
-    if isinstance(obj, IdentityCheck):
-        return {
-            "type": "identity_check",
-            "name": obj.name,
-            "passed": obj.passed,
-            "outer_order": obj.outer_order,
-            "inner_order": obj.inner_order,
-            "coefficients_compared": obj.coefficients_compared,
-            "note": obj.note,
-        }
-    if isinstance(obj, MembershipCheck):
-        return {
-            "type": "membership_check",
-            "label": obj.label,
-            "clearing_factor": obj.clearing_factor,
-            "passed": obj.passed,
-            "outer_order": obj.outer_order,
-            "inner_order": obj.inner_order,
-            "coefficients_compared": obj.coefficients_compared,
-        }
+    if isinstance(obj, CheckRecord):
+        return _enc_check(obj)
     if isinstance(obj, Transcript):
         return {
             "type": "transcript",
@@ -170,9 +154,7 @@ def encode(obj):
             "equation_datum": encode(obj.equation_datum),
             "claimed_group": encode(obj.claimed_group),
             "model": encode(obj.model),
-            "checks": [
-                {"name": c.name, "passed": c.passed, "note": c.note} for c in obj.checks
-            ],
+            "checks": [encode(c) for c in obj.checks],
             "window_note": obj.window_note,
         }
     if isinstance(obj, NecessaryReport):
@@ -204,6 +186,23 @@ def encode(obj):
 
 def _enc_order(x):
     return "inf" if x == INF else int(x)
+
+
+def _enc_check(c: CheckRecord) -> dict:
+    # three encodings of the one record: realization checks have no window,
+    # membership checks name their clearing factor
+    if c.outer_order is None:
+        return {"name": c.name, "passed": c.passed, "note": c.note}
+    window = {
+        "passed": c.passed,
+        "outer_order": c.outer_order,
+        "inner_order": c.inner_order,
+        "coefficients_compared": c.coefficients_compared,
+    }
+    if c.clearing_factor is not None:
+        return {"type": "membership_check", "label": c.name,
+                "clearing_factor": c.clearing_factor, **window}
+    return {"type": "identity_check", "name": c.name, **window, "note": c.note}
 
 
 def _enc_scalar(s: Scalar) -> dict:
@@ -248,8 +247,23 @@ def _enc_group(g) -> dict:
 # ---------------------------------------------------------------------------
 # decoding (for the object kinds the CLI consumes)
 
+# what a missing or ill-typed field raises inside the constructors
+_MALFORMED = (KeyError, IndexError, TypeError, AttributeError, ValueError, ZeroDivisionError)
+
 
 def decode(data):
+    """Rebuild an object from its JSON node; DecodeError when the node is malformed."""
+    if not isinstance(data, dict):
+        raise DecodeError("expected a JSON object with a type tag, got %s" % type(data).__name__)
+    try:
+        return _decode(data)
+    except _MALFORMED as exc:
+        raise DecodeError(
+            "malformed %r node: %s: %s" % (data.get("type"), type(exc).__name__, exc)
+        ) from None
+
+
+def _decode(data):
     tag = data.get("type")
     if tag == "scalar":
         return _dec_scalar(data)
@@ -257,7 +271,7 @@ def decode(data):
         coeffs = [decode(c) for c in data["coeffs"]]
         if not coeffs:
             if "czero" not in data:
-                raise ValueError("zero polynomial needs a czero coefficient sample")
+                raise DecodeError("zero polynomial needs a czero coefficient sample")
             return Poly(data["var"], [], decode(data["czero"]))
         return Poly(data["var"], coeffs, coeffs[0].zero_like())
     if tag == "ratfunc":
@@ -265,7 +279,7 @@ def decode(data):
     if tag == "ore":
         coeffs = [decode(c) for c in data["coeffs"]]
         if not coeffs:
-            raise ValueError("the zero operator has no JSON form")
+            raise DecodeError("the zero operator has no JSON form")
         return OrePoly(coeffs, coeffs[0].zero_like(), data.get("e", 1))
     if tag == "trunc_laurent":
         trunc = data.get("trunc", "inf")
@@ -313,7 +327,7 @@ def decode(data):
         )
     if tag == "realization":
         checks = tuple(
-            CheckRecord(c["name"], c["passed"], c.get("note", ""))
+            CheckRecord(c["name"], c["passed"], note=c.get("note", ""))
             for c in data.get("checks", [])
         )
         return Realization(
@@ -326,7 +340,7 @@ def decode(data):
             checks=checks,
             window_note=data.get("window_note", ""),
         )
-    raise TypeError("cannot decode type tag %r" % tag)
+    raise DecodeError("cannot decode type tag %r" % (tag,))
 
 
 def _dec_scalar(data) -> Scalar:
@@ -361,4 +375,4 @@ def _dec_group(data):
             for p in data["parts"]
         )
         return Generated(parts)
-    raise TypeError("unknown group kind %r" % kind)
+    raise DecodeError("unknown group kind %r" % (kind,))

@@ -20,32 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .checks import CheckRecord
 from .errors import PpvError, VerificationFailed
 from .groups import FiniteCyclic, GmConst, GroupSpec, closure_of_additive
 from .matrices import mat, mat_mul
 from .rationals import RatFunc
 from .scalars import Scalar
-from .series import INF, TruncLaurent, TwoVarLaurent, default_order
-
-
-@dataclass(frozen=True)
-class IdentityCheck:
-    name: str
-    passed: bool
-    outer_order: int
-    inner_order: int
-    coefficients_compared: int
-    note: str = ""
-
-
-@dataclass(frozen=True)
-class MembershipCheck:
-    label: str
-    clearing_factor: str
-    passed: bool
-    outer_order: int
-    inner_order: int
-    coefficients_compared: int
+from .series import TruncLaurent, TwoVarLaurent, certified_window, default_order
 
 
 @dataclass(frozen=True)
@@ -132,33 +113,23 @@ def _w_poly(q: Scalar, *terms) -> TwoVarLaurent:
 # checks
 
 
-def _window(a: TwoVarLaurent, b: TwoVarLaurent, order: int) -> tuple[int, int]:
-    tv = min(a.trunc, b.trunc)
-    outer = order if tv == INF else min(order, int(tv) - 1)
-    iv = min(a.inner_validity(), b.inner_validity())
-    inner = order if iv == INF else min(order, int(iv) - 1)
-    return outer, inner
-
-
-def _identity_check(name: str, lhs: TwoVarLaurent, rhs: TwoVarLaurent, order: int, note: str = "") -> IdentityCheck:
-    outer, inner = _window(lhs, rhs, order)
+def _identity_check(name: str, lhs: TwoVarLaurent, rhs: TwoVarLaurent, order: int, note: str = "") -> CheckRecord:
+    outer, inner = certified_window(lhs, rhs, order)
     try:
         n = lhs.agree(rhs, outer, inner)
-        return IdentityCheck(name, True, outer, inner, n, note)
+        return CheckRecord(name, True, outer, inner, n, note)
     except AssertionError as exc:
-        return IdentityCheck(name, False, outer, inner, 0, str(exc))
+        return CheckRecord(name, False, outer, inner, 0, str(exc))
 
 
-def fp_membership(elem: TwoVarLaurent, clearing: TwoVarLaurent, label: str, order: int) -> MembershipCheck:
+def fp_membership(elem: TwoVarLaurent, clearing: TwoVarLaurent, label: str, order: int) -> CheckRecord:
     """Verify elem * clearing is a power series in w and t on the window.
 
     A pass certifies that elem is a ratio of power series (an element of
     the local field at the point) up to the stated truncation.
     """
     product = elem * clearing
-    outer = min(order, int(product.trunc) - 1) if product.trunc != INF else order
-    iv = product.inner_validity()
-    inner = order if iv == INF else min(order, int(iv) - 1)
+    outer, inner = certified_window(product, product, order)
     count = 0
     ok = True
     for n, inner_series in product.coeffs.items():
@@ -170,10 +141,10 @@ def fp_membership(elem: TwoVarLaurent, clearing: TwoVarLaurent, label: str, orde
             count += 1
             if (n < 0 or j < 0) and not c.is_zero():
                 ok = False
-    return MembershipCheck(label, str(clearing), ok, outer, inner, count)
+    return CheckRecord(label, ok, outer, inner, count, clearing_factor=str(clearing))
 
 
-def _commutation_check(y: TwoVarLaurent, e: int, order: int) -> IdentityCheck:
+def _commutation_check(y: TwoVarLaurent, e: int, order: int) -> CheckRecord:
     lhs = y.dx().dt0(e)
     rhs = y.dt0(e).dx()
     return _identity_check("dx and dt0 commute on the entry", lhs, rhs, order)
@@ -282,7 +253,7 @@ def block_ga_closure(q: Scalar, h: RatFunc, e: int, order: int | None = None) ->
     t1 = f.coeffs.get(1)
     witness = t1 is not None and t1.coeffs.get(-1) is not None
     checks.append(
-        IdentityCheck(
+        CheckRecord(
             "nondegeneracy witness: t^1 coefficient has a pole of order 1 in w",
             witness, 1, 1, 1,
             note="recorded signature only; membership outside F_P is cited, not decided",
@@ -291,7 +262,7 @@ def block_ga_closure(q: Scalar, h: RatFunc, e: int, order: int | None = None) ->
 
     y = f.mul_k(h, order=order)
     dy = y.dx()
-    h_den_clear = _embed_poly_t(h.den, q)
+    h_den_clear = TwoVarLaurent.from_t_poly(h.den, q)
     base_clear = _w_poly(q, (0, 2, 1), (1, 1, 1))  # w^2 + t w
     # operator membership: L(y) = h^2 * dt0(f) for L = h Dt - dt0(h)
     ly = y.dt0(e).mul_k(h, order=order) - y.mul_k(h.dt0(e), order=order)
@@ -348,7 +319,7 @@ def block_gm_const(q: Scalar, e: int, order: int | None = None) -> LocalBlock:
     checks.append(_commutation_check(y, e, order))
     const_term = y.coeffs.get(0)
     checks.append(
-        IdentityCheck(
+        CheckRecord(
             "y(t=0) = 1",
             const_term is not None and const_term.coeffs.get(0) is not None
             and const_term.coeffs[0].is_one() and len(const_term.coeffs) == 1,
@@ -378,16 +349,7 @@ def block_gm_const(q: Scalar, e: int, order: int | None = None) -> LocalBlock:
     return block
 
 
-def _embed_poly_t(p, q: Scalar) -> TwoVarLaurent:
-    """Embed a polynomial in t (over the scalars) as an exact local element."""
-    return TwoVarLaurent(
-        q,
-        {n: TruncLaurent.monomial("w", p.coeff(n)) for n in range(p.degree() + 1)
-         if not p.coeff(n).is_zero()},
-    )
-
-
-def matrix_identity_check(y_mat: tuple, a_mat: tuple, order: int) -> IdentityCheck:
+def matrix_identity_check(y_mat: tuple, a_mat: tuple, order: int) -> CheckRecord:
     """dx(Y) = A*Y, entry-wise on the provable window."""
     lhs = mat([[entry.dx() for entry in row] for row in y_mat])
     rhs = mat_mul(a_mat, y_mat)
@@ -395,15 +357,15 @@ def matrix_identity_check(y_mat: tuple, a_mat: tuple, order: int) -> IdentityChe
     total = 0
     for i, row in enumerate(lhs):
         for j, entry in enumerate(row):
-            ow, iw = _window(entry, rhs[i][j], outer)
+            ow, iw = certified_window(entry, rhs[i][j], outer)
             try:
                 total += entry.agree(rhs[i][j], ow, iw)
             except AssertionError as exc:
-                return IdentityCheck(
+                return CheckRecord(
                     "dx(Y) = A*Y", False, ow, iw, total,
                     note="entry (%d,%d): %s" % (i, j, exc),
                 )
-    return IdentityCheck("dx(Y) = A*Y", True, outer, order, total)
+    return CheckRecord("dx(Y) = A*Y", True, outer, order, total)
 
 
 def _require_all(block: LocalBlock):
@@ -411,7 +373,7 @@ def _require_all(block: LocalBlock):
     if bad:
         raise VerificationFailed(
             "block at %r failed exact checks: %s"
-            % (block.q, "; ".join(getattr(c, "name", getattr(c, "label", "?")) for c in bad))
+            % (block.q, "; ".join(c.name for c in bad))
         )
 
 

@@ -75,12 +75,3 @@ def exp_nilpotent(e, c, one) -> tuple:
 
 def _inv_int(one, n: int):
     return one / (one * n)
-
-
-def mat_agree_series(a, b, outer_upto: int, inner_upto: int) -> int:
-    """Entry-wise exact window comparison for series matrices."""
-    count = 0
-    for ra, rb in zip(a, b):
-        for x, y in zip(ra, rb):
-            count += x.agree(y, outer_upto, inner_upto)
-    return count

@@ -13,10 +13,11 @@ from .errors import (
     CoefficientFieldMismatch,
     DependentFamily,
     TruncationExhausted,
+    ZeroOperatorDivision,
 )
 from .linalg import det, nullspace
 from .logext import LogExtElem
-from .rationals import Poly, RatFunc, k_const, t_var
+from .rationals import RatFunc, k_const, t_var
 from .series import TruncLaurent, TwoVarLaurent, INF, default_order
 
 
@@ -226,7 +227,7 @@ def _check_window(res):
 def right_divmod(a: OrePoly, b: OrePoly) -> tuple[OrePoly, OrePoly]:
     """Quotient and remainder with a = q o b + r and order(r) < order(b)."""
     if b.is_zero():
-        raise ZeroDivisionError("right division by the zero operator")
+        raise ZeroOperatorDivision("right division by the zero operator")
     a._check(b)
     lead_inv = b.leading().one_like() / b.leading()
     q = a.zero_like()

@@ -176,6 +176,8 @@ class _Parser:
                 for _ in range(k):
                     out = out * base
                 return out
+            if k < 0 and base.is_zero():
+                raise ParseError("division by zero", tok.line, tok.col)
             return base**k
         return base
 

@@ -63,22 +63,6 @@ def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
     return roots
 
 
-def _poly_eval_scalar(coeffs: list[Scalar], point: Scalar) -> Scalar:
-    acc = point.zero_like()
-    for c in reversed(coeffs):
-        acc = acc * point + c
-    return acc
-
-
-def _scalar_poly_mul(a: list[Scalar], b: list[Scalar]) -> list[Scalar]:
-    zero = a[0].zero_like()
-    out = [zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return out
-
-
 def _cyclotomic_roots(coeffs: list[Scalar]) -> list[Scalar]:
     """Roots of the form zeta^j * r (r rational) of a Q(zeta_N)-polynomial.
 
@@ -88,22 +72,23 @@ def _cyclotomic_roots(coeffs: list[Scalar]) -> list[Scalar]:
     then verified exactly against the original polynomial.
     """
     order = coeffs[0].order
+    poly = Poly("x", coeffs)
     found: list[Scalar] = []
     units = [a for a in range(1, order + 1) if math.gcd(a, order) == 1]
     zeta = Scalar.zeta(order)
     for j in range(order):
         zj = zeta**j
         subst = [c * zj**k for k, c in enumerate(coeffs)]
-        norm = [coeffs[0].one_like()]
+        norm = Poly.constant("x", coeffs[0].one_like())
         for a in units:
-            norm = _scalar_poly_mul(norm, [c.galois(a) for c in subst])
-        if any(not c.is_rational() for c in norm):
+            norm = norm * Poly("x", [c.galois(a) for c in subst])
+        if any(not c.is_rational() for c in norm.coeffs):
             continue
-        for r in _rational_roots([c.as_fraction() for c in norm]):
+        for r in _rational_roots([c.as_fraction() for c in norm.coeffs]):
             cand = zj * r
-            if any(cand == f for f in found):
+            if cand in found:
                 continue
-            if _poly_eval_scalar(coeffs, cand).is_zero():
+            if poly.eval(cand).is_zero():
                 found.append(cand)
     return found
 

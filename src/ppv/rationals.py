@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import CoefficientFieldMismatch
-from .scalars import Scalar, rational
+from .scalars import Scalar
 
 PARAM_VARS = ("t",)
 MAIN_VARS = ("x",)
@@ -266,11 +266,6 @@ class RatFunc:
     def is_polynomial(self) -> bool:
         return self.den.degree() == 0
 
-    def as_poly(self) -> Poly:
-        if not self.is_polynomial():
-            raise ValueError("not a polynomial: %r" % (self,))
-        return self.num
-
     def is_constant(self) -> bool:
         return self.is_polynomial() and self.num.degree() <= 0
 
@@ -363,6 +358,9 @@ class RatFunc:
         return self.num == b.num and self.den == b.den
 
     def __hash__(self):
+        # a constant equals its coefficient, one level down the tower
+        if self.is_constant():
+            return hash(self.as_coefficient())
         return hash((self.num, self.den))
 
     def deriv(self) -> "RatFunc":
@@ -415,9 +413,6 @@ class RatFunc:
 # ---------------------------------------------------------------------------
 # convenience constructors for the two levels of the tower
 
-
-def k_field_zero(order: int = 1) -> RatFunc:
-    return RatFunc.constant("t", Scalar(order, []))
 
 def k_const(value, order: int = 1) -> RatFunc:
     """Element of K = Q(zeta_order)(t) from a rational or Scalar."""

@@ -19,8 +19,9 @@ a proof of nonexistence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
+from .checks import CheckRecord
 from .errors import DependentFamily, RealizationError
 from .groups import GaSub, GmSub, GroupSpec
 from .logext import LogExtElem
@@ -34,13 +35,6 @@ from .ore import (
 )
 from .partial_fractions import decompose
 from .rationals import RatFunc, f_const, k_const, x_var
-
-
-@dataclass(frozen=True)
-class CheckRecord:
-    name: str
-    passed: bool
-    note: str = ""
 
 
 @dataclass(frozen=True)
@@ -115,7 +109,7 @@ def realize_gm(l: OrePoly, basis) -> Realization:
         CheckRecord(
             "transcendence witness: some dt(b_i) nonzero",
             witness,
-            "syntactic sufficient test",
+            note="syntactic sufficient test",
         )
     )
     checks.append(CheckRecord("membership L(f) in K(x)", check_membership_gm(model, l)))
@@ -250,13 +244,4 @@ def realize_in_window(l: OrePoly, kind: str, width: int = 12) -> Realization:
     """Find a fundamental set in the window and realize; refuses when absent."""
     basis = fundamental_set_in_window(l, kind, width)
     real = realize_gm(l, basis) if kind == "gm" else realize_ga(l, basis)
-    return Realization(
-        real.kind,
-        real.operator,
-        real.basis,
-        real.equation_datum,
-        real.claimed_group,
-        real.model,
-        real.checks,
-        window_note="basis found in monomial window |j| <= %d" % width,
-    )
+    return replace(real, window_note="basis found in monomial window |j| <= %d" % width)

@@ -53,6 +53,21 @@ def euler_phi(n: int) -> int:
     return len(cyclotomic_coeffs(n)) - 1
 
 
+@lru_cache(maxsize=None)
+def _trace_weights(n: int) -> tuple[Fraction, ...]:
+    """Tr(zeta_n^k) / phi(n) for the basis powers k, a field-independent value.
+
+    zeta_n^k is a primitive m-th root of unity, m = n / gcd(n, k), so its
+    normalized trace is the sum of the primitive m-th roots, mu(m), over
+    phi(m); that sum is minus the second-highest coefficient of Phi_m.
+    """
+    out = []
+    for k in range(euler_phi(n)):
+        phi_m = cyclotomic_coeffs(n // math.gcd(n, k))
+        out.append(Fraction(-phi_m[-2], len(phi_m) - 1))
+    return tuple(out)
+
+
 def _qpoly_divmod(num, den):
     num = list(num)
     dlead = den[-1]
@@ -245,9 +260,11 @@ class Scalar:
         return a.coeffs == b.coeffs
 
     def __hash__(self):
+        # the normalized trace does not change under promote, so equal
+        # scalars from different fields hash equal; a rational hashes as itself
         if self.is_rational():
             return hash(self.coeffs[0])
-        return hash((self.order, self.coeffs))
+        return hash(sum(c * w for c, w in zip(self.coeffs, _trace_weights(self.order)) if c))
 
     def __bool__(self):
         return not self.is_zero()

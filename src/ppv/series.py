@@ -37,8 +37,20 @@ def default_order() -> int:
     return int(env) if env else DEFAULT_ORDER
 
 
-def _omin(*vals):
-    return min(vals)
+def certified_window(a, b, order: int) -> tuple[int, int]:
+    """(outer, inner) bounds through which a and b can be compared exactly.
+
+    Each bound is order when the joint validity is INF and
+    min(order, validity - 1) otherwise.
+    """
+
+    def bound(validity):
+        return order if validity == INF else min(order, int(validity) - 1)
+
+    return (
+        bound(min(a.trunc, b.trunc)),
+        bound(min(a.inner_validity(), b.inner_validity())),
+    )
 
 
 class TruncLaurent:
@@ -67,10 +79,6 @@ class TruncLaurent:
     @classmethod
     def monomial(cls, var: str, c, n: int = 0) -> "TruncLaurent":
         return cls(var, {n: c})
-
-    @classmethod
-    def from_list(cls, var: str, start: int, cs, trunc=INF) -> "TruncLaurent":
-        return cls(var, {start + i: c for i, c in enumerate(cs)}, trunc)
 
     # structure
 
@@ -110,7 +118,7 @@ class TruncLaurent:
     def __add__(self, other):
         if not isinstance(other, TruncLaurent):
             return NotImplemented
-        trunc = _omin(self.trunc, other.trunc)
+        trunc = min(self.trunc, other.trunc)
         out = dict(self.coeffs)
         for n, c in other.coeffs.items():
             cur = out.get(n)
@@ -128,7 +136,7 @@ class TruncLaurent:
     def __mul__(self, other):
         if not isinstance(other, TruncLaurent):
             return NotImplemented
-        trunc = _omin(
+        trunc = min(
             self.trunc + other.valuation() if self.trunc != INF else INF,
             other.trunc + self.valuation() if other.trunc != INF else INF,
         )
@@ -155,7 +163,7 @@ class TruncLaurent:
         )
 
     def truncate(self, upto) -> "TruncLaurent":
-        return TruncLaurent(self.var, self.coeffs, _omin(self.trunc, upto))
+        return TruncLaurent(self.var, self.coeffs, min(self.trunc, upto))
 
     def inv(self, cap=None) -> "TruncLaurent":
         """Inverse; requires a nonzero leading coefficient in the window.
@@ -179,7 +187,7 @@ class TruncLaurent:
             return out
         validity = self.trunc - 2 * v if self.trunc != INF else INF
         if cap is not None:
-            validity = _omin(validity, cap)
+            validity = min(validity, cap)
         if validity == INF:
             raise ValueError("cap required to invert an exact non-monomial series")
         rel = validity + v  # validity of the (1+u)^-1 factor
@@ -288,10 +296,6 @@ class TwoVarLaurent:
         return cls(q, {}, trunc)
 
     @classmethod
-    def from_inner(cls, q: Scalar, inner: TruncLaurent, t_exp: int = 0) -> "TwoVarLaurent":
-        return cls(q, {t_exp: inner})
-
-    @classmethod
     def term(cls, q: Scalar, c, w_exp: int = 0, t_exp: int = 0) -> "TwoVarLaurent":
         """The exact term c * (z-q)^w_exp * t^t_exp."""
         return cls(q, {t_exp: TruncLaurent.monomial("w", c, w_exp)})
@@ -305,23 +309,24 @@ class TwoVarLaurent:
         return cls(q, {0: TruncLaurent("w", inner)})
 
     @classmethod
+    def from_t_poly(cls, p, q: Scalar) -> "TwoVarLaurent":
+        """Embed a polynomial in t over the scalars, exactly and constant in w."""
+        return cls(
+            q,
+            {n: TruncLaurent.monomial("w", c) for n, c in enumerate(p.coeffs)
+             if not c.is_zero()},
+        )
+
+    @classmethod
     def from_k(cls, f: RatFunc, q: Scalar, order=None) -> "TwoVarLaurent":
         """Embed an element of K = k(t), constant in w."""
         if f.var != "t":
             raise ValueError("expected an element of the parameter field")
-
-        def embed_poly(p):
-            return cls(
-                q,
-                {n: TruncLaurent.monomial("w", p.coeff(n)) for n in range(p.degree() + 1)
-                 if not p.coeff(n).is_zero()},
-            )
-
-        num = embed_poly(f.num)
+        num = cls.from_t_poly(f.num, q)
         if f.den.degree() == 0:
             return num
         cap = (order if order is not None else default_order()) + 1
-        return num * embed_poly(f.den).inv(cap=(cap, cap))
+        return num * cls.from_t_poly(f.den, q).inv(cap=(cap, cap))
 
     # structure
 
@@ -355,7 +360,7 @@ class TwoVarLaurent:
         if not isinstance(other, TwoVarLaurent):
             return NotImplemented
         self._check_point(other)
-        trunc = _omin(self.trunc, other.trunc)
+        trunc = min(self.trunc, other.trunc)
         out = dict(self.coeffs)
         for n, f in other.coeffs.items():
             cur = out.get(n)
@@ -374,7 +379,7 @@ class TwoVarLaurent:
         if not isinstance(other, TwoVarLaurent):
             return NotImplemented
         self._check_point(other)
-        trunc = _omin(
+        trunc = min(
             self.trunc + other.valuation() if self.trunc != INF else INF,
             other.trunc + self.valuation() if other.trunc != INF else INF,
         )
@@ -405,7 +410,7 @@ class TwoVarLaurent:
         coeffs = self.coeffs
         if inner is not None:
             coeffs = {n: f.truncate(inner) for n, f in coeffs.items()}
-        return TwoVarLaurent(self.q, coeffs, _omin(self.trunc, outer))
+        return TwoVarLaurent(self.q, coeffs, min(self.trunc, outer))
 
     def inv(self, cap: tuple | None = None) -> "TwoVarLaurent":
         """Inverse by geometric expansion off the leading t-coefficient.
@@ -425,7 +430,7 @@ class TwoVarLaurent:
         lead_inv = lead.inv(cap=inner_cap)
         validity = self.trunc - 2 * v if self.trunc != INF else INF
         if outer_cap is not None:
-            validity = _omin(validity, outer_cap)
+            validity = min(validity, outer_cap)
         rest = {n - v: f * lead_inv for n, f in self.coeffs.items() if n != v}
         if not rest and validity == INF:
             # exact monomial in t: exact inverse

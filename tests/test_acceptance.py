@@ -13,9 +13,9 @@ RUNTIME_BUDGETS = {1: 10.0, 7: 30.0}
 
 
 @pytest.mark.parametrize(
-    "number,name,fn", CRITERIA, ids=["criterion_%d" % n for n, _, _ in CRITERIA]
+    "number,name,fn,scaled", CRITERIA, ids=["criterion_%d" % n for n, *_ in CRITERIA]
 )
-def test_acceptance_criterion(number, name, fn):
+def test_acceptance_criterion(number, name, fn, scaled):
     res = _result(number, name, fn)
     line = "[%s] criterion %d: %s (%.2fs) %s" % (
         "PASS" if res.passed else "FAIL", number, name, res.seconds, res.details,

@@ -1,8 +1,9 @@
 import json
 
-from ppv import jsonio
+from ppv import cli, jsonio
 from ppv.cli import main
 from ppv.descent import GaloisDatum, standard_sl2_decomposition
+from ppv.errors import VerificationFailed
 
 
 def run(capsys, *argv):
@@ -107,6 +108,43 @@ def test_certify_verb(tmp_path, capsys):
     cert = json.loads(out_path.read_text())
     assert cert["all_exact_checks_passed"] is True
     assert len(cert["blocks"]) == 4
+
+
+def test_exit_1_on_failed_verification(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise VerificationFailed("block at 1 failed exact checks: y(t=0) = 1")
+
+    monkeypatch.setattr(cli, "make_block", fail)
+    code = main(["block", "--kind", "gmconst", "--q", "1"])
+    assert code == 1
+    assert "y(t=0) = 1" in capsys.readouterr().err
+
+
+def test_exit_2_on_malformed_input(tmp_path, capsys):
+    code = main(["ore", "divmod", "Dt", "0"])
+    assert code == 2
+    assert "zero operator" in capsys.readouterr().err
+    bad = tmp_path / "gd.json"
+    for text in ('{"type": "bogus"}', '{"type": "galois"}', "[1, 2]", "{not json"):
+        bad.write_text(text)
+        assert main(["orbits", "--gd", str(bad), "--count", "1"]) == 2
+    group = tmp_path / "group.json"
+    group.write_text('{"decomposition": []}')
+    code = main(["certify", "--group", str(group), "--galois", str(bad)])
+    assert code == 2
+    assert "'group'" in capsys.readouterr().err
+    assert main(["orbits", "--gd", str(tmp_path / "missing.json"), "--count", "1"]) == 2
+
+
+def test_exit_3_on_internal_error(monkeypatch, capsys):
+    def crash(*args, **kwargs):
+        raise RuntimeError("unexpected\nstate")
+
+    monkeypatch.setattr(cli, "make_block", crash)
+    code = main(["block", "--kind", "gmconst", "--q", "1"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err == "internal error: RuntimeError: unexpected state\n"
 
 
 def test_parse_error_reported(capsys):

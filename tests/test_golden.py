@@ -1,0 +1,79 @@
+"""Byte-identity guard: sha256 of the JSON the CLI writes for fixed inputs.
+
+A refactor must leave every one of these outputs unchanged.  A change
+that alters an output on purpose re-pins its digest here and says why.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from ppv import jsonio
+from ppv.cli import main
+from ppv.descent import DecompositionPart, GaloisDatum, standard_sl2_decomposition
+from ppv.groups import FiniteCyclic
+
+GOLDEN = {
+    "block_cyclic": "18e50b1a0d85f41a6f61f7b529ba7fb21ad4a3e289c7619132b530492b771dfa",
+    "block_ga": "1a1ddb99d8e9e86a7011f4b9c4f37405b8098cbbb85c9a7f09675aade4afb441",
+    "block_gmconst": "55b8b1f150401866862d4d2eacc26f2a681f10d30354e9cb3d2cbecf4edcc799",
+    "certify_sl2_order10": "b4d9764d0c54607e65123e741f8518d8d03a7fc58ab7d7fe0b5407b7e7155f94",
+    "certify_z2_cyclic_order8": "92ddbfd27275730880f2bf4673d5c7699609124f97af138bf0a2a22404c0ff52",
+    "realize_ga": "7c720f0f9d569749af4132fa33e21abd4eec170e3092ce83616aa7a28e62883e",
+    "realize_gm": "092ae11ce176f55be94f21ef05f68d2b43bfc4cb5aa32021d26be73d7a9ceecb",
+}
+
+
+def _certify(tmp_path, capsys, group, parts, gd, *flags) -> str:
+    group_path = tmp_path / "group.json"
+    gd_path = tmp_path / "galois.json"
+    out_path = tmp_path / "certificate.json"
+    group_path.write_text(json.dumps({
+        "group": jsonio.encode(group),
+        "decomposition": [jsonio.encode(p) for p in parts],
+    }))
+    gd_path.write_text(json.dumps(jsonio.encode(gd)))
+    code = main(["certify", "--group", str(group_path), "--galois", str(gd_path),
+                 "--out", str(out_path), *flags])
+    capsys.readouterr()
+    assert code == 0
+    return out_path.read_text()
+
+
+def _stdout(capsys, *argv) -> str:
+    code = main(list(argv))
+    assert code == 0
+    return capsys.readouterr().out
+
+
+def _output(case, tmp_path, capsys) -> str:
+    if case == "certify_sl2_order10":
+        group, parts = standard_sl2_decomposition()
+        return _certify(tmp_path, capsys, group, parts, GaloisDatum.trivial(), "--trunc", "10")
+    if case == "certify_z2_cyclic_order8":
+        parts = [DecompositionPart(FiniteCyclic(2), "cyclic", r=2)]
+        return _certify(tmp_path, capsys, FiniteCyclic(2), parts, GaloisDatum.ramified(2),
+                        "--trunc", "8", "--samples", "20")
+    if case == "block_cyclic":
+        return _stdout(capsys, "block", "--kind", "cyclic", "--q", "1", "--r", "2",
+                       "--e", "2", "--order", "8", "--json")
+    if case == "block_ga":
+        return _stdout(capsys, "block", "--kind", "ga", "--q", "2", "--h", "(t + 1)/t",
+                       "--e", "2", "--order", "8", "--json")
+    if case == "block_gmconst":
+        return _stdout(capsys, "block", "--kind", "gmconst", "--q", "3", "--e", "1",
+                       "--order", "8", "--json")
+    if case == "realize_gm":
+        return _stdout(capsys, "realize", "--kind", "gm", "--op", "t*Dt - 1",
+                       "--basis", "1,t^2", "--json")
+    if case == "realize_ga":
+        return _stdout(capsys, "realize", "--kind", "ga", "--op", "Dt^2",
+                       "--basis", "1,t", "--json")
+    raise KeyError(case)
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_output_digest(case, tmp_path, capsys):
+    text = _output(case, tmp_path, capsys)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[case]

@@ -18,7 +18,7 @@ from ppv.series import TruncLaurent, TwoVarLaurent
 
 
 def _check_names(block):
-    return {getattr(c, "name", getattr(c, "label", "")) for c in block.checks}
+    return {c.name for c in block.checks}
 
 
 def test_cyclic_block_series_head():

@@ -94,3 +94,11 @@ def test_hashable_for_log_points():
     t = t_var()
     d = {t: 1, k_const(2): 2}
     assert d[t_var()] == 1
+
+
+def test_constants_hash_as_their_coefficient():
+    assert f_const(k_const(2)) == k_const(2)
+    assert len({f_const(k_const(2)), k_const(2)}) == 1
+    assert hash(k_const(2)) == hash(2)
+    t = t_var()
+    assert len({f_const(t), t}) == 1

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -97,3 +98,31 @@ def test_field_laws(a, b, c):
 def test_inverse_round_trip(a):
     if not a.is_zero():
         assert (rational(1) / a) * a == Scalar(8, [1])
+
+
+def _normalized_trace(a: Scalar) -> Fraction:
+    units = [j for j in range(1, a.order + 1) if math.gcd(j, a.order) == 1]
+    total = sum((a.galois(j) for j in units), a.zero_like())
+    return total.as_fraction() / len(units)
+
+
+def test_equal_scalars_hash_equal():
+    a = Scalar(4, [0, 1])
+    assert a == a.promote(8)
+    assert len({a, a.promote(8)}) == 1
+    assert len({Scalar.zeta(3), Scalar.zeta(6) ** 2}) == 1
+    assert hash(rational(2)) == hash(2) == hash(Scalar.from_rational(2, 12))
+
+
+# (order, a multiple of it) pairs for promotion
+field_towers = st.sampled_from([(1, 4), (2, 8), (3, 6), (3, 9), (3, 12), (4, 8), (4, 12), (5, 10), (6, 12)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_hash_is_the_normalized_trace_and_survives_promotion(data):
+    small, big = data.draw(field_towers)
+    a = data.draw(scalars(small))
+    b = a.promote(big)
+    assert a == b and hash(a) == hash(b)
+    assert hash(a) == hash(_normalized_trace(a)) == hash(_normalized_trace(b))

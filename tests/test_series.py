@@ -10,6 +10,7 @@ from ppv.series import (
     INF,
     TruncLaurent,
     TwoVarLaurent,
+    certified_window,
     random_two_var,
 )
 
@@ -99,10 +100,7 @@ def test_commutation_invariant():
                 f = random_two_var(rng, rational(qv), 12, 12)
                 lhs = f.dx().dt0(e)
                 rhs = f.dt0(e).dx()
-                ow = int(min(lhs.trunc, rhs.trunc)) - 1
-                iv = min(lhs.inner_validity(), rhs.inner_validity())
-                iw = 12 if iv == INF else int(iv) - 1
-                lhs.agree(rhs, ow, iw)
+                lhs.agree(rhs, *certified_window(lhs, rhs, 12))
 
 
 def test_leibniz_both_derivations():
@@ -114,10 +112,7 @@ def test_leibniz_both_derivations():
         for d in (lambda u: u.dx(), lambda u: u.dt0(2)):
             lhs = d(f * g)
             rhs = d(f) * g + f * d(g)
-            ow = int(min(lhs.trunc, rhs.trunc)) - 1
-            iv = min(lhs.inner_validity(), rhs.inner_validity())
-            iw = 9 if iv == INF else int(iv) - 1
-            lhs.agree(rhs, ow, iw)
+            lhs.agree(rhs, *certified_window(lhs, rhs, 9))
 
 
 def test_restriction_to_parameter_field():
@@ -139,10 +134,7 @@ def test_truncation_soundness():
     lo = hi.truncate(8, 8)
     lo2 = (lo * lo).dt0(2)
     hi2 = (hi * hi).dt0(2)
-    ow = int(lo2.trunc) - 1
-    iv = lo2.inner_validity()
-    iw = int(iv) - 1 if iv != INF else 8
-    lo2.agree(hi2, ow, iw)
+    lo2.agree(hi2, *certified_window(lo2, lo2, 8))
 
 
 def test_constants_kernel_is_inner_constant():
@@ -154,6 +146,17 @@ def test_constants_kernel_is_inner_constant():
     assert const_elem.dx().is_zero_through(4, 4)
     non_const = const_elem + TwoVarLaurent(q, {2: w_mono(1, 3)}, 6)
     assert not non_const.dx().is_zero_through(4, 4)
+
+
+def test_certified_window_caps_at_order():
+    q = rational(0)
+    exact = TwoVarLaurent(q, {0: w_mono(1, 0)})
+    assert certified_window(exact, exact, 7) == (7, 7)
+    outer_short = TwoVarLaurent(q, {0: w_mono(1, 0)}, 5)
+    assert certified_window(exact, outer_short, 7) == (4, 7)
+    inner_short = TwoVarLaurent(q, {0: TruncLaurent("w", {0: rational(1)}, 3)}, 20)
+    assert certified_window(inner_short, exact, 7) == (7, 2)
+    assert certified_window(inner_short, outer_short, 1) == (1, 1)
 
 
 def test_agree_refuses_beyond_validity():
@@ -174,8 +177,5 @@ def test_division_round_trip():
             continue
         g = f * f.inv(cap=(7, 7))
         one = TwoVarLaurent.term(q, rational(1))
-        ow = int(g.trunc) - 1
-        iv = g.inner_validity()
-        iw = 5 if iv == INF else int(iv) - 1
-        g.agree(one, min(ow, 6), iw)
+        g.agree(one, *certified_window(g, one, 6))
         done += 1
