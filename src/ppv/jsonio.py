@@ -27,7 +27,7 @@ from .ore import OrePoly
 from .partial_fractions import PFDecomp
 from .rationals import Poly, RatFunc
 from .realization import NecessaryReport, Realization
-from .scalars import Scalar
+from .scalars import _MAX_INPUT_ORDER, Scalar
 from .series import INF, TruncLaurent, TwoVarLaurent
 
 
@@ -307,9 +307,9 @@ def _decode(data):
             for a, n in data.get("generators", data.get("elements", []))
         ]
         return GaloisDatum.build(
-            data["e"],
-            field_order=data.get("field_order"),
-            base_order=data.get("base_order", 1),
+            _bounded(data["e"], "e"),
+            field_order=_bounded(data.get("field_order"), "field_order"),
+            base_order=_bounded(data.get("base_order", 1), "base_order"),
             generators=gens,
         )
     if tag == "part":
@@ -343,8 +343,15 @@ def _decode(data):
     raise DecodeError("cannot decode type tag %r" % (tag,))
 
 
+def _bounded(order, field: str):
+    """A cyclotomic order or ramification index from input, refused past the bound."""
+    if isinstance(order, int) and order > _MAX_INPUT_ORDER:
+        raise DecodeError("%s %d is beyond the bound %d" % (field, order, _MAX_INPUT_ORDER))
+    return order
+
+
 def _dec_scalar(data) -> Scalar:
-    order = data.get("order", 1)
+    order = _bounded(data.get("order", 1), "order")
     acc = Scalar(order, [])
     zeta = Scalar.zeta(order)
     for term in data.get("terms", []):

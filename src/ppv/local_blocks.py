@@ -17,6 +17,7 @@ the factor is recorded in the transcript.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -61,40 +62,14 @@ def roots_of_unity_available(field_order: int, r: int) -> bool:
 # series ingredients
 
 
-def _binomial_series(q: Scalar, r: int, order: int) -> TwoVarLaurent:
-    """(1 - t/(z-q))^(1/r) as a bi-truncated series with exact coefficients."""
-    alpha = Fraction(1, r)
-    coeffs = {}
-    c = Fraction(1)
-    for n in range(order + 1):
-        if n:
-            c = c * (alpha - (n - 1)) / n
-        value = Scalar.from_rational(c * (-1) ** n, q.order)
-        if value.is_zero():
-            continue
-        coeffs[n] = TruncLaurent.monomial("w", value, -n)
-    return TwoVarLaurent(q, coeffs, order + 1)
-
-
-def _log_tail_series(q: Scalar, order: int) -> TwoVarLaurent:
-    """f = sum_{n>=1} (-1)^(n+1)/(n (z-q)^n) t^n."""
-    coeffs = {}
-    for n in range(1, order + 1):
-        value = Scalar.from_rational(Fraction((-1) ** (n + 1), n), q.order)
-        coeffs[n] = TruncLaurent.monomial("w", value, -n)
-    return TwoVarLaurent(q, coeffs, order + 1)
-
-
-def _exp_series(q: Scalar, order: int) -> TwoVarLaurent:
-    """exp(t/(z-q)) as a bi-truncated series."""
-    coeffs = {}
-    fact = 1
-    for n in range(order + 1):
-        if n:
-            fact *= n
-        value = Scalar.from_rational(Fraction(1, fact), q.order)
-        coeffs[n] = TruncLaurent.monomial("w", value, -n)
-    return TwoVarLaurent(q, coeffs, order + 1)
+def _t_over_w_series(q: Scalar, coeffs) -> TwoVarLaurent:
+    """sum c_n (t/(z-q))^n for rationals c_0..c_N, valid below t^(N+1)."""
+    return TwoVarLaurent(
+        q,
+        {n: TruncLaurent.monomial("w", Scalar.from_rational(c, q.order), -n)
+         for n, c in enumerate(coeffs)},
+        len(coeffs),
+    )
 
 
 def _w_poly(q: Scalar, *terms) -> TwoVarLaurent:
@@ -167,7 +142,11 @@ def block_cyclic(q: Scalar, r: int, e: int, order: int | None = None) -> LocalBl
     # guard orders: derivations cost validity, the identities must still
     # be certified through the working order itself
     build = order + e + 1
-    y = _binomial_series(q, r, build)
+    # binomial(1/r, n) (-1)^n, the coefficients of (1 - t/(z-q))^(1/r)
+    coeffs = [Fraction(1)]
+    for n in range(1, build + 1):
+        coeffs.append(coeffs[-1] * (n - 1 - Fraction(1, r)) / n)
+    y = _t_over_w_series(q, coeffs)
     target = _w_poly(q, (0, 0, 1), (1, -1, -1))  # 1 - t/(z-q)
     power = y
     for _ in range(r - 1):
@@ -208,7 +187,7 @@ def block_cyclic(q: Scalar, r: int, e: int, order: int | None = None) -> LocalBl
 
 def _shift_clear(clear: TwoVarLaurent, e: int) -> TwoVarLaurent:
     """Extra t^(e-1) to clear the t^(1-e) valuation of dt0 images."""
-    return clear.shift_t(e - 1)
+    return clear.shift(e - 1)
 
 
 def block_ga_closure(q: Scalar, h: RatFunc, e: int, order: int | None = None) -> LocalBlock:
@@ -221,7 +200,7 @@ def block_ga_closure(q: Scalar, h: RatFunc, e: int, order: int | None = None) ->
         raise PpvError("the additive building block needs a nonzero element h")
     order = default_order() if order is None else order
     build = order + e + 1
-    f = _log_tail_series(q, build)
+    f = _t_over_w_series(q, [0] + [Fraction((-1) ** (n + 1), n) for n in range(1, build + 1)])
     cap = (order + 2, order + 2)
 
     checks = []
@@ -231,18 +210,10 @@ def block_ga_closure(q: Scalar, h: RatFunc, e: int, order: int | None = None) ->
     checks.append(_identity_check("dx(f) = -1/((z-q)^2 + t(z-q))", f.dx(), rhs, order))
 
     # dt0(f) against the displayed two-sum formula
-    s1 = TwoVarLaurent(
-        q,
-        {n - e: TruncLaurent.monomial("w", Scalar.from_rational(Fraction((-1) ** (n + 1), e), q.order), -n)
-         for n in range(1, build + 1)},
-        build + 1 - e,
-    )
-    s2 = TwoVarLaurent(
-        q,
-        {n - e: TruncLaurent.monomial("w", Scalar.from_rational(Fraction((-1) ** n, e), q.order), -n - 1)
-         for n in range(1, build + 1)},
-        build + 1 - e,
-    )
+    # s1 = sum (-1)^(n+1)/e w^-n t^(n-e), s2 = sum (-1)^n/e w^(-n-1) t^(n-e), n >= 1
+    ns = range(1, build + 1)
+    s1 = _t_over_w_series(q, [0] + [Fraction((-1) ** (n + 1), e) for n in ns]).shift(-e)
+    s2 = _t_over_w_series(q, [0, 0] + [Fraction((-1) ** n, e) for n in ns]).shift(-e - 1)
     two_sum = s1 - TwoVarLaurent.z_elem(q) * s2
     checks.append(
         _identity_check("dt0(f) matches the two-sum formula", f.dt0(e), two_sum, order)
@@ -302,7 +273,7 @@ def block_gm_const(q: Scalar, e: int, order: int | None = None) -> LocalBlock:
     """Multiplicative-constants block: y = exp(t/(z-q))."""
     order = default_order() if order is None else order
     build = order + e + 1
-    y = _exp_series(q, build)
+    y = _t_over_w_series(q, [Fraction(1, math.factorial(n)) for n in range(build + 1)])
     cap = (order + 1, order + 1)
     checks = []
     dlog = y.dx().div(y, cap=cap)
@@ -350,14 +321,19 @@ def block_gm_const(q: Scalar, e: int, order: int | None = None) -> LocalBlock:
 
 
 def matrix_identity_check(y_mat: tuple, a_mat: tuple, order: int) -> CheckRecord:
-    """dx(Y) = A*Y, entry-wise on the provable window."""
+    """dx(Y) = A*Y, entry-wise on the provable window.
+
+    A pass records the smallest window over the entries, the one on which
+    the whole identity holds.
+    """
     lhs = mat([[entry.dx() for entry in row] for row in y_mat])
     rhs = mat_mul(a_mat, y_mat)
-    outer = order
+    outer = inner = order
     total = 0
     for i, row in enumerate(lhs):
         for j, entry in enumerate(row):
-            ow, iw = certified_window(entry, rhs[i][j], outer)
+            ow, iw = certified_window(entry, rhs[i][j], order)
+            outer, inner = min(outer, ow), min(inner, iw)
             try:
                 total += entry.agree(rhs[i][j], ow, iw)
             except AssertionError as exc:
@@ -365,7 +341,7 @@ def matrix_identity_check(y_mat: tuple, a_mat: tuple, order: int) -> CheckRecord
                     "dx(Y) = A*Y", False, ow, iw, total,
                     note="entry (%d,%d): %s" % (i, j, exc),
                 )
-    return CheckRecord("dx(Y) = A*Y", True, outer, order, total)
+    return CheckRecord("dx(Y) = A*Y", True, outer, inner, total)
 
 
 def _require_all(block: LocalBlock):

@@ -200,17 +200,12 @@ def _act_trunc(c, f: TruncLaurent) -> TruncLaurent:
         return f.scale(c)
     if c.var != "t" or f.var != "t":
         raise CoefficientFieldMismatch("cannot act on a series in %s by %s" % (f.var, c.var))
-    num = TruncLaurent.zero("t")
-    for n in range(c.num.degree() + 1):
-        cn = c.num.coeff(n)
-        if not cn.is_zero():
-            num = num + f.shift(n).scale(cn)
+    num = f * TruncLaurent("t", dict(enumerate(c.num.coeffs)))
     if c.den.degree() == 0:
         return num
-    den_val = min(n for n in range(c.den.degree() + 1) if not c.den.coeff(n).is_zero())
+    den = TruncLaurent("t", dict(enumerate(c.den.coeffs)))
     if not num.coeffs:
-        return TruncLaurent.zero("t", num.trunc - den_val if num.trunc != INF else INF)
-    den = TruncLaurent("t", {n: c.den.coeff(n) for n in range(c.den.degree() + 1)})
+        return TruncLaurent.zero("t", num.trunc - den.valuation())
     if num.trunc == INF:
         cap = default_order() + 1
     else:
@@ -220,7 +215,7 @@ def _act_trunc(c, f: TruncLaurent) -> TruncLaurent:
 
 def _check_window(res):
     if isinstance(res, (TruncLaurent, TwoVarLaurent)):
-        if res.trunc != INF and not res.coeffs and res.trunc <= 0:
+        if not res.coeffs and res.trunc <= 0:
             raise TruncationExhausted("series argument too short for the operator order")
 
 

@@ -19,7 +19,11 @@ from __future__ import annotations
 from .errors import ParseError
 from .ore import OrePoly
 from .rationals import RatFunc, f_const, k_const, t_var, x_var
-from .scalars import Scalar
+from .scalars import _MAX_INPUT_ORDER, Scalar
+
+# largest |exponent| accepted: powers expand exactly, and (x+t)^64
+# already costs about 70x more than (t+1)^64
+_MAX_EXPONENT = 64
 
 
 class _Token:
@@ -78,6 +82,13 @@ def _tokenize(src: str) -> list[_Token]:
         raise ParseError("unexpected character %r" % ch, line, col)
     out.append(_Token("eof", "", line, col))
     return out
+
+
+def _int(tok: _Token) -> int:
+    try:
+        return int(tok.text)
+    except ValueError:  # beyond Python's digit limit for int()
+        raise ParseError("integer literal too long", tok.line, tok.col) from None
 
 
 # value levels for promotion
@@ -168,7 +179,10 @@ class _Parser:
                 self.next()
                 sign = -1
             exp_tok = self.expect("int")
-            k = sign * int(exp_tok.text)
+            k = sign * _int(exp_tok)
+            if abs(k) > _MAX_EXPONENT:
+                raise ParseError("exponent %d is beyond the bound %d" % (k, _MAX_EXPONENT),
+                                 exp_tok.line, exp_tok.col)
             if isinstance(base, OrePoly):
                 if k < 0:
                     raise ParseError("operators have no negative powers", tok.line, tok.col)
@@ -184,7 +198,7 @@ class _Parser:
     def atom(self):
         tok = self.next()
         if tok.kind == "int":
-            return Scalar.from_rational(int(tok.text))
+            return Scalar.from_rational(_int(tok))
         if tok.kind == "t":
             return t_var()
         if tok.kind == "x":
@@ -202,9 +216,10 @@ class _Parser:
             self.expect("(")
             n_tok = self.expect("int")
             self.expect(")")
-            n = int(n_tok.text)
-            if n < 1:
-                raise ParseError("zeta order must be positive", n_tok.line, n_tok.col)
+            n = _int(n_tok)
+            if not 1 <= n <= _MAX_INPUT_ORDER:
+                raise ParseError("zeta order must be in 1..%d" % _MAX_INPUT_ORDER,
+                                 n_tok.line, n_tok.col)
             return Scalar.zeta(n)
         if tok.kind == "(":
             value = self.expr()

@@ -201,6 +201,9 @@ class Poly:
         return self.var == other.var and self.coeffs == other.coeffs
 
     def __hash__(self):
+        # a constant equals its coefficient as a RatFunc, so it hashes as one
+        if self.degree() <= 0:
+            return hash(self.coeff(0))
         return hash((self.var, self.coeffs))
 
     def __repr__(self):
@@ -358,9 +361,10 @@ class RatFunc:
         return self.num == b.num and self.den == b.den
 
     def __hash__(self):
-        # a constant equals its coefficient, one level down the tower
-        if self.is_constant():
-            return hash(self.as_coefficient())
+        # with denominator 1 this equals its numerator, and a constant
+        # numerator hashes as its coefficient, one level down the tower
+        if self.den.degree() == 0:
+            return hash(self.num)
         return hash((self.num, self.den))
 
     def deriv(self) -> "RatFunc":

@@ -14,6 +14,10 @@ from functools import lru_cache
 
 from .errors import CoefficientFieldMismatch
 
+# largest cyclotomic order read from input (parser, jsonio): Phi_N is
+# built by repeated division, which costs about 13x more at 4096 than at 1024
+_MAX_INPUT_ORDER = 1024
+
 
 def _trim(coeffs: list) -> list:
     while coeffs and not coeffs[-1]:

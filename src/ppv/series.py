@@ -6,6 +6,11 @@ Laurent series in t whose t-coefficients are Laurent series in w = z - q,
 i.e. an element of k((z-q))((t)) at the point z = q.  Every operation
 returns the validity it can prove, never padding with zeros, so an
 identity that checks out on a window is a genuine partial verification.
+One kernel serves both types: the sum, the product, the geometric-series
+inverse and the window comparison are written once below, and each class
+keeps only what differs (its variable or point, which coefficients count
+as zero, the monomial shortcut of inv and the 1 that seeds it, and its
+derivations).
 
 The two derivations on k((z-q))((t)) come from d/dx via z = x/t and from
 the parameter direction through a ramified root t = t0^(1/e):
@@ -53,6 +58,93 @@ def certified_window(a, b, order: int) -> tuple[int, int]:
     )
 
 
+# ---------------------------------------------------------------------------
+# the kernel: one sum, product, geometric inverse and window comparison for
+# both series types.  A series s has coeffs (exponent -> coefficient) and a
+# trunc; s._new(coeffs, trunc) builds a series of the same kind at the same
+# variable or point, and s._operand(other) says whether other combines with s.
+
+
+def _add(a, b):
+    if not a._operand(b):
+        return NotImplemented
+    out = dict(a.coeffs)
+    for n, c in b.coeffs.items():
+        cur = out.get(n)
+        out[n] = c if cur is None else cur + c
+    return a._new(out, min(a.trunc, b.trunc))
+
+
+def _neg(a):
+    return a._new({n: -c for n, c in a.coeffs.items()}, a.trunc)
+
+
+def _sub(a, b):
+    if not a._operand(b):
+        return NotImplemented
+    return a + (-b)
+
+
+def _mul(a, b):
+    if not a._operand(b):
+        return NotImplemented
+    # an exact factor adds no bound, so the valuation of the other is not needed
+    trunc = min(a.trunc if a.trunc == INF else a.trunc + b.valuation(),
+                b.trunc if b.trunc == INF else b.trunc + a.valuation())
+    out: dict = {}
+    for i, x in a.coeffs.items():
+        for j, y in b.coeffs.items():
+            if i + j >= trunc:
+                continue
+            prod = x * y
+            cur = out.get(i + j)
+            out[i + j] = prod if cur is None else cur + prod
+    return a._new(out, trunc)
+
+
+def _div(a, b, cap=None):
+    return a * b.inv(cap=cap)
+
+
+def _shift(a, k: int):
+    return a._new({n + k: c for n, c in a.coeffs.items()}, a.trunc + k)
+
+
+def _geometric_inv(s, v: int, lead_inv, validity, one):
+    """Inverse of s = c t^v (1 + u) as t^-v c^-1 sum (-u)^k, valid below validity.
+
+    lead_inv inverts the coefficient c at v; one, the 1 of the coefficient
+    ring, seeds the expansion.
+    """
+    if validity == INF:
+        raise ValueError("cap required to invert an exact series with several orders")
+    rel = validity + v  # validity of the (1+u)^-1 factor
+    u = s._new({n - v: c * lead_inv for n, c in s.coeffs.items() if n != v},
+               s.trunc - v).truncate(rel)
+    acc = term = s._new({0: one}, rel)
+    while True:
+        term = (term * (-u)).truncate(rel)
+        if not term.coeffs:
+            # even zero-so-far coefficients are kept, so this is exact zero
+            break
+        acc = acc + term
+    return (acc.shift(-v) * s._new({0: lead_inv}, INF)).truncate(validity)
+
+
+def _agree(a, b, upto: int, what: str, zero, compare) -> int:
+    """Compare a and b through order upto (inclusive); the number compared.
+
+    compare(n, x, y) checks the coefficients at n, a missing one read as
+    zero, and returns how many it compared or raises AssertionError.
+    """
+    if a.trunc <= upto or b.trunc <= upto:
+        raise TruncationExhausted(
+            "cannot certify through %s %d: validity %s vs %s" % (what, upto, a.trunc, b.trunc)
+        )
+    return sum(compare(n, a.coeffs.get(n, zero), b.coeffs.get(n, zero))
+               for n in sorted(set(a.coeffs) | set(b.coeffs)) if n <= upto)
+
+
 class TruncLaurent:
     """Laurent series in one variable, known modulo var^trunc."""
 
@@ -69,6 +161,12 @@ class TruncLaurent:
 
     def __setattr__(self, *a):
         raise AttributeError("TruncLaurent is immutable")
+
+    def _new(self, coeffs: dict, trunc) -> "TruncLaurent":
+        return TruncLaurent(self.var, coeffs, trunc)
+
+    def _operand(self, other) -> bool:
+        return isinstance(other, TruncLaurent)
 
     # constructors
 
@@ -115,52 +213,17 @@ class TruncLaurent:
 
     # arithmetic
 
-    def __add__(self, other):
-        if not isinstance(other, TruncLaurent):
-            return NotImplemented
-        trunc = min(self.trunc, other.trunc)
-        out = dict(self.coeffs)
-        for n, c in other.coeffs.items():
-            cur = out.get(n)
-            out[n] = c if cur is None else cur + c
-        return TruncLaurent(self.var, out, trunc)
-
-    def __neg__(self):
-        return TruncLaurent(self.var, {n: -c for n, c in self.coeffs.items()}, self.trunc)
-
-    def __sub__(self, other):
-        if not isinstance(other, TruncLaurent):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, TruncLaurent):
-            return NotImplemented
-        trunc = min(
-            self.trunc + other.valuation() if self.trunc != INF else INF,
-            other.trunc + self.valuation() if other.trunc != INF else INF,
-        )
-        out: dict = {}
-        for i, a in self.coeffs.items():
-            for j, b in other.coeffs.items():
-                if i + j >= trunc:
-                    continue
-                cur = out.get(i + j)
-                prod = a * b
-                out[i + j] = prod if cur is None else cur + prod
-        return TruncLaurent(self.var, out, trunc)
+    __add__ = _add
+    __neg__ = _neg
+    __sub__ = _sub
+    __mul__ = _mul
+    div = _div
+    shift = _shift
 
     def scale(self, c) -> "TruncLaurent":
         if isinstance(c, (int, Fraction)) and not c:
             return TruncLaurent.zero(self.var)
         return TruncLaurent(self.var, {n: a * c for n, a in self.coeffs.items()}, self.trunc)
-
-    def shift(self, k: int) -> "TruncLaurent":
-        return TruncLaurent(
-            self.var,
-            {n + k: c for n, c in self.coeffs.items()},
-            self.trunc + k if self.trunc != INF else INF,
-        )
 
     def truncate(self, upto) -> "TruncLaurent":
         return TruncLaurent(self.var, self.coeffs, min(self.trunc, upto))
@@ -181,39 +244,16 @@ class TruncLaurent:
         if len(self.coeffs) == 1:
             # a stored monomial inverts exactly; the cap is only a bound
             # on expansion work, so it does not apply here
-            out = TruncLaurent(self.var, {-v: cinv})
-            if self.trunc != INF:
-                out = out.truncate(self.trunc - 2 * v)
-            return out
-        validity = self.trunc - 2 * v if self.trunc != INF else INF
-        if cap is not None:
-            validity = min(validity, cap)
-        if validity == INF:
-            raise ValueError("cap required to invert an exact non-monomial series")
-        rel = validity + v  # validity of the (1+u)^-1 factor
-        u = TruncLaurent(
-            self.var,
-            {n - v: a * cinv for n, a in self.coeffs.items() if n != v},
-            (self.trunc - v) if self.trunc != INF else INF,
-        ).truncate(rel)
-        acc = TruncLaurent(self.var, {0: c.one_like()}, rel)
-        term = acc
-        while True:
-            term = (term * (-u)).truncate(rel)
-            if term.stored_zero():
-                break
-            acc = acc + term
-        return acc.shift(-v).scale(cinv).truncate(validity)
-
-    def div(self, other: "TruncLaurent", cap=None) -> "TruncLaurent":
-        return self * other.inv(cap=cap)
+            return TruncLaurent(self.var, {-v: cinv}, self.trunc - 2 * v)
+        validity = min(self.trunc - 2 * v, INF if cap is None else cap)
+        return _geometric_inv(self, v, cinv, validity, c.one_like())
 
     # derivations
 
     def deriv(self) -> "TruncLaurent":
         """d/dvar, term by term; one order of validity is lost."""
         out = {n - 1: c * n for n, c in self.coeffs.items() if n != 0}
-        return TruncLaurent(self.var, out, self.trunc - 1 if self.trunc != INF else INF)
+        return TruncLaurent(self.var, out, self.trunc - 1)
 
     def dx(self) -> "TruncLaurent":
         # k((t)) consists of d/dx-constants; the unknown tail dies too
@@ -224,7 +264,7 @@ class TruncLaurent:
 
     def dt0(self, e: int) -> "TruncLaurent":
         out = {n - e: c * Fraction(n, e) for n, c in self.coeffs.items() if n != 0}
-        return TruncLaurent(self.var, out, self.trunc - e if self.trunc != INF else INF)
+        return TruncLaurent(self.var, out, self.trunc - e)
 
     # comparisons
 
@@ -234,24 +274,13 @@ class TruncLaurent:
         Returns the number of compared coefficients; raises if either
         side is not valid far enough or if any coefficient differs.
         """
-        if self.trunc <= upto or other.trunc <= upto:
-            raise TruncationExhausted(
-                "cannot certify through order %d: validity %s vs %s" % (upto, self.trunc, other.trunc)
-            )
-        z = self._czero(other)
-        exps = set(self.coeffs) | set(other.coeffs)
-        count = 0
-        for n in sorted(exps):
-            if n > upto:
-                continue
-            a = self.coeffs.get(n, z)
-            b = other.coeffs.get(n, z)
-            count += 1
+
+        def compare(n, a, b):
             if not (a - b).is_zero():
-                raise AssertionError(
-                    "series differ at order %d: %r vs %r" % (n, a, b)
-                )
-        return count
+                raise AssertionError("series differ at order %d: %r vs %r" % (n, a, b))
+            return 1
+
+        return _agree(self, other, upto, "order", self._czero(other), compare)
 
     def __eq__(self, other):
         if not isinstance(other, TruncLaurent):
@@ -288,6 +317,15 @@ class TwoVarLaurent:
 
     def __setattr__(self, *a):
         raise AttributeError("TwoVarLaurent is immutable")
+
+    def _new(self, coeffs: dict, trunc) -> "TwoVarLaurent":
+        return TwoVarLaurent(self.q, coeffs, trunc)
+
+    def _operand(self, other) -> bool:
+        if not isinstance(other, TwoVarLaurent):
+            return False
+        self._check_point(other)
+        return True
 
     # constructors
 
@@ -356,55 +394,18 @@ class TwoVarLaurent:
 
     # arithmetic
 
-    def __add__(self, other):
-        if not isinstance(other, TwoVarLaurent):
-            return NotImplemented
-        self._check_point(other)
-        trunc = min(self.trunc, other.trunc)
-        out = dict(self.coeffs)
-        for n, f in other.coeffs.items():
-            cur = out.get(n)
-            out[n] = f if cur is None else cur + f
-        return TwoVarLaurent(self.q, out, trunc)
-
-    def __neg__(self):
-        return TwoVarLaurent(self.q, {n: -f for n, f in self.coeffs.items()}, self.trunc)
-
-    def __sub__(self, other):
-        if not isinstance(other, TwoVarLaurent):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, TwoVarLaurent):
-            return NotImplemented
-        self._check_point(other)
-        trunc = min(
-            self.trunc + other.valuation() if self.trunc != INF else INF,
-            other.trunc + self.valuation() if other.trunc != INF else INF,
-        )
-        out: dict = {}
-        for i, a in self.coeffs.items():
-            for j, b in other.coeffs.items():
-                if i + j >= trunc:
-                    continue
-                prod = a * b
-                cur = out.get(i + j)
-                out[i + j] = prod if cur is None else cur + prod
-        return TwoVarLaurent(self.q, out, trunc)
+    __add__ = _add
+    __neg__ = _neg
+    __sub__ = _sub
+    __mul__ = _mul
+    div = _div
+    shift = _shift
 
     def scale(self, c) -> "TwoVarLaurent":
         return TwoVarLaurent(self.q, {n: f.scale(c) for n, f in self.coeffs.items()}, self.trunc)
 
     def mul_k(self, f: RatFunc, order=None) -> "TwoVarLaurent":
         return self * TwoVarLaurent.from_k(f, self.q, order=order)
-
-    def shift_t(self, k: int) -> "TwoVarLaurent":
-        return TwoVarLaurent(
-            self.q,
-            {n + k: f for n, f in self.coeffs.items()},
-            self.trunc + k if self.trunc != INF else INF,
-        )
 
     def truncate(self, outer, inner=None) -> "TwoVarLaurent":
         coeffs = self.coeffs
@@ -420,39 +421,19 @@ class TwoVarLaurent:
         inside its stored window.
         """
         outer_cap, inner_cap = cap if cap is not None else (None, None)
-        live = sorted(n for n, f in self.coeffs.items() if f.coeffs)
+        live = [n for n, f in self.coeffs.items() if f.coeffs]
         if not live:
             raise NonInvertibleLeadingTerm(
                 "no invertible leading t-coefficient below order %s" % self.trunc
             )
-        v = live[0]
-        lead = self.coeffs[v]
-        lead_inv = lead.inv(cap=inner_cap)
-        validity = self.trunc - 2 * v if self.trunc != INF else INF
-        if outer_cap is not None:
-            validity = min(validity, outer_cap)
-        rest = {n - v: f * lead_inv for n, f in self.coeffs.items() if n != v}
-        if not rest and validity == INF:
+        v = min(live)
+        lead_inv = self.coeffs[v].inv(cap=inner_cap)
+        validity = min(self.trunc - 2 * v, INF if outer_cap is None else outer_cap)
+        if len(self.coeffs) == 1 and validity == INF:
             # exact monomial in t: exact inverse
             return TwoVarLaurent(self.q, {-v: lead_inv})
-        if validity == INF:
-            raise ValueError("cap required to invert an exact series with several t-orders")
-        rel = validity + v
-        u = TwoVarLaurent(self.q, rest, (self.trunc - v) if self.trunc != INF else INF).truncate(rel)
         one = TruncLaurent.monomial("w", self._one_scalar())
-        acc = TwoVarLaurent(self.q, {0: one}, rel)
-        term = acc
-        while True:
-            term = (term * (-u)).truncate(rel)
-            if not term.coeffs:
-                # even zero-so-far coefficients are kept, so this is exact zero
-                break
-            acc = acc + term
-        out = acc.shift_t(-v) * TwoVarLaurent(self.q, {0: lead_inv})
-        return out.truncate(validity)
-
-    def div(self, other: "TwoVarLaurent", cap: tuple | None = None) -> "TwoVarLaurent":
-        return self * other.inv(cap=cap)
+        return _geometric_inv(self, v, lead_inv, validity, one)
 
     def _one_scalar(self):
         for f in self.coeffs.values():
@@ -466,7 +447,7 @@ class TwoVarLaurent:
     def dx(self) -> "TwoVarLaurent":
         """The main derivation: differentiate in w, shift t down by one."""
         out = {n - 1: f.deriv() for n, f in self.coeffs.items()}
-        return TwoVarLaurent(self.q, out, self.trunc - 1 if self.trunc != INF else INF)
+        return TwoVarLaurent(self.q, out, self.trunc - 1)
 
     def dt(self) -> "TwoVarLaurent":
         return self.dt0(1)
@@ -483,7 +464,7 @@ class TwoVarLaurent:
             part = f.scale(Fraction(n, e)) - (z * f.deriv()).scale(Fraction(1, e))
             cur = out.get(n - e)
             out[n - e] = part if cur is None else cur + part
-        return TwoVarLaurent(self.q, out, self.trunc - e if self.trunc != INF else INF)
+        return TwoVarLaurent(self.q, out, self.trunc - e)
 
     # comparisons
 
@@ -494,23 +475,14 @@ class TwoVarLaurent:
         difference or if validity does not reach the requested window.
         """
         self._check_point(other)
-        if self.trunc <= outer_upto or other.trunc <= outer_upto:
-            raise TruncationExhausted(
-                "cannot certify through t-order %d: validity %s vs %s"
-                % (outer_upto, self.trunc, other.trunc)
-            )
-        count = 0
-        zero = TruncLaurent.zero("w")
-        for n in sorted(set(self.coeffs) | set(other.coeffs)):
-            if n > outer_upto:
-                continue
-            a = self.coeffs.get(n, zero)
-            b = other.coeffs.get(n, zero)
+
+        def compare(n, a, b):
             try:
-                count += max(a.agree(b, inner_upto), 1)
+                return max(a.agree(b, inner_upto), 1)
             except AssertionError as exc:
                 raise AssertionError("t-order %d: %s" % (n, exc)) from None
-        return count
+
+        return _agree(self, other, outer_upto, "t-order", TruncLaurent.zero("w"), compare)
 
     def is_zero_through(self, outer_upto: int, inner_upto: int) -> bool:
         try:

@@ -1,15 +1,15 @@
 """The input boundary: any JSON node or short expression gives a value or a PpvError.
 
-Strategies bound integers, exponents and zeta orders: huge ones are
-valid input that is slow to evaluate (t^99999999, zeta(100000)), not
-malformed input.
+Strategies also draw exponents and cyclotomic orders past the bounds the
+parser and the decoder enforce (64 and 1024): such input (t^99999999,
+zeta(100000)) would not finish, so it must be refused with an error.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ppv import jsonio
-from ppv.errors import DecodeError, PpvError
+from ppv.errors import DecodeError, ParseError, PpvError
 from ppv.parser import parse_expr, parse_k, parse_operator, parse_xrat
 
 TAGS = ["scalar", "poly", "ratfunc", "ore", "trunc_laurent", "two_var", "logext", "group",
@@ -24,6 +24,7 @@ leaves = (
     st.none()
     | st.booleans()
     | st.integers(-12, 12)
+    | st.integers(1025, 10**12)
     | st.floats(-20, 20, allow_nan=False)
     | st.sampled_from(["t", "x", "w", "0", "1", "-3", "7", "inf", "ga", "cyclic", "", "?"])
 )
@@ -66,17 +67,21 @@ def test_decode_rejects_malformed_nodes(doc):
 TOKENS = ["t", "x", "z", "Dt", "zeta(", "zeta(8)", "(", ")", "+", "-", "*", "/", "^",
           "0 ", "1 ", "2 ", "3 ", ",", " ", "\n", "y", "@"]
 ATOMS = ["t", "x", "Dt", "0", "1", "2", "7", "zeta(8)", "zeta(3)", "zeta(0)", "z"]
+past_exponents = st.integers(65, 10**12) | st.integers(-10**12, -65)
+past_orders = st.integers(1025, 10**12)
 
 
 def _grow(children):
     binary = st.tuples(children, st.sampled_from("+-*/"), children).map("".join)
-    power = st.tuples(children, st.sampled_from(["^2", "^0", "^-1", "^-2"]))
+    exponents = st.sampled_from(["^2", "^0", "^-1", "^-2"]) | past_exponents.map("^{}".format)
+    power = st.tuples(children, exponents)
     return (binary | children.map("-{}".format) | children.map("({})".format)
             | power.map(lambda p: "(%s)%s" % p))
 
 
+atoms = st.sampled_from(ATOMS) | past_orders.map("zeta({})".format)
 expressions = (st.lists(st.sampled_from(TOKENS), max_size=12).map("".join)
-               | st.recursive(st.sampled_from(ATOMS), _grow, max_leaves=6))
+               | st.recursive(atoms, _grow, max_leaves=6))
 
 
 @pytest.mark.parametrize("parse", [parse_expr, parse_operator, parse_k, parse_xrat])
@@ -87,3 +92,35 @@ def test_parsers_give_a_value_or_a_ppv_error(parse, src):
         parse(src)
     except PpvError:
         pass
+
+
+@pytest.mark.parametrize("parse", [parse_expr, parse_operator, parse_k, parse_xrat])
+@settings(max_examples=50, deadline=None)
+@given(base=st.sampled_from(["t", "(t + 1)", "Dt", "2", "zeta(8)"]), k=past_exponents)
+def test_parsers_refuse_exponents_past_the_bound(parse, base, k):
+    with pytest.raises(ParseError):
+        parse("%s^%d" % (base, k))
+
+
+def test_parser_refuses_integers_past_the_digit_limit():
+    for src in ["t^" + "9" * 5000, "9" * 5000, "zeta(%s)" % ("9" * 5000)]:
+        with pytest.raises(ParseError):
+            parse_expr(src)
+
+
+@settings(max_examples=50, deadline=None)
+@given(n=past_orders)
+def test_parser_refuses_zeta_orders_past_the_bound(n):
+    with pytest.raises(ParseError):
+        parse_expr("zeta(%d) + 1" % n)
+
+
+@settings(max_examples=50, deadline=None)
+@given(n=past_orders, field=st.sampled_from(["order", "e", "field_order", "base_order"]))
+def test_decode_refuses_orders_past_the_bound(n, field):
+    if field == "order":
+        doc = {"type": "scalar", "order": n, "terms": [{"num": "1", "den": "1", "zeta_pow": [1]}]}
+    else:
+        doc = {"type": "galois", "e": 2, "field_order": 4, "base_order": 1, field: n}
+    with pytest.raises(DecodeError):
+        jsonio.decode(doc)

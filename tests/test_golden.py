@@ -12,7 +12,9 @@ import pytest
 from ppv import jsonio
 from ppv.cli import main
 from ppv.descent import DecompositionPart, GaloisDatum, standard_sl2_decomposition
-from ppv.groups import FiniteCyclic
+from ppv.groups import FiniteCyclic, closure_of_additive
+from ppv.rationals import RatFunc, t_var
+from ppv.scalars import Scalar
 
 GOLDEN = {
     "block_cyclic": "18e50b1a0d85f41a6f61f7b529ba7fb21ad4a3e289c7619132b530492b771dfa",
@@ -20,6 +22,7 @@ GOLDEN = {
     "block_gmconst": "55b8b1f150401866862d4d2eacc26f2a681f10d30354e9cb3d2cbecf4edcc799",
     "certify_sl2_order10": "b4d9764d0c54607e65123e741f8518d8d03a7fc58ab7d7fe0b5407b7e7155f94",
     "certify_z2_cyclic_order8": "92ddbfd27275730880f2bf4673d5c7699609124f97af138bf0a2a22404c0ff52",
+    "certify_z3_ga_zeta3_order8": "6acca8aea52928c6992cdc932a2bcd61409b170c83fdb98054fc2f164251c137",
     "realize_ga": "7c720f0f9d569749af4132fa33e21abd4eec170e3092ce83616aa7a28e62883e",
     "realize_gm": "092ae11ce176f55be94f21ef05f68d2b43bfc4cb5aa32021d26be73d7a9ceecb",
 }
@@ -70,6 +73,13 @@ def _output(case, tmp_path, capsys) -> str:
     if case == "realize_ga":
         return _stdout(capsys, "realize", "--kind", "ga", "--op", "Dt^2",
                        "--basis", "1,t", "--json")
+    if case == "certify_z3_ga_zeta3_order8":
+        # a Z/3 descent over Q(zeta_3) whose h = zeta_3 * t is not rational
+        h = t_var(3) * RatFunc.constant("t", Scalar.zeta(3))
+        group = closure_of_additive(h, 3)
+        parts = [DecompositionPart(group, "ga", h=h)]
+        return _certify(tmp_path, capsys, group, parts, GaloisDatum.ramified(3),
+                        "--trunc", "8", "--samples", "6")
     raise KeyError(case)
 
 

@@ -10,6 +10,7 @@ from ppv.local_blocks import (
     block_gm_const,
     fp_membership,
     make_block,
+    matrix_identity_check,
 )
 from ppv.ore import OrePoly
 from ppv.rationals import k_const, t_var
@@ -144,3 +145,12 @@ def test_checks_record_window_and_counts():
     for c in blk.checks:
         assert c.coefficients_compared >= 1
         assert c.passed
+
+
+def test_matrix_identity_check_records_the_compared_window():
+    # y is valid below t^5 and w^4; dx(y) loses one order of each
+    q = rational(0)
+    y = TwoVarLaurent(q, {0: TruncLaurent("w", {0: rational(1)}, 4)}, 5)
+    rec = matrix_identity_check(((y,),), ((TwoVarLaurent.zero(q),),), 10)
+    assert rec.passed
+    assert (rec.outer_order, rec.inner_order) == (3, 2)

@@ -102,3 +102,7 @@ def test_constants_hash_as_their_coefficient():
     assert hash(k_const(2)) == hash(2)
     t = t_var()
     assert len({f_const(t), t}) == 1
+    assert Poly.constant("t", rational(2)) == k_const(2)
+    assert len({Poly.constant("t", rational(2)), k_const(2)}) == 1
+    assert t == t.num
+    assert len({t, t.num}) == 1

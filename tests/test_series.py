@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ppv.errors import NonInvertibleLeadingTerm, TruncationExhausted
 from ppv.rationals import t_var
@@ -179,3 +180,67 @@ def test_division_round_trip():
         one = TwoVarLaurent.term(q, rational(1))
         g.agree(one, *certified_window(g, one, 6))
         done += 1
+
+
+# kernel semantics shared by both series types
+
+
+def test_two_var_exact_several_t_orders_needs_cap():
+    q = rational(0)
+    a = TwoVarLaurent(q, {0: w_mono(1, 0), 1: w_mono(1, 0)})
+    with pytest.raises(ValueError):
+        a.inv()
+    assert a.inv(cap=(6, 6)).trunc == 6
+
+
+def test_monomial_cap_two_var_applies_trunc_laurent_ignores():
+    q = rational(0)
+    two_var = TwoVarLaurent(q, {1: w_mono(2, 0)}, 10)
+    inv = two_var.inv(cap=(4, 4))
+    assert inv.trunc == 4
+    assert inv.coeffs == {-1: w_mono(Fraction(1, 2), 0)}
+    assert TwoVarLaurent(q, {1: w_mono(2, 0)}).inv(cap=(4, 4)).trunc == 4
+    one_var = TruncLaurent("t", {1: rational(2)}, 10)
+    assert one_var.inv(cap=4).trunc == 8
+    assert TruncLaurent("t", {1: rational(2)}).inv(cap=4).trunc == INF
+
+
+def test_zero_so_far_inner_coefficient_keeps_validity():
+    q = rational(1)
+    a = TwoVarLaurent(q, {0: w_mono(1, 0), 2: TruncLaurent("w", {}, 3)}, 10)
+    one = TwoVarLaurent.term(q, rational(1))
+    for res in (a + one, a * one, one * a):
+        assert res.coeffs[2] == TruncLaurent("w", {}, 3)
+        assert res.inner_validity() == 3
+
+
+_t_coeffs = st.dictionaries(
+    st.integers(-3, 5),
+    st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 3)),
+    min_size=1, max_size=5,
+)
+_truncs = st.sampled_from([INF, 6, 7, 9])
+
+
+def _pair(coeffs, trunc):
+    one = TruncLaurent("t", {n: rational(c) for n, c in coeffs.items()}, trunc)
+    two = TwoVarLaurent(rational(2), {n: w_mono(c, 0) for n, c in coeffs.items()}, trunc)
+    return one, two
+
+
+def _assert_matches(two, one):
+    assert two.trunc == one.trunc
+    assert set(two.coeffs) == set(one.coeffs)
+    for n, f in two.coeffs.items():
+        assert f == TruncLaurent("w", {0: one.coeffs[n]})
+
+
+@settings(max_examples=60, deadline=None)
+@given(_t_coeffs, _truncs, _t_coeffs, _truncs, st.integers(1, 8))
+def test_w_constant_two_var_matches_trunc_laurent(ca, ta, cb, tb, cap):
+    a1, a2 = _pair(ca, ta)
+    b1, b2 = _pair(cb, tb)
+    _assert_matches(a2 + b2, a1 + b1)
+    _assert_matches(a2 * b2, a1 * b1)
+    if len(a1.coeffs) > 1:
+        _assert_matches(a2.inv(cap=(cap, cap)), a1.inv(cap=cap))
