@@ -17,7 +17,9 @@ from .errors import (
 )
 from .linalg import det, nullspace
 from .logext import LogExtElem
-from .rationals import RatFunc, k_const, t_var
+from .rationals import (RatFunc, _add, _coeff, _euclid, _is_zero, _leading, _monic, _neg,
+                        _scale, _strip, _sub, _zero_like, k_const, t_var)
+from .scalars import _power
 from .series import TruncLaurent, TwoVarLaurent, INF, default_order
 
 
@@ -27,25 +29,18 @@ class OrePoly:
     __slots__ = ("coeffs", "czero", "e")
 
     def __init__(self, coeffs, czero=None, e: int = 1):
-        coeffs = list(coeffs)
-        while coeffs and coeffs[-1].is_zero():
-            coeffs.pop()
-        if czero is None:
-            if not coeffs:
-                raise ValueError("zero operator needs an explicit coefficient sample")
-            czero = coeffs[0].zero_like()
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        coeffs, czero = _strip(coeffs, czero, "operator")
+        object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "czero", czero)
         object.__setattr__(self, "e", e)
 
     def __setattr__(self, *a):
         raise AttributeError("OrePoly is immutable")
 
-    # constructors
+    def _new(self, coeffs) -> "OrePoly":
+        return OrePoly(coeffs, self.czero, self.e)
 
-    @classmethod
-    def zero(cls, czero, e: int = 1) -> "OrePoly":
-        return cls([], czero, e)
+    # constructors
 
     @classmethod
     def constant(cls, c, e: int = 1) -> "OrePoly":
@@ -65,19 +60,13 @@ class OrePoly:
     def order(self) -> int:
         return len(self.coeffs) - 1  # -1 for the zero operator
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    is_zero = _is_zero
+    coeff = _coeff
+    leading = _leading
+    zero_like = _zero_like
 
-    def coeff(self, k: int):
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return self.czero
-
-    def leading(self):
-        return self.coeffs[-1] if self.coeffs else self.czero
-
-    def zero_like(self) -> "OrePoly":
-        return OrePoly([], self.czero, self.e)
+    def one_like(self) -> "OrePoly":
+        return OrePoly.constant(self.czero.one_like(), self.e)
 
     def _check(self, other: "OrePoly"):
         if self.e != other.e:
@@ -98,24 +87,12 @@ class OrePoly:
 
     # arithmetic
 
-    def __add__(self, other):
-        if not isinstance(other, OrePoly):
-            return NotImplemented
-        self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return OrePoly([self.coeff(i) + other.coeff(i) for i in range(n)], self.czero, self.e)
-
-    def __neg__(self):
-        return OrePoly([-c for c in self.coeffs], self.czero, self.e)
-
-    def __sub__(self, other):
-        if not isinstance(other, OrePoly):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, c) -> "OrePoly":
-        """Left multiplication by the order-zero operator c."""
-        return OrePoly([c * a for a in self.coeffs], self.czero, self.e)
+    __add__ = _add
+    __neg__ = _neg
+    __sub__ = _sub
+    scale = _scale  # left multiplication by the order-zero operator c
+    monic = _monic
+    __pow__ = _power
 
     def __mul__(self, other):
         """Operator composition self o other."""
@@ -133,22 +110,12 @@ class OrePoly:
             n = max(len(shifted), len(derived))
             shifted += [self.czero] * (n - len(shifted))
             derived += [self.czero] * (n - len(derived))
-            powers.append(
-                OrePoly([a + b for a, b in zip(shifted, derived)], self.czero, self.e)
-            )
+            powers.append(self._new([a + b for a, b in zip(shifted, derived)]))
         out = self.zero_like()
         for i, c in enumerate(self.coeffs):
             if not c.is_zero():
                 out = out + powers[i].scale(c)
         return out
-
-    def monic(self) -> "OrePoly":
-        if self.is_zero():
-            return self
-        lead = self.leading()
-        if lead.is_one():
-            return self
-        return self.scale(lead.one_like() / lead)
 
     def __eq__(self, other):
         if not isinstance(other, OrePoly):
@@ -227,12 +194,11 @@ def right_divmod(a: OrePoly, b: OrePoly) -> tuple[OrePoly, OrePoly]:
     lead_inv = b.leading().one_like() / b.leading()
     q = a.zero_like()
     r = a
-    one = b.leading().one_like()
     while not r.is_zero() and r.order() >= b.order():
         s = r.order() - b.order()
         c = r.leading() * lead_inv
         # q gains c*Dt^s; subtract (c Dt^s) o b from r
-        mono = OrePoly([a.czero] * s + [c], a.czero, a.e)
+        mono = a._new([a.czero] * s + [c])
         q = q + mono
         r = r - mono * b
     return q, r
@@ -247,9 +213,7 @@ def right_divides(b: OrePoly, a: OrePoly) -> bool:
 
 def gcrd(a: OrePoly, b: OrePoly) -> OrePoly:
     """Greatest common right divisor, monic."""
-    while not b.is_zero():
-        a, b = b, right_divmod(a, b)[1]
-    return a.monic()
+    return _euclid(a, b, right_divmod)
 
 
 def compose_dt(l: OrePoly) -> OrePoly:

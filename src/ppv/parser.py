@@ -166,8 +166,8 @@ class _Parser:
 
     def factor(self):
         if self.peek().kind == "-":
-            tok = self.next()
-            return self._neg(self.factor())
+            self.next()
+            return -self.factor()
         return self.power()
 
     def power(self):
@@ -183,13 +183,8 @@ class _Parser:
             if abs(k) > _MAX_EXPONENT:
                 raise ParseError("exponent %d is beyond the bound %d" % (k, _MAX_EXPONENT),
                                  exp_tok.line, exp_tok.col)
-            if isinstance(base, OrePoly):
-                if k < 0:
-                    raise ParseError("operators have no negative powers", tok.line, tok.col)
-                out = OrePoly.constant(base.czero.one_like(), base.e)
-                for _ in range(k):
-                    out = out * base
-                return out
+            if k < 0 and isinstance(base, OrePoly):
+                raise ParseError("operators have no negative powers", tok.line, tok.col)
             if k < 0 and base.is_zero():
                 raise ParseError("division by zero", tok.line, tok.col)
             return base**k
@@ -230,10 +225,6 @@ class _Parser:
             tok.line,
             tok.col,
         )
-
-    @staticmethod
-    def _neg(v):
-        return -v
 
     @staticmethod
     def _binop(tok: _Token, a, b):

@@ -71,7 +71,18 @@ def _cyclotomic_roots(coeffs: list[Scalar]) -> list[Scalar]:
     coefficients; rational roots of the norm yield candidates that are
     then verified exactly against the original polynomial.
     """
+    # the field of the constant coefficient comes first, so that the roots
+    # keep the field order they reach the JSON with; a zero constant may sit
+    # in Q while the others do not, so then the field of all coefficients
     order = coeffs[0].order
+    found = _roots_in_field(coeffs, order)
+    field = math.lcm(*(c.order for c in coeffs))
+    if not found and field != order:
+        found = _roots_in_field(coeffs, field)
+    return found
+
+
+def _roots_in_field(coeffs: list[Scalar], order: int) -> list[Scalar]:
     poly = Poly("x", coeffs)
     found: list[Scalar] = []
     units = [a for a in range(1, order + 1) if math.gcd(a, order) == 1]
@@ -250,10 +261,7 @@ def reassemble(d: PFDecomp) -> RatFunc:
     out = RatFunc.from_poly(d.poly_part)
     for t in d.terms:
         lin = Poly(d.poly_part.var, [-t.pole, t.pole.one_like()], t.pole.zero_like())
-        den = lin
-        for _ in range(t.mult - 1):
-            den = den * lin
-        out = out + RatFunc(Poly.constant(d.poly_part.var, t.coeff), den)
+        out = out + RatFunc(Poly.constant(d.poly_part.var, t.coeff), lin**t.mult)
     return out
 
 

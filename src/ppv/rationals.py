@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import CoefficientFieldMismatch
-from .scalars import Scalar
+from .scalars import Scalar, _power
 
 PARAM_VARS = ("t",)
 MAIN_VARS = ("x",)
@@ -36,25 +36,109 @@ def _as_coeff(sample, value):
     )
 
 
+# ---------------------------------------------------------------------------
+# the dense kernel: one trimming constructor and one set of coefficient-wise
+# operations for Poly and OrePoly.  A dense polynomial p has ascending
+# coeffs without trailing zeros and the zero coefficient czero;
+# p._new(coeffs) builds one of the same kind (same variable or twist), and
+# p._check(q) refuses an operand that does not mix with p.
+
+
+def _strip(coeffs, czero, what: str):
+    """(coeffs, czero) with trailing zeros dropped and czero read off if None."""
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1].is_zero():
+        coeffs.pop()
+    if czero is None:
+        if not coeffs:
+            raise ValueError("zero %s needs an explicit coefficient sample" % what)
+        czero = coeffs[0].zero_like()
+    return tuple(coeffs), czero
+
+
+def _coeff(p, k: int):
+    if 0 <= k < len(p.coeffs):
+        return p.coeffs[k]
+    return p.czero
+
+
+def _leading(p):
+    return p.coeffs[-1] if p.coeffs else p.czero
+
+
+def _is_zero(p) -> bool:
+    return not p.coeffs
+
+
+def _zero_like(p):
+    return p._new([])
+
+
+def _add(a, b):
+    if not isinstance(b, type(a)):
+        return NotImplemented
+    a._check(b)
+    n = max(len(a.coeffs), len(b.coeffs))
+    return a._new([a.coeff(i) + b.coeff(i) for i in range(n)])
+
+
+def _neg(a):
+    return a._new([-c for c in a.coeffs])
+
+
+def _sub(a, b):
+    if not isinstance(b, type(a)):
+        return NotImplemented
+    return a + (-b)
+
+
+def _scale(a, c):
+    """c * x for every coefficient x; for an operator, left multiplication by c.
+
+    c stands on the left because a product keeps the zero coefficient, and
+    so the field order, of its left factor, and that order reaches the JSON.
+    """
+    return a._new([c * x for x in a.coeffs])
+
+
+def _monic(a):
+    if a.is_zero():
+        return a
+    lead = a.leading()
+    if lead.is_one():
+        return a
+    return a.scale(lead.one_like() / lead)
+
+
+def _euclid(a, b, divide):
+    """The monic last nonzero remainder of a and b; divide returns (q, r).
+
+    Each divisor is made monic first: a unit factor does not change the
+    remainder, and normalizing keeps the coefficients reduced when they
+    are themselves fractions.
+    """
+    while not b.is_zero():
+        b = b.monic()
+        a, b = b, divide(a, b)[1]
+    return a.monic()
+
+
 class Poly:
     """Dense polynomial, ascending coefficients, trailing zeros stripped."""
 
     __slots__ = ("var", "coeffs", "czero")
 
     def __init__(self, var: str, coeffs, czero=None):
-        coeffs = list(coeffs)
-        while coeffs and coeffs[-1].is_zero():
-            coeffs.pop()
-        if czero is None:
-            if not coeffs:
-                raise ValueError("zero polynomial needs an explicit coefficient sample")
-            czero = coeffs[0].zero_like()
+        coeffs, czero = _strip(coeffs, czero, "polynomial")
         object.__setattr__(self, "var", var)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "czero", czero)
 
     def __setattr__(self, *a):
         raise AttributeError("Poly is immutable")
+
+    def _new(self, coeffs) -> "Poly":
+        return Poly(self.var, coeffs, self.czero)
 
     @classmethod
     def constant(cls, var: str, c) -> "Poly":
@@ -67,21 +151,10 @@ class Poly:
     def degree(self) -> int:
         return len(self.coeffs) - 1  # -1 for the zero polynomial
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def leading(self):
-        if not self.coeffs:
-            return self.czero
-        return self.coeffs[-1]
-
-    def coeff(self, k: int):
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return self.czero
-
-    def zero_like(self) -> "Poly":
-        return Poly(self.var, [], self.czero)
+    is_zero = _is_zero
+    leading = _leading
+    coeff = _coeff
+    zero_like = _zero_like
 
     def one_like(self) -> "Poly":
         return Poly.constant(self.var, self.czero.one_like())
@@ -92,24 +165,12 @@ class Poly:
                 "polynomial variables differ: %s vs %s" % (self.var, other.var)
             )
 
-    def __add__(self, other):
-        if not isinstance(other, Poly):
-            return NotImplemented
-        self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(
-            self.var,
-            [self.coeff(i) + other.coeff(i) for i in range(n)],
-            self.czero,
-        )
-
-    def __neg__(self):
-        return Poly(self.var, [-c for c in self.coeffs], self.czero)
-
-    def __sub__(self, other):
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self + (-other)
+    __add__ = _add
+    __neg__ = _neg
+    __sub__ = _sub
+    scale = _scale
+    monic = _monic
+    __pow__ = _power
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
@@ -123,18 +184,9 @@ class Poly:
                 continue
             for j, b in enumerate(other.coeffs):
                 out[i + j] = out[i + j] + a * b
-        return Poly(self.var, out, self.czero)
+        return self._new(out)
 
     __rmul__ = __mul__
-
-    def scale(self, c) -> "Poly":
-        return Poly(self.var, [a * c for a in self.coeffs], self.czero)
-
-    def shift(self, k: int) -> "Poly":
-        """Multiply by var^k (k >= 0)."""
-        if self.is_zero():
-            return self
-        return Poly(self.var, [self.czero] * k + list(self.coeffs), self.czero)
 
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
         self._check(other)
@@ -150,33 +202,14 @@ class Poly:
             if not c.is_zero():
                 for i, d in enumerate(other.coeffs):
                     rem[k + i] = rem[k + i] - c * d
-        return Poly(self.var, q, self.czero), Poly(self.var, rem[: dn - 1], self.czero)
-
-    def monic(self) -> "Poly":
-        if self.is_zero():
-            return self
-        lead = self.leading()
-        if lead.is_one():
-            return self
-        inv = lead.one_like() / lead
-        return self.scale(inv)
+        return self._new(q), self._new(rem[: dn - 1])
 
     def gcd(self, other: "Poly") -> "Poly":
-        # monic remainder sequence: normalizing every step keeps the
-        # coefficients reduced when they are themselves fractions
-        a, b = self, other
-        while not b.is_zero():
-            b = b.monic()
-            a, b = b, a.divmod(b)[1]
-        return a.monic() if not a.is_zero() else a
+        return _euclid(self, other, Poly.divmod)
 
     def deriv(self) -> "Poly":
         """Formal derivative with respect to the polynomial's own variable."""
-        return Poly(
-            self.var,
-            [self.coeffs[i] * i for i in range(1, len(self.coeffs))],
-            self.czero,
-        )
+        return self._new([self.coeffs[i] * i for i in range(1, len(self.coeffs))])
 
     def map_coeffs(self, fn) -> "Poly":
         return Poly(self.var, [fn(c) for c in self.coeffs], fn(self.czero).zero_like())
@@ -342,17 +375,7 @@ class RatFunc:
     def __rtruediv__(self, other):
         return self.inv() * other
 
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inv() ** (-n)
-        out = self.one_like()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+    __pow__ = _power
 
     def __eq__(self, other):
         b = self._coerce(other)
@@ -371,9 +394,6 @@ class RatFunc:
         """Derivative with respect to the function's own variable."""
         num = self.num.deriv() * self.den - self.num * self.den.deriv()
         return RatFunc(num, self.den * self.den)
-
-    def map_coeffs(self, fn) -> "RatFunc":
-        return RatFunc(self.num.map_coeffs(fn), self.den.map_coeffs(fn))
 
     def _coeff_deriv(self, fn) -> "RatFunc":
         # quotient rule with fn applied to the coefficients of num and den

@@ -7,23 +7,26 @@ O(..) marker for the truncation; that form is for reading, not parsing.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
-_ATOMS = {"t", "x", "Dt"}
+# what a coefficient may print as without parentheses: t, x, Dt, an
+# integer, zeta(N) or zeta(N)^k
+_ATOM = re.compile(r"t|x|Dt|-?\d+|zeta\(\d+\)(\^\d+)?")
 
 
 def _frac_str(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else "%d/%d" % (q.numerator, q.denominator)
 
 
-def _needs_parens(s: str) -> bool:
-    if s in _ATOMS or s.startswith("zeta("):
-        return False
-    return not (s.lstrip("-").isdigit() and not s.startswith("--"))
-
-
 def _wrap(s: str) -> str:
-    return "(%s)" % s if _needs_parens(s) else s
+    return s if _ATOM.fullmatch(s) else "(%s)" % s
+
+
+def _series_wrap(s: str) -> str:
+    # series text also leaves any zeta-led coefficient bare; certificates
+    # carry this text, so it stays as it is although it does not re-parse
+    return s if s.startswith("zeta(") else _wrap(s)
 
 
 def _join(parts: list[str]) -> str:
@@ -67,22 +70,25 @@ def _coeff_str(c) -> str:
     return format_ratfunc(c)
 
 
-def format_poly(p) -> str:
-    if p.is_zero():
-        return "0"
+def _format_dense(coeffs, var: str, constant) -> str:
+    """sum c_k var^k, highest power first; constant prints the c_0 text."""
     parts = []
-    for k in range(p.degree(), -1, -1):
-        c = p.coeff(k)
+    for k in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[k]
         if c.is_zero():
             continue
-        v = p.var if k == 1 else "%s^%d" % (p.var, k)
+        v = var if k == 1 else "%s^%d" % (var, k)
         if k == 0:
-            parts.append(_coeff_str(c))
+            parts.append(constant(_coeff_str(c)))
         elif c.is_one():
             parts.append(v)
         else:
             parts.append("%s*%s" % (_wrap(_coeff_str(c)), v))
-    return _join(parts)
+    return _join(parts) if parts else "0"
+
+
+def format_poly(p) -> str:
+    return _format_dense(p.coeffs, p.var, str)
 
 
 def format_ratfunc(f) -> str:
@@ -93,21 +99,7 @@ def format_ratfunc(f) -> str:
 
 
 def format_ore(op) -> str:
-    if op.is_zero():
-        return "0"
-    parts = []
-    for k in range(op.order(), -1, -1):
-        c = op.coeff(k)
-        if c.is_zero():
-            continue
-        v = "Dt" if k == 1 else "Dt^%d" % k
-        if k == 0:
-            parts.append(_wrap(_coeff_str(c)) if _needs_parens(_coeff_str(c)) else _coeff_str(c))
-        elif c.is_one():
-            parts.append(v)
-        else:
-            parts.append("%s*%s" % (_wrap(_coeff_str(c)), v))
-    return _join(parts)
+    return _format_dense(op.coeffs, "Dt", _wrap)
 
 
 def format_trunc_laurent(f, symbol: str | None = None) -> str:
@@ -116,8 +108,7 @@ def format_trunc_laurent(f, symbol: str | None = None) -> str:
         return "0"
     parts = []
     for n in sorted(f.coeffs):
-        c = _coeff_str(f.coeffs[n])
-        cs = _wrap(c)
+        cs = _series_wrap(_coeff_str(f.coeffs[n]))
         if n == 0:
             parts.append(cs)
         elif n == 1:

@@ -25,19 +25,6 @@ def _trim(coeffs: list) -> list:
     return coeffs
 
 
-def _zpoly_exact_div(num: list[int], den: list[int]) -> list[int]:
-    # num, den ascending; den monic up to sign; division is known exact.
-    num = list(num)
-    q = [0] * (len(num) - len(den) + 1)
-    for k in range(len(q) - 1, -1, -1):
-        c = num[k + len(den) - 1] // den[-1]
-        q[k] = c
-        for i, d in enumerate(den):
-            num[k + i] -= c * d
-    assert not any(num), "inexact division"
-    return q
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_coeffs(n: int) -> tuple[int, ...]:
     """Integer coefficients (ascending) of the n-th cyclotomic polynomial."""
@@ -45,11 +32,11 @@ def cyclotomic_coeffs(n: int) -> tuple[int, ...]:
         raise ValueError("cyclotomic order must be >= 1")
     if n == 1:
         return (-1, 1)
-    poly = [0] * n + [1]
-    poly[0] = -1  # X^n - 1
+    poly = [-1] + [0] * (n - 1) + [1]  # X^n - 1
     for d in range(1, n):
         if n % d == 0:
-            poly = _zpoly_exact_div(poly, list(cyclotomic_coeffs(d)))
+            poly, rem = _qpoly_divmod(poly, cyclotomic_coeffs(d))
+            assert not rem, "inexact division"
     return tuple(poly)
 
 
@@ -73,14 +60,18 @@ def _trace_weights(n: int) -> tuple[Fraction, ...]:
 
 
 def _qpoly_divmod(num, den):
+    """Long division of ascending lists; by a monic den, integers stay integers."""
     num = list(num)
     dlead = den[-1]
     q = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
     for k in range(len(q) - 1, -1, -1):
-        c = num[k + len(den) - 1] / dlead
+        c = num[k + len(den) - 1]
+        if dlead != 1:
+            c = c / dlead
         q[k] = c
-        for i, d in enumerate(den):
-            num[k + i] -= c * d
+        if c:
+            for i, d in enumerate(den):
+                num[k + i] -= c * d
     return q, _trim(num)
 
 
@@ -102,6 +93,20 @@ def _qpoly_sub(a, b):
     for i, y in enumerate(b):
         out[i] -= y
     return _trim(out)
+
+
+def _power(x, n: int):
+    """x**n by square-and-multiply; a negative n inverts x first."""
+    if n < 0:
+        x, n = x.inv(), -n
+    out = x.one_like()
+    while n:
+        if n & 1:
+            out = out * x
+        n >>= 1
+        if n:
+            x = x * x
+    return out
 
 
 class Scalar:
@@ -163,12 +168,10 @@ class Scalar:
             raise CoefficientFieldMismatch(
                 "cannot embed Q(zeta_%d) into Q(zeta_%d)" % (self.order, order)
             )
+        # zeta_self = zeta_order^step; the constructor reduces modulo Phi_order
         step = order // self.order
-        out = []
-        for k, c in enumerate(self.coeffs):
-            if c:
-                mono = [Fraction(0)] * (k * step) + [c]
-                out = _qpoly_sub(out, [-x for x in mono])
+        out = [Fraction(0)] * ((len(self.coeffs) - 1) * step + 1)
+        out[::step] = self.coeffs
         return Scalar(order, out)
 
     @staticmethod
@@ -242,17 +245,7 @@ class Scalar:
     def __rtruediv__(self, other):
         return self.inv() * other
 
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inv() ** (-n)
-        out = self.one_like()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+    __pow__ = _power
 
     # comparisons
 
@@ -311,7 +304,3 @@ class Scalar:
 def rational(q) -> Scalar:
     """Plain rational number as a Scalar."""
     return Scalar.from_rational(q)
-
-
-ZERO = rational(0)
-ONE = rational(1)

@@ -27,7 +27,7 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 
-from .errors import NonInvertibleLeadingTerm, TruncationExhausted
+from .errors import CoefficientFieldMismatch, NonInvertibleLeadingTerm, TruncationExhausted
 from .scalars import Scalar
 from .rationals import RatFunc
 
@@ -166,7 +166,16 @@ class TruncLaurent:
         return TruncLaurent(self.var, coeffs, trunc)
 
     def _operand(self, other) -> bool:
-        return isinstance(other, TruncLaurent)
+        if not isinstance(other, TruncLaurent):
+            return False
+        self._check_var(other)
+        return True
+
+    def _check_var(self, other: "TruncLaurent"):
+        if self.var != other.var:
+            raise CoefficientFieldMismatch(
+                "series variables differ: %s vs %s" % (self.var, other.var)
+            )
 
     # constructors
 
@@ -274,6 +283,7 @@ class TruncLaurent:
         Returns the number of compared coefficients; raises if either
         side is not valid far enough or if any coefficient differs.
         """
+        self._check_var(other)
 
         def compare(n, a, b):
             if not (a - b).is_zero():

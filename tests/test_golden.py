@@ -23,6 +23,10 @@ GOLDEN = {
     "certify_sl2_order10": "b4d9764d0c54607e65123e741f8518d8d03a7fc58ab7d7fe0b5407b7e7155f94",
     "certify_z2_cyclic_order8": "92ddbfd27275730880f2bf4673d5c7699609124f97af138bf0a2a22404c0ff52",
     "certify_z3_ga_zeta3_order8": "6acca8aea52928c6992cdc932a2bcd61409b170c83fdb98054fc2f164251c137",
+    "decompose_zeta8_double_poles": "052f595556f2311e243d83ef7f82f04c092f8f2c4d8a9393a80affeb3fd36feb",
+    "ore_divmod_zeta8": "6453d1f076c55405809d304f81cfa34fa1ad6c792e7fdea6bd23b56545d973ff",
+    "ore_gcrd_zeta8": "265f643130cd34d964befcf77cc4a8275335632b3cf99dab053515db759144dc",
+    "ore_mul_cube": "0c8c3ce3eff679e5f890132be90d19bfe742438ab3ad2c695825abacf4438b44",
     "realize_ga": "7c720f0f9d569749af4132fa33e21abd4eec170e3092ce83616aa7a28e62883e",
     "realize_gm": "092ae11ce176f55be94f21ef05f68d2b43bfc4cb5aa32021d26be73d7a9ceecb",
 }
@@ -80,6 +84,16 @@ def _output(case, tmp_path, capsys) -> str:
         parts = [DecompositionPart(group, "ga", h=h)]
         return _certify(tmp_path, capsys, group, parts, GaloisDatum.ramified(3),
                         "--trunc", "8", "--samples", "6")
+    if case == "ore_gcrd_zeta8":
+        return _stdout(capsys, "ore", "gcrd", "--json", "(t*Dt - 1)*(Dt + zeta(8)/t)",
+                       "(Dt^2 + t)*(Dt + zeta(8)/t)")
+    if case == "ore_divmod_zeta8":
+        return _stdout(capsys, "ore", "divmod", "--json", "t*Dt^3 + zeta(8)*Dt + 1/t",
+                       "(t+1)*Dt^2 - zeta(8)")
+    if case == "ore_mul_cube":
+        return _stdout(capsys, "ore", "mul", "--json", "(Dt + t)^3", "zeta(8)*t*Dt - 1")
+    if case == "decompose_zeta8_double_poles":
+        return _stdout(capsys, "decompose", "--json", "(x+3)/(x^2*(x - zeta(8))*(x-2)^2)")
     raise KeyError(case)
 
 

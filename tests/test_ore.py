@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ppv.errors import CoefficientFieldMismatch, DependentFamily
 from ppv.ore import (
@@ -183,3 +184,29 @@ def test_monic_normalization(k):
     m = l.monic()
     assert m.leading().is_one()
     assert m == OrePoly([one / t, one])
+
+
+_op_coeffs = st.tuples(st.integers(-2, 2), st.integers(-1, 1))
+
+
+def _operator(draw, order):
+    """An operator of exactly the given order, coefficients c * t^j."""
+    one, t = k_const(1), t_var()
+    cs = [k_const(c) * t**j for c, j in draw(st.lists(_op_coeffs, min_size=order + 1,
+                                                     max_size=order + 1))]
+    if cs[-1].is_zero():
+        cs[-1] = one
+    return OrePoly(cs, one.zero_like())
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_gcrd_of_planted_common_right_factor(data):
+    f_order = data.draw(st.integers(1, 2))
+    f = _operator(data.draw, f_order)
+    a = _operator(data.draw, data.draw(st.integers(0, 2 - f_order))) * f
+    b = _operator(data.draw, data.draw(st.integers(0, 2 - f_order))) * f
+    g = gcrd(a, b)
+    assert g.leading().is_one()
+    assert right_divides(g, a) and right_divides(g, b)
+    assert right_divides(f, g)

@@ -119,3 +119,24 @@ def test_print_parse_round_trip_x_level():
     for _ in range(20):
         f = (x + rng.randint(-3, 3)) / (x ** rng.randint(1, 2) - rng.randint(1, 4))
         assert parse_xrat(format_ratfunc(f)) == f
+
+
+def test_print_parse_round_trip_zeta_led_coefficients():
+    # a coefficient that starts with zeta( but is a sum needs parentheses
+    z8 = k_const(Scalar.zeta(8))
+    f = (z8 + 1) * t
+    assert parse_k(format_ratfunc(f)) == f
+    l = OrePoly([t, z8 + 1])  # (zeta(8) + 1)*Dt + t
+    assert parse_operator(format_ore(l)) == l
+    g = (z8 * t + 1) / (t + 1)
+    assert parse_k(format_ratfunc(g)) == g
+    m = OrePoly([z8 / t, z8 ** 2 * t, z8])  # zeta(8)*Dt^2 + ...
+    assert parse_operator(format_ore(m)) == m
+
+
+def test_operator_powers():
+    base = parse_operator("Dt + t")
+    assert parse_operator("(Dt + t)^3") == base * base * base
+    assert parse_operator("Dt^0") == OrePoly.constant(one)
+    with pytest.raises(ParseError):
+        parse_operator("Dt^-1")

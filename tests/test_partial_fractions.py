@@ -12,6 +12,7 @@ from ppv.partial_fractions import (
     reassemble,
 )
 from ppv.rationals import f_const, k_const, t_var, x_var
+from ppv.scalars import Scalar
 
 
 def test_decompose_simple_poles():
@@ -64,6 +65,15 @@ def test_cyclotomic_poles():
     assert reassemble(d) == g
     poles = {str(t.pole) for t in d.terms}
     assert poles == {"zeta(4)", "-zeta(4)"}
+
+
+def test_zero_pole_beside_cyclotomic_pole():
+    # x = 0 and zeta_8 in one square-free factor, whose constant coefficient is 0
+    x = x_var()
+    g = 1 / (x * (x - f_const(Scalar.zeta(8))))
+    d = decompose(g)
+    assert {str(t.pole) for t in d.terms} == {"0", "zeta(8)"}
+    assert reassemble(d) == g
 
 
 def test_pole_at_t():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from ppv.errors import CoefficientFieldMismatch
@@ -106,3 +108,50 @@ def test_constants_hash_as_their_coefficient():
     assert len({Poly.constant("t", rational(2)), k_const(2)}) == 1
     assert t == t.num
     assert len({t, t.num}) == 1
+
+
+def _sympy_gcd_check(p, q, domain):
+    """p.gcd(q) equals sympy's monic gcd; coefficients over Q or Q(t)."""
+    sympy = pytest.importorskip("sympy")
+    v, t = sympy.symbols("v t")
+
+    def expr(c):
+        if isinstance(c, RatFunc):
+            return poly_expr(c.num, t) / poly_expr(c.den, t)
+        return sympy.Rational(c.as_fraction().numerator, c.as_fraction().denominator)
+
+    def poly_expr(f, var):
+        return sum((expr(c) * var**k for k, c in enumerate(f.coeffs)), sympy.Integer(0))
+
+    want = sympy.Poly(poly_expr(p, v), v, domain=domain).gcd(
+        sympy.Poly(poly_expr(q, v), v, domain=domain)).monic()
+    assert sympy.Poly(poly_expr(p.gcd(q), v), v, domain=domain) == want
+
+
+def test_poly_gcd_over_q_matches_sympy():
+    rng = random.Random(11)
+    t = t_var()
+    for _ in range(25):
+        def rand(deg):
+            return sum((k_const(rng.randint(-4, 4)) * t**k for k in range(deg)), t**deg)
+
+        common = rand(rng.randint(0, 2))
+        p, q = (common * rand(rng.randint(0, 3))).num, (common * rand(rng.randint(0, 3))).num
+        _sympy_gcd_check(p, q, "QQ")
+
+
+def test_poly_gcd_over_q_of_t_matches_sympy():
+    rng = random.Random(12)
+    t, x = t_var(), x_var()
+
+    def coeff():
+        c = k_const(rng.randint(-3, 3)) * t ** rng.randint(0, 1)
+        return c / (t + rng.randint(1, 2)) if rng.random() < 0.3 else c
+
+    for _ in range(12):
+        def rand(deg):
+            return sum((f_const(coeff()) * x**k for k in range(deg)), x**deg)
+
+        common = rand(rng.randint(0, 2))
+        p, q = (common * rand(rng.randint(0, 2))).num, (common * rand(rng.randint(0, 2))).num
+        _sympy_gcd_check(p, q, "QQ(t)")

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ppv.errors import NonInvertibleLeadingTerm, TruncationExhausted
+from ppv.errors import CoefficientFieldMismatch, NonInvertibleLeadingTerm, TruncationExhausted
 from ppv.rationals import t_var
 from ppv.scalars import Scalar, rational
 from ppv.series import (
@@ -166,6 +166,15 @@ def test_agree_refuses_beyond_validity():
     b = TwoVarLaurent(q, {0: w_mono(1, 0)}, 9)
     with pytest.raises(TruncationExhausted):
         a.agree(b, 6, 3)
+
+
+def test_trunc_laurent_refuses_mixed_variables():
+    # 1 in t and 1 in w agree as numbers, but not as series
+    a = TruncLaurent("t", {0: rational(1)})
+    b = TruncLaurent("w", {0: rational(1), 1: rational(2)}, 5)
+    for op in (lambda: a + b, lambda: a - b, lambda: a * b, lambda: b.agree(a, 0)):
+        with pytest.raises(CoefficientFieldMismatch):
+            op()
 
 
 def test_division_round_trip():
