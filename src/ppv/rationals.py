@@ -243,8 +243,45 @@ class Poly:
         return "Poly(%r, %r)" % (self.var, list(self.coeffs))
 
 
+def _coprime(p: Poly, q: Poly) -> bool:
+    """True when gcd(p, q) is a unit; a nonzero constant is coprime to anything."""
+    return p.degree() == 0 or q.degree() == 0 or p.gcd(q).degree() == 0
+
+
+def _lowest_terms(num: Poly, den: Poly, coprime: bool) -> tuple[Poly, Poly]:
+    """num/den with the gcd cancelled and the denominator made monic.
+
+    coprime=True says gcd(num, den) is known to be a unit, and skips
+    only the gcd; the zero test and the monic scaling always run.
+    """
+    if num.is_zero():
+        return num, Poly.constant(num.var, num.czero.one_like())
+    if not coprime:
+        g = num.gcd(den)
+        if g.degree() > 0:
+            num = num.divmod(g)[0]
+            den = den.divmod(g)[0]
+    lead = den.leading()
+    if not lead.is_one():
+        inv = lead.one_like() / lead
+        num = num.scale(inv)
+        den = den.scale(inv)
+    return num, den
+
+
 class RatFunc:
-    """Quotient of two Polys; denominator monic and coprime to the numerator."""
+    """Quotient of two Polys; denominator monic and coprime to the numerator.
+
+    Sums, products and inverses of reduced operands use Henrici's rule
+    (Knuth, TAOCP vol. 2, 4.5.1): a/b + c/d is already reduced when
+    gcd(b, d) = 1, (a/b)(c/d) when gcd(a, d) = gcd(c, b) = 1, and b/a
+    always.  Those gcds are of the smaller parts, and most pairs pass, so
+    the gcd of the whole numerator and denominator runs only when a test
+    fails.  A failed test takes that full reduction unchanged rather than
+    dividing the parts first: the JSON keeps each coefficient's field
+    order, which follows the operand order of every product, so only the
+    full reduction keeps the output byte for byte what it was.
+    """
 
     __slots__ = ("num", "den")
 
@@ -253,18 +290,8 @@ class RatFunc:
             raise ZeroDivisionError("rational function with zero denominator")
         num._check(den)
         if not reduced:
-            if num.is_zero():
-                den = Poly.constant(num.var, num.czero.one_like())
-            else:
-                g = num.gcd(den)
-                if g.degree() > 0:
-                    num = num.divmod(g)[0]
-                    den = den.divmod(g)[0]
-                lead = den.leading()
-                if not lead.is_one():
-                    inv = lead.one_like() / lead
-                    num = num.scale(inv)
-                    den = den.scale(inv)
+            # a nonzero constant is a unit, coprime to the other part
+            num, den = _lowest_terms(num, den, num.degree() == 0 or den.degree() == 0)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -337,7 +364,9 @@ class RatFunc:
         b = self._coerce(other)
         if b is None:
             return NotImplemented
-        return RatFunc(self.num * b.den + b.num * self.den, self.den * b.den)
+        num = self.num * b.den + b.num * self.den
+        coprime = num.is_zero() or _coprime(self.den, b.den)
+        return RatFunc(*_lowest_terms(num, self.den * b.den, coprime), reduced=True)
 
     __radd__ = __add__
 
@@ -357,14 +386,16 @@ class RatFunc:
         b = self._coerce(other)
         if b is None:
             return NotImplemented
-        return RatFunc(self.num * b.num, self.den * b.den)
+        num = self.num * b.num
+        coprime = num.is_zero() or (_coprime(self.num, b.den) and _coprime(b.num, self.den))
+        return RatFunc(*_lowest_terms(num, self.den * b.den, coprime), reduced=True)
 
     __rmul__ = __mul__
 
     def inv(self) -> "RatFunc":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero rational function")
-        return RatFunc(self.den, self.num)
+        return RatFunc(*_lowest_terms(self.den, self.num, True), reduced=True)
 
     def __truediv__(self, other):
         b = self._coerce(other)

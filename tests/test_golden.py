@@ -13,6 +13,8 @@ from ppv import jsonio
 from ppv.cli import main
 from ppv.descent import DecompositionPart, GaloisDatum, standard_sl2_decomposition
 from ppv.groups import FiniteCyclic, closure_of_additive
+from ppv.parser import parse_xrat
+from ppv.partial_fractions import decompose, reassemble
 from ppv.rationals import RatFunc, t_var
 from ppv.scalars import Scalar
 
@@ -29,6 +31,8 @@ GOLDEN = {
     "ore_mul_cube": "0c8c3ce3eff679e5f890132be90d19bfe742438ab3ad2c695825abacf4438b44",
     "realize_ga": "7c720f0f9d569749af4132fa33e21abd4eec170e3092ce83616aa7a28e62883e",
     "realize_gm": "092ae11ce176f55be94f21ef05f68d2b43bfc4cb5aa32021d26be73d7a9ceecb",
+    "reassemble_t_double_pole": "7253898db39efbb4687864d28f1afe6f98c512539923de7176b27251cc88be55",
+    "reassemble_zeta8_repeated_pole": "ed3a046b2445795dc17919e5a7efca67dd6789bb11696cb07af77560917f3da9",
 }
 
 
@@ -94,7 +98,20 @@ def _output(case, tmp_path, capsys) -> str:
         return _stdout(capsys, "ore", "mul", "--json", "(Dt + t)^3", "zeta(8)*t*Dt - 1")
     if case == "decompose_zeta8_double_poles":
         return _stdout(capsys, "decompose", "--json", "(x+3)/(x^2*(x - zeta(8))*(x-2)^2)")
+    # sums of partial fractions: the JSON records each coefficient's field
+    # order, which a different reduction of the sums would change
+    if case == "reassemble_zeta8_repeated_pole":
+        return _reassembled("(x^2 - 3*x + 1)/((x + 2)*(x - 3*zeta(8)^3)^2)")
+    if case == "reassemble_t_double_pole":
+        return _reassembled("(x + 1)/((x - 1)*(x - (2*t + 1))^2)")
     raise KeyError(case)
+
+
+def _reassembled(src: str) -> str:
+    g = parse_xrat(src)
+    out = reassemble(decompose(g))
+    assert out == g
+    return json.dumps(jsonio.encode(out), sort_keys=True)
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))

@@ -184,3 +184,26 @@ def test_uniqueness_on_decompositions():
     back = decompose(reassemble(d))
     assert back.poly_part == poly_part
     assert set(back.terms) == set(terms)
+
+
+def test_round_trip_gcd_count(monkeypatch):
+    # a count, not a time, so it cannot flake: the sums of reassemble
+    # test only their denominators for coprimality (Henrici); reducing
+    # every sum by a full gcd took 2021 Poly.gcd calls here
+    from ppv.rationals import Poly
+
+    x = x_var()
+    den = f_const(1)
+    for c in range(-4, 4):
+        den = den * (x + c)
+    g = (x**7 + 3 * x + 1) / den
+    calls = []
+    gcd = Poly.gcd
+
+    def counted(a, b):
+        calls.append(None)
+        return gcd(a, b)
+
+    monkeypatch.setattr(Poly, "gcd", counted)
+    assert reassemble(decompose(g)) == g
+    assert len(calls) <= 100
