@@ -12,13 +12,14 @@ import random
 import time
 from dataclasses import dataclass, replace
 
+from .checks import window_check
 from .descent import (
     DecompositionPart,
     GaloisDatum,
     find_free_orbits,
     run_criterion,
     standard_sl2_decomposition,
-    transport_block,
+    transport_orbit,
     twist_mutation_detected,
     verify_equivariance,
     verify_sigma_commutes,
@@ -34,7 +35,7 @@ from .realization import (
     window_kernel_dimension,
 )
 from .scalars import rational
-from .series import certified_window, random_two_var
+from .series import random_two_var
 
 
 @dataclass
@@ -66,9 +67,10 @@ def _commutation(order: int = 12, samples: int = 100, seed: int = 20240801):
     for e in (1, 2, 3):
         for i in range(samples):
             f = random_two_var(rng, points[i % 3], order, order)
-            lhs = f.dx().dt0(e)
-            rhs = f.dt0(e).dx()
-            compared += lhs.agree(rhs, *certified_window(lhs, rhs, order))
+            rec = window_check("dx and dt0 commute", f.dx().dt0(e), f.dt0(e).dx(), order)
+            if not rec.passed:
+                return False, "e=%d, sample %d: %s" % (e, i, rec.note)
+            compared += rec.coefficients_compared
     return True, "%d samples per e in {1,2,3} at bi-truncation (%d,%d); %d coefficients agreed exactly" % (
         samples, order, order, compared)
 
@@ -109,12 +111,7 @@ def _sigma_equivariance(order: int = 10, samples: int = 100, seed: int = 7):
         return False, "sigma fails to commute: %s" % (tr.failures,)
     orbit = find_free_orbits(gd, 1)[0]
     rep = block_ga_closure(orbit.representative, t_var(), 2, order=order)
-    blocks = {orbit.representative: rep}
-    for g in gd.elements:
-        if not g.is_identity():
-            moved = transport_block(gd, g, rep)
-            blocks[moved.q] = moved
-    eq = verify_equivariance(gd, blocks, orbit, order=order)
+    eq = verify_equivariance(gd, transport_orbit(gd, rep, orbit), orbit, order=order)
     if not eq.passed:
         return False, "equivariance fails: %s" % (eq.failures,)
     mut = twist_mutation_detected(gd, sigma, rational(1), samples=20, order=order, seed=seed)

@@ -20,7 +20,7 @@ import math
 import random
 from dataclasses import dataclass, replace
 
-from .checks import CheckRecord
+from .checks import CheckRecord, window_check
 from .errors import PpvError, UnsupportedGroup, VerificationFailed
 from .groups import (
     FiniteCyclic,
@@ -35,7 +35,7 @@ from .matrices import exp_nilpotent, is_unipotent, mat, mat_map
 from .ore import OrePoly
 from .rationals import Poly, RatFunc, k_const, t_var
 from .scalars import Scalar
-from .series import TwoVarLaurent, certified_window, default_order, random_two_var
+from .series import TwoVarLaurent, default_order, random_two_var
 
 
 # ---------------------------------------------------------------------------
@@ -281,10 +281,14 @@ class Transcript:
     failures: tuple = ()
 
 
-def verify_sigma_commutes(gd: GaloisDatum, g: GammaElement, samples: int = 100,
-                          order: int | None = None, seed: int = 0,
-                          probe_point: int = 1) -> Transcript:
-    """sigma o d = d o sigma for both derivations, on random local series."""
+def _sampled_commutation(name: str, gd: GaloisDatum, g: GammaElement, move, derivations,
+                         samples: int, order: int | None, seed: int,
+                         probe_point: int) -> Transcript:
+    """move o d = d o move on random series at the source point of g.
+
+    move(u, q) carries a series from the source point of g to the probe
+    point q; derivations are (tag, d) pairs.
+    """
     order = default_order() if order is None else order
     rng = random.Random(seed)
     q_target = Scalar.from_rational(probe_point, gd.field_order)
@@ -293,20 +297,24 @@ def verify_sigma_commutes(gd: GaloisDatum, g: GammaElement, samples: int = 100,
     failures = []
     for i in range(samples):
         f = random_two_var(rng, q_source, order, order)
-        for tag, deriv in (("dx", lambda u: u.dx()), ("dt0", lambda u: u.dt0(gd.e))):
-            lhs = sigma_map(gd, g, deriv(f))
-            rhs = deriv(sigma_map(gd, g, f))
-            try:
-                compared += lhs.agree(rhs, *certified_window(lhs, rhs, order))
-            except AssertionError as exc:
-                failures.append("sample %d, %s: %s" % (i, tag, exc))
-    return Transcript(
-        "sigma commutes with both derivations (%s)" % g.label(),
-        not failures,
-        samples,
-        compared,
-        (order, order),
-        tuple(failures[:5]),
+        for tag, deriv in derivations:
+            rec = window_check(tag, move(deriv(f), q_target), deriv(move(f, q_target)), order)
+            compared += rec.coefficients_compared
+            if not rec.passed:
+                failures.append("sample %d, %s: %s" % (i, tag, rec.note))
+    return Transcript(name, not failures, samples, compared, (order, order),
+                      tuple(failures[:5]))
+
+
+def verify_sigma_commutes(gd: GaloisDatum, g: GammaElement, samples: int = 100,
+                          order: int | None = None, seed: int = 0,
+                          probe_point: int = 1) -> Transcript:
+    """sigma o d = d o sigma for both derivations, on random local series."""
+    return _sampled_commutation(
+        "sigma commutes with both derivations (%s)" % g.label(), gd, g,
+        lambda u, _q: sigma_map(gd, g, u),
+        (("dx", lambda u: u.dx()), ("dt0", lambda u: u.dt0(gd.e))),
+        samples, order, seed, probe_point,
     )
 
 
@@ -320,29 +328,15 @@ def twist_mutation_detected(gd: GaloisDatum, g: GammaElement, bad_zeta: Scalar,
     to commute with dt0; the transcript passes when the corruption is
     detected.
     """
-    order = default_order() if order is None else order
-    rng = random.Random(seed)
-    q_target = Scalar.from_rational(probe_point, gd.field_order)
-    q_source = act_on_point(gd, g, q_target)
-    act = lambda c: gd.act_scalar(g, c)
-    detected = 0
-    compared = 0
-    for _ in range(samples):
-        f = random_two_var(rng, q_source, order, order)
-        lhs = twisted_transport(bad_zeta, gd.e, g.n, act, f.dt0(gd.e), q_target)
-        rhs = twisted_transport(bad_zeta, gd.e, g.n, act, f, q_target).dt0(gd.e)
-        try:
-            compared += lhs.agree(rhs, *certified_window(lhs, rhs, order))
-        except AssertionError:
-            detected += 1
-    return Transcript(
-        "corrupted twist root detected by dt0-commutation",
-        detected > 0,
-        samples,
-        compared,
-        (order, order),
-        () if detected else ("no sample exposed the corrupted twist",),
+    tr = _sampled_commutation(
+        "corrupted twist root detected by dt0-commutation", gd, g,
+        lambda u, q: twisted_transport(bad_zeta, gd.e, g.n, lambda c: gd.act_scalar(g, c), u, q),
+        (("dt0", lambda u: u.dt0(gd.e)),),
+        samples, order, seed, probe_point,
     )
+    if tr.passed:
+        return replace(tr, passed=False, failures=("no sample exposed the corrupted twist",))
+    return replace(tr, passed=True, failures=())
 
 
 def verify_equivariance(gd: GaloisDatum, blocks: dict, orbit: PointOrbit,
@@ -358,21 +352,28 @@ def verify_equivariance(gd: GaloisDatum, blocks: dict, orbit: PointOrbit,
             y_tgt = blocks[q].fundamental_matrix
             for i, row in enumerate(moved):
                 for j, entry in enumerate(row):
-                    tgt = y_tgt[i][j]
-                    try:
-                        compared += entry.agree(tgt, *certified_window(entry, tgt, order))
-                    except AssertionError as exc:
+                    rec = window_check("equivariance", entry, y_tgt[i][j], order)
+                    compared += rec.coefficients_compared
+                    if not rec.passed:
                         failures.append(
-                            "%s at point %r, entry (%d,%d): %s" % (g.label(), q, i, j, exc)
+                            "%s at point %r, entry (%d,%d): %s" % (g.label(), q, i, j, rec.note)
                         )
-    return Transcript(
-        "equivariance of the transported family",
-        not failures,
-        len(gd.elements) * len(orbit.points),
-        compared,
-        (order, order),
-        tuple(failures[:5]),
-    )
+    return Transcript("equivariance of the transported family", not failures,
+                      len(gd.elements) * len(orbit.points), compared, (order, order),
+                      tuple(failures[:5]))
+
+
+def transport_orbit(gd: GaloisDatum, rep_block: LocalBlock, orbit: PointOrbit) -> dict:
+    """point -> block on the orbit: rep_block and its transports; raises
+    VerificationFailed unless they cover exactly the orbit's points."""
+    blocks = {orbit.representative: rep_block}
+    for g in gd.elements:
+        if not g.is_identity():
+            moved = transport_block(gd, g, rep_block)
+            blocks[moved.q] = moved
+    if blocks.keys() != set(orbit.points):
+        raise VerificationFailed("transport did not cover the orbit")
+    return blocks
 
 
 def transport_block(gd: GaloisDatum, g: GammaElement, block: LocalBlock) -> LocalBlock:
@@ -522,16 +523,8 @@ def run_criterion(group: GroupSpec, decomposition, gd: GaloisDatum,
                 raise VerificationFailed("twisted map fails to commute: %s" % (tr.failures,))
 
     for part, orbit in zip(parts, orbits):
-        e_kwargs = {"r": part.r, "h": part.h}
-        rep_block = make_block(part.kind, orbit.representative, gd.e, order, **e_kwargs)
-        orbit_blocks: dict = {orbit.representative: rep_block}
-        for g in gd.elements:
-            if g.is_identity():
-                continue
-            moved = transport_block(gd, g, rep_block)
-            orbit_blocks[moved.q] = moved
-        if orbit_blocks.keys() != set(orbit.points):
-            raise VerificationFailed("transport did not cover the orbit")
+        rep_block = make_block(part.kind, orbit.representative, gd.e, order, r=part.r, h=part.h)
+        orbit_blocks = transport_orbit(gd, rep_block, orbit)
         tr = verify_equivariance(gd, orbit_blocks, orbit, order=order)
         transcripts.append(tr)
         if not tr.passed:

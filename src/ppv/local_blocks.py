@@ -18,10 +18,10 @@ the factor is recorded in the transcript.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .checks import CheckRecord
+from .checks import CheckRecord, window_check
 from .errors import PpvError, VerificationFailed
 from .groups import FiniteCyclic, GmConst, GroupSpec, closure_of_additive
 from .matrices import mat, mat_mul
@@ -88,15 +88,6 @@ def _w_poly(q: Scalar, *terms) -> TwoVarLaurent:
 # checks
 
 
-def _identity_check(name: str, lhs: TwoVarLaurent, rhs: TwoVarLaurent, order: int, note: str = "") -> CheckRecord:
-    outer, inner = certified_window(lhs, rhs, order)
-    try:
-        n = lhs.agree(rhs, outer, inner)
-        return CheckRecord(name, True, outer, inner, n, note)
-    except AssertionError as exc:
-        return CheckRecord(name, False, outer, inner, 0, str(exc))
-
-
 def fp_membership(elem: TwoVarLaurent, clearing: TwoVarLaurent, label: str, order: int) -> CheckRecord:
     """Verify elem * clearing is a power series in w and t on the window.
 
@@ -122,7 +113,7 @@ def fp_membership(elem: TwoVarLaurent, clearing: TwoVarLaurent, label: str, orde
 def _commutation_check(y: TwoVarLaurent, e: int, order: int) -> CheckRecord:
     lhs = y.dx().dt0(e)
     rhs = y.dt0(e).dx()
-    return _identity_check("dx and dt0 commute on the entry", lhs, rhs, order)
+    return window_check("dx and dt0 commute on the entry", lhs, rhs, order)
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +143,7 @@ def block_cyclic(q: Scalar, r: int, e: int, order: int | None = None) -> LocalBl
     for _ in range(r - 1):
         power = power * y
     checks = [
-        _identity_check(
+        window_check(
             "y^%d = 1 - t/(z-q)" % r, power, target, order,
             note="algebraicity witness: y is a root of T^%d - (1 - t/(z-q)) over F_P" % r,
         ),
@@ -165,24 +156,8 @@ def block_cyclic(q: Scalar, r: int, e: int, order: int | None = None) -> LocalBl
         ("dx(y)/y in F_P", a_entry, clear),
         ("dt0(y)/y in F_P", dt0_log, _shift_clear(clear, e)),
     )
-    checks.extend(fp_membership(el, cl, lbl, order) for lbl, el, cl in witnesses)
-    y_mat = mat([[y]])
-    a_mat = mat([[a_entry]])
-    checks.append(matrix_identity_check(y_mat, a_mat, order))
-    block = LocalBlock(
-        q=q,
-        kind="cyclic",
-        e=e,
-        fundamental_matrix=y_mat,
-        equation_matrix=a_mat,
-        claimed_group=FiniteCyclic(r),
-        checks=tuple(checks),
-        order=order,
-        r=r,
-        witnesses=witnesses,
-    )
-    _require_all(block)
-    return block
+    return _assemble(q, "cyclic", e, order, [[y]], [[a_entry]], FiniteCyclic(r), checks,
+                     witnesses, r=r)
 
 
 def _shift_clear(clear: TwoVarLaurent, e: int) -> TwoVarLaurent:
@@ -207,7 +182,7 @@ def block_ga_closure(q: Scalar, h: RatFunc, e: int, order: int | None = None) ->
     # dx(f) = -1/((z-q)^2 + t(z-q)), checked against the geometric expansion
     denom = _w_poly(q, (0, 2, 1), (1, 1, 1))  # w^2 + t w
     rhs = _w_poly(q, (0, 0, -1)).div(denom, cap=cap)
-    checks.append(_identity_check("dx(f) = -1/((z-q)^2 + t(z-q))", f.dx(), rhs, order))
+    checks.append(window_check("dx(f) = -1/((z-q)^2 + t(z-q))", f.dx(), rhs, order))
 
     # dt0(f) against the displayed two-sum formula
     # s1 = sum (-1)^(n+1)/e w^-n t^(n-e), s2 = sum (-1)^n/e w^(-n-1) t^(n-e), n >= 1
@@ -215,9 +190,7 @@ def block_ga_closure(q: Scalar, h: RatFunc, e: int, order: int | None = None) ->
     s1 = _t_over_w_series(q, [0] + [Fraction((-1) ** (n + 1), e) for n in ns]).shift(-e)
     s2 = _t_over_w_series(q, [0, 0] + [Fraction((-1) ** n, e) for n in ns]).shift(-e - 1)
     two_sum = s1 - TwoVarLaurent.z_elem(q) * s2
-    checks.append(
-        _identity_check("dt0(f) matches the two-sum formula", f.dt0(e), two_sum, order)
-    )
+    checks.append(window_check("dt0(f) matches the two-sum formula", f.dt0(e), two_sum, order))
     checks.append(_commutation_check(f, e, order))
 
     # witness that f has the series-tail signature of a non-element of F_P
@@ -246,27 +219,10 @@ def block_ga_closure(q: Scalar, h: RatFunc, e: int, order: int | None = None) ->
             _shift_clear(base_clear, e) * h_den_clear * h_den_clear,
         ),
     )
-    checks.extend(fp_membership(el, cl, lbl, order) for lbl, el, cl in witnesses)
-
     one = _w_poly(q, (0, 0, 1))
     zero = TwoVarLaurent.zero(q)
-    y_mat = mat([[one, y], [zero, one]])
-    a_mat = mat([[zero, dy], [zero, zero]])
-    checks.append(matrix_identity_check(y_mat, a_mat, order))
-    block = LocalBlock(
-        q=q,
-        kind="ga",
-        e=e,
-        fundamental_matrix=y_mat,
-        equation_matrix=a_mat,
-        claimed_group=closure_of_additive(h, e),
-        checks=tuple(checks),
-        order=order,
-        h=h,
-        witnesses=witnesses,
-    )
-    _require_all(block)
-    return block
+    return _assemble(q, "ga", e, order, [[one, y], [zero, one]], [[zero, dy], [zero, zero]],
+                     closure_of_additive(h, e), checks, witnesses, h=h)
 
 
 def block_gm_const(q: Scalar, e: int, order: int | None = None) -> LocalBlock:
@@ -278,11 +234,11 @@ def block_gm_const(q: Scalar, e: int, order: int | None = None) -> LocalBlock:
     checks = []
     dlog = y.dx().div(y, cap=cap)
     target = _w_poly(q, (0, -2, -1))  # -1/(z-q)^2 = dx(t/(z-q))
-    checks.append(_identity_check("dx(y)/y = -1/(z-q)^2", dlog, target, order))
+    checks.append(window_check("dx(y)/y = -1/(z-q)^2", dlog, target, order))
     dt0_log = y.dt0(e).div(y, cap=cap)
     t_over_w = _w_poly(q, (1, -1, 1))
     checks.append(
-        _identity_check(
+        window_check(
             "dt0(y)/y = dt0(t/(z-q))", dt0_log, t_over_w.dt0(e), order,
             note="series quotient vs closed form, two independent computations",
         )
@@ -301,23 +257,7 @@ def block_gm_const(q: Scalar, e: int, order: int | None = None) -> LocalBlock:
         ("dx(y)/y in F_P", dlog, _w_poly(q, (0, 2, 1))),
         ("dt0(y)/y in F_P", dt0_log, _w_poly(q, (e - 1, 2, 1))),
     )
-    checks.extend(fp_membership(el, cl, lbl, order) for lbl, el, cl in witnesses)
-    y_mat = mat([[y]])
-    a_mat = mat([[dlog]])
-    checks.append(matrix_identity_check(y_mat, a_mat, order))
-    block = LocalBlock(
-        q=q,
-        kind="gm_const",
-        e=e,
-        fundamental_matrix=y_mat,
-        equation_matrix=a_mat,
-        claimed_group=GmConst(),
-        checks=tuple(checks),
-        order=order,
-        witnesses=witnesses,
-    )
-    _require_all(block)
-    return block
+    return _assemble(q, "gm_const", e, order, [[y]], [[dlog]], GmConst(), checks, witnesses)
 
 
 def matrix_identity_check(y_mat: tuple, a_mat: tuple, order: int) -> CheckRecord:
@@ -332,25 +272,31 @@ def matrix_identity_check(y_mat: tuple, a_mat: tuple, order: int) -> CheckRecord
     total = 0
     for i, row in enumerate(lhs):
         for j, entry in enumerate(row):
-            ow, iw = certified_window(entry, rhs[i][j], order)
-            outer, inner = min(outer, ow), min(inner, iw)
-            try:
-                total += entry.agree(rhs[i][j], ow, iw)
-            except AssertionError as exc:
-                return CheckRecord(
-                    "dx(Y) = A*Y", False, ow, iw, total,
-                    note="entry (%d,%d): %s" % (i, j, exc),
-                )
+            rec = window_check("dx(Y) = A*Y", entry, rhs[i][j], order)
+            if not rec.passed:
+                return replace(rec, coefficients_compared=total,
+                               note="entry (%d,%d): %s" % (i, j, rec.note))
+            outer, inner = min(outer, rec.outer_order), min(inner, rec.inner_order)
+            total += rec.coefficients_compared
     return CheckRecord("dx(Y) = A*Y", True, outer, inner, total)
 
 
-def _require_all(block: LocalBlock):
-    bad = [c for c in block.checks if not c.passed]
+def _assemble(q: Scalar, kind: str, e: int, order: int, y_rows, a_rows, group: GroupSpec,
+              checks: list, witnesses: tuple, **data) -> LocalBlock:
+    """Append the F_P membership of each witness and dx(Y) = A*Y to checks; build the block.
+
+    data is the block's own parameter (r or h). Raises VerificationFailed
+    unless every check passed.
+    """
+    checks.extend(fp_membership(el, cl, lbl, order) for lbl, el, cl in witnesses)
+    y_mat, a_mat = mat(y_rows), mat(a_rows)
+    checks.append(matrix_identity_check(y_mat, a_mat, order))
+    bad = [c.name for c in checks if not c.passed]
     if bad:
-        raise VerificationFailed(
-            "block at %r failed exact checks: %s"
-            % (block.q, "; ".join(c.name for c in bad))
-        )
+        raise VerificationFailed("block at %r failed exact checks: %s" % (q, "; ".join(bad)))
+    return LocalBlock(q=q, kind=kind, e=e, fundamental_matrix=y_mat, equation_matrix=a_mat,
+                      claimed_group=group, checks=tuple(checks), order=order,
+                      witnesses=witnesses, **data)
 
 
 def make_block(kind: str, q: Scalar, e: int, order: int | None = None,

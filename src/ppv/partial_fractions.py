@@ -50,8 +50,9 @@ def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
     roots = [Fraction(0)] if shift else []
     content = math.gcd(*ints)
     ints = [c // content for c in ints]
+    lead_divisors = _int_divisors(ints[-1])
     for p in _int_divisors(ints[0]):
-        for q in _int_divisors(ints[-1]):
+        for q in lead_divisors:
             for cand in (Fraction(p, q), Fraction(-p, q)):
                 if cand in roots:
                     continue

@@ -280,17 +280,17 @@ class Scalar:
     # Galois action
 
     def galois(self, j: int) -> "Scalar":
-        """Field automorphism zeta -> zeta^j; requires gcd(j, N) = 1."""
+        """Field automorphism zeta -> zeta^j; requires gcd(j, N) = 1.
+
+        zeta^k goes to zeta^(j*k mod N), a permutation of the exponents
+        below N; the constructor reduces the result modulo Phi_N.
+        """
         if math.gcd(j, self.order) != 1:
             raise ValueError("exponent %d not coprime to %d" % (j, self.order))
-        zeta_j = Scalar.zeta(self.order) ** (j % self.order)
-        out = self.zero_like()
-        power = self.one_like()
-        for c in self.coeffs:
-            if c:
-                out = out + power * c
-            power = power * zeta_j
-        return out
+        out = [0] * self.order
+        for k, c in enumerate(self.coeffs):
+            out[j * k % self.order] = c
+        return Scalar(self.order, out)
 
     def __repr__(self):
         return "Scalar(%d, %s)" % (self.order, list(self.coeffs))

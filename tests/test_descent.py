@@ -145,14 +145,14 @@ def test_sigma_map_inverse_round_trip(gd2, sigma):
 
 def test_commutation_transcript(gd2, sigma):
     tr = verify_sigma_commutes(gd2, sigma, samples=25, order=10, seed=5)
-    assert tr.passed and tr.coefficients_compared > 0
+    assert tr.passed and tr.coefficients_compared == 1725
 
 
 def test_mutation_detection(gd2, sigma):
     bad = twist_mutation_detected(gd2, sigma, rational(1), samples=10, order=10, seed=5)
     assert bad.passed
     good = twist_mutation_detected(gd2, sigma, gd2.zeta_e, samples=10, order=10, seed=5)
-    assert not good.passed
+    assert not good.passed and good.coefficients_compared == 449
     gd4 = GaloisDatum.ramified(4, field_order=4)
     sig4 = next(g for g in gd4.elements if g.n == 1)
     assert twist_mutation_detected(gd4, sig4, gd4.zeta_e**2, samples=10, order=10, seed=5).passed
@@ -175,7 +175,7 @@ def test_transport_and_equivariance(gd2, sigma):
     assert group_eq(moved.claimed_group, expected)
     blocks = {orbit.representative: rep, moved.q: moved}
     tr = verify_equivariance(gd2, blocks, orbit, order=8)
-    assert tr.passed
+    assert tr.passed and tr.coefficients_compared == 36
 
 
 def test_equivariance_rejects_mismatched_family(gd2, sigma):
@@ -185,7 +185,8 @@ def test_equivariance_rejects_mismatched_family(gd2, sigma):
     other = block_ga_closure(rational(-1), t_var(), 2, order=8)
     blocks = {orbit.representative: rep, rational(-1): other}
     tr = verify_equivariance(gd2, blocks, orbit, order=8)
-    assert not tr.passed
+    assert not tr.passed and tr.coefficients_compared == 23
+    assert tr.failures[0].startswith("sigma(aut=1,n=1) at point")
 
 
 def test_z2_certificate(gd2):

@@ -154,3 +154,12 @@ def test_matrix_identity_check_records_the_compared_window():
     rec = matrix_identity_check(((y,),), ((TwoVarLaurent.zero(q),),), 10)
     assert rec.passed
     assert (rec.outer_order, rec.inner_order) == (3, 2)
+
+
+def test_matrix_identity_check_names_the_first_failing_entry():
+    # dx(1) = 0, but A*Y = 1
+    q = rational(0)
+    one = TwoVarLaurent(q, {0: TruncLaurent("w", {0: rational(1)})})
+    rec = matrix_identity_check(((one,),), ((one,),), 6)
+    assert not rec.passed
+    assert rec.note.startswith("entry (0,0): ")

@@ -61,6 +61,31 @@ def test_galois_action_is_field_automorphism():
     assert z8.galois(3) == z8**3
 
 
+def _galois_by_products(a: Scalar, j: int) -> Scalar:
+    """sum c_k zeta^(jk) by Scalar products: the multiply-and-sum reference."""
+    zeta_j = Scalar.zeta(a.order) ** (j % a.order)
+    out = a.zero_like()
+    power = a.one_like()
+    for c in a.coeffs:
+        if c:
+            out = out + power * c
+        power = power * zeta_j
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_galois_matches_multiply_and_sum(data):
+    order = data.draw(st.integers(min_value=1, max_value=30))
+    a = data.draw(scalars(order))
+    j = data.draw(
+        st.integers(min_value=-2 * order, max_value=2 * order).filter(
+            lambda j: math.gcd(j, order) == 1
+        )
+    )
+    assert a.galois(j).coeffs == _galois_by_products(a, j).coeffs
+
+
 def test_galois_rejects_noncoprime_exponent():
     with pytest.raises(ValueError):
         Scalar.zeta(4).galois(2)
