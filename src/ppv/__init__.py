@@ -23,7 +23,7 @@ from .errors import (
 )
 from .scalars import Scalar, rational
 from .rationals import Poly, RatFunc, k_const, t_var, x_var, f_const
-from .series import INF, TruncLaurent, TwoVarLaurent, default_order
+from .series import INF, TruncLaurent, TwoVarLaurent
 from .logext import LogExtElem
 from .ore import (
     OrePoly,

@@ -3,7 +3,9 @@
 Verbs: ore (divmod/mul/apply/gcrd), decompose, realize, check, block,
 orbits, certify, selftest.  All numeric output is exact; --json emits
 the machine-readable records documented in docs/formats.md.  The
-environment variable PPV_TRUNC overrides the default working order.
+environment variable PPV_TRUNC sets the default working order of block
+and certify; it is read here and nowhere else, and library functions
+default to DEFAULT_ORDER (10).
 
 Exit codes: 0 success, 1 failed verification, 2 malformed input or
 another library error, 3 internal error.
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .descent import find_free_orbits, run_criterion
@@ -41,6 +44,18 @@ def _positive(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError("expected an integer >= 1, got %r" % text)
     return value
+
+
+def _working_order(flag: int | None) -> int:
+    """The working order: the flag, else PPV_TRUNC, else DEFAULT_ORDER."""
+    if flag is not None:
+        return flag
+    env = os.environ.get("PPV_TRUNC")
+    if not env:
+        return DEFAULT_ORDER
+    if not (env.strip().isdecimal() and int(env) >= 1):
+        raise PpvError("PPV_TRUNC must be an integer >= 1, got %r" % env)
+    return int(env)
 
 
 def _criteria(text: str) -> set[int]:
@@ -165,7 +180,7 @@ def _cmd_block(args) -> int:
             raise PpvError("--q must be a constant point")
     kind = {"cyclic": "cyclic", "ga": "ga", "gmconst": "gm_const"}[args.kind]
     h = parse_k(args.h) if args.h is not None else None
-    blk = make_block(kind, q, args.e, args.order, r=args.r, h=h)
+    blk = make_block(kind, q, args.e, _working_order(args.order), r=args.r, h=h)
     lines = ["block kind %s at z = %s (e = %d), order %d" % (kind, q, args.e, blk.order)]
     for c in blk.checks:
         lines.append("  %-52s %s" % (c.name, "pass" if c.passed else "FAIL"))
@@ -191,7 +206,8 @@ def _cmd_certify(args) -> int:
     parts = [jsonio.decode(p) for p in _field(group_doc, "decomposition")]
     gd = jsonio.decode(_read_json(args.galois))
     # run_criterion raises VerificationFailed unless every exact check passed
-    cert = run_criterion(group, parts, gd, order=args.trunc, samples=args.samples)
+    cert = run_criterion(group, parts, gd, order=_working_order(args.trunc),
+                         samples=args.samples)
     payload = jsonio.encode(cert)
     text_lines = [
         "certificate: %d parts, %d orbits, %d blocks"
@@ -274,7 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="run the full descent pipeline")
     p.add_argument("--group", required=True, help="JSON with 'group' and 'decomposition'")
     p.add_argument("--galois", required=True, help="Galois datum JSON file")
-    p.add_argument("--trunc", type=_positive, default=None, help="working order")
+    p.add_argument("--trunc", type=_positive, default=None,
+                   help="working order (default: PPV_TRUNC, else %d)" % DEFAULT_ORDER)
     p.add_argument("--samples", type=_positive, default=100)
     p.add_argument("--out", help="write the certificate JSON here")
     p.add_argument("--json", action="store_true")

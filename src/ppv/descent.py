@@ -35,7 +35,7 @@ from .matrices import exp_nilpotent, is_unipotent, mat, mat_map
 from .ore import OrePoly
 from .rationals import Poly, RatFunc, k_const, t_var
 from .scalars import Scalar
-from .series import TwoVarLaurent, default_order, random_two_var
+from .series import DEFAULT_ORDER, TwoVarLaurent, random_two_var
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +282,7 @@ class Transcript:
 
 
 def _sampled_commutation(name: str, gd: GaloisDatum, g: GammaElement, move, derivations,
-                         samples: int, order: int | None, seed: int) -> Transcript:
+                         samples: int, order: int, seed: int) -> Transcript:
     """move o d = d o move on random series at the source point of g.
 
     move(u, q) carries a series from the source point of g to the probe
@@ -290,7 +290,6 @@ def _sampled_commutation(name: str, gd: GaloisDatum, g: GammaElement, move, deri
     """
     if samples < 1:
         raise PpvError("a sampled commutation check needs at least one sample")
-    order = default_order() if order is None else order
     rng = random.Random(seed)
     q_target = Scalar.from_rational(1, gd.field_order)
     q_source = act_on_point(gd, g, q_target)
@@ -308,7 +307,7 @@ def _sampled_commutation(name: str, gd: GaloisDatum, g: GammaElement, move, deri
 
 
 def verify_sigma_commutes(gd: GaloisDatum, g: GammaElement, samples: int = 100,
-                          order: int | None = None, seed: int = 0) -> Transcript:
+                          order: int = DEFAULT_ORDER, seed: int = 0) -> Transcript:
     """sigma o d = d o sigma for both derivations, on random local series."""
     return _sampled_commutation(
         "sigma commutes with both derivations (%s)" % g.label(), gd, g,
@@ -319,7 +318,7 @@ def verify_sigma_commutes(gd: GaloisDatum, g: GammaElement, samples: int = 100,
 
 
 def twist_mutation_detected(gd: GaloisDatum, g: GammaElement, bad_zeta: Scalar,
-                            samples: int = 20, order: int | None = None,
+                            samples: int = 20, order: int = DEFAULT_ORDER,
                             seed: int = 0) -> Transcript:
     """Mutation oracle: a wrong twist root must break dt0-commutation.
 
@@ -340,9 +339,8 @@ def twist_mutation_detected(gd: GaloisDatum, g: GammaElement, bad_zeta: Scalar,
 
 
 def verify_equivariance(gd: GaloisDatum, blocks: dict, orbit: PointOrbit,
-                        order: int | None = None) -> Transcript:
+                        order: int = DEFAULT_ORDER) -> Transcript:
     """Check sigma(Y at the sigma-image point) equals Y at each point."""
-    order = default_order() if order is None else order
     compared = 0
     failures = []
     for g in gd.elements:
@@ -496,7 +494,7 @@ def _validate_part(part: DecompositionPart):
 
 
 def run_criterion(group: GroupSpec, decomposition, gd: GaloisDatum,
-                  order: int | None = None, samples: int = 100,
+                  order: int = DEFAULT_ORDER, samples: int = 100,
                   seed: int = 0) -> Certificate:
     """Run the full local-to-global pipeline and emit a certificate.
 
@@ -506,8 +504,9 @@ def run_criterion(group: GroupSpec, decomposition, gd: GaloisDatum,
     equivariant, and records the four theorem appeals that bridge the
     exact checks to the realization statement.
     """
-    order = default_order() if order is None else order
     parts = tuple(decomposition)
+    if not parts:
+        raise UnsupportedGroup("an empty decomposition certifies nothing")
     for part in parts:
         _validate_part(part)
     orbits = find_free_orbits(gd, len(parts))

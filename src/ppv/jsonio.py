@@ -326,6 +326,8 @@ def _decode(data):
             representation=data.get("representation", ""),
         )
     if tag == "realization":
+        if data["kind"] not in ("gm", "ga"):
+            raise DecodeError("realization kind must be 'gm' or 'ga', got %r" % (data["kind"],))
         checks = tuple(
             CheckRecord(c["name"], c["passed"], note=c.get("note", ""))
             for c in data.get("checks", [])
@@ -355,6 +357,8 @@ def _dec_scalar(data) -> Scalar:
     coeffs = [Fraction(0)] * order  # zeta^k sits at k mod order; Scalar reduces mod Phi_N
     for term in data.get("terms", []):
         pows = term.get("zeta_pow", [])
+        if not (pows == [] or isinstance(pows, list) and len(pows) == 1 and type(pows[0]) is int):
+            raise DecodeError("zeta_pow must be [] or [k] with an integer k, got %r" % (pows,))
         c = Fraction(int(term["num"]), int(term.get("den", "1")))
         coeffs[pows[0] % order if pows else 0] += c
     return Scalar(order, coeffs)

@@ -27,7 +27,7 @@ from .groups import FiniteCyclic, GmConst, GroupSpec, closure_of_additive
 from .matrices import mat, mat_mul
 from .rationals import RatFunc
 from .scalars import Scalar
-from .series import TruncLaurent, TwoVarLaurent, certified_window, default_order
+from .series import DEFAULT_ORDER, TruncLaurent, TwoVarLaurent, certified_window
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,7 @@ def _commutation_check(y: TwoVarLaurent, e: int, order: int) -> CheckRecord:
 # the three blocks
 
 
-def block_cyclic(q: Scalar, r: int, e: int, order: int | None = None) -> LocalBlock:
+def block_cyclic(q: Scalar, r: int, e: int, order: int = DEFAULT_ORDER) -> LocalBlock:
     """Cyclic block of order r: y = (1 - t/(z-q))^(1/r).
 
     Requires a primitive r-th root of unity in the coefficient field.
@@ -129,7 +129,6 @@ def block_cyclic(q: Scalar, r: int, e: int, order: int | None = None) -> LocalBl
         raise PpvError(
             "coefficient field Q(zeta_%d) lacks a primitive %d-th root of unity" % (q.order, r)
         )
-    order = default_order() if order is None else order
     # guard orders: derivations cost validity, the identities must still
     # be certified through the working order itself
     build = order + e + 1
@@ -165,7 +164,7 @@ def _shift_clear(clear: TwoVarLaurent, e: int) -> TwoVarLaurent:
     return clear.shift(e - 1)
 
 
-def block_ga_closure(q: Scalar, h: RatFunc, e: int, order: int | None = None) -> LocalBlock:
+def block_ga_closure(q: Scalar, h: RatFunc, e: int, order: int = DEFAULT_ORDER) -> LocalBlock:
     """Additive block realizing the closure of one element h of K.
 
     Y is unipotent with top-right entry y = h*f; the claimed group is
@@ -173,7 +172,6 @@ def block_ga_closure(q: Scalar, h: RatFunc, e: int, order: int | None = None) ->
     """
     if h.is_zero():
         raise PpvError("the additive building block needs a nonzero element h")
-    order = default_order() if order is None else order
     build = order + e + 1
     f = _t_over_w_series(q, [0] + [Fraction((-1) ** (n + 1), n) for n in range(1, build + 1)])
     cap = (order + 2, order + 2)
@@ -225,9 +223,8 @@ def block_ga_closure(q: Scalar, h: RatFunc, e: int, order: int | None = None) ->
                      closure_of_additive(h, e), checks, witnesses, h=h)
 
 
-def block_gm_const(q: Scalar, e: int, order: int | None = None) -> LocalBlock:
+def block_gm_const(q: Scalar, e: int, order: int = DEFAULT_ORDER) -> LocalBlock:
     """Multiplicative-constants block: y = exp(t/(z-q))."""
-    order = default_order() if order is None else order
     build = order + e + 1
     y = _t_over_w_series(q, [Fraction(1, math.factorial(n)) for n in range(build + 1)])
     cap = (order + 1, order + 1)
@@ -299,7 +296,7 @@ def _assemble(q: Scalar, kind: str, e: int, order: int, y_rows, a_rows, group: G
                       witnesses=witnesses, **data)
 
 
-def make_block(kind: str, q: Scalar, e: int, order: int | None = None,
+def make_block(kind: str, q: Scalar, e: int, order: int = DEFAULT_ORDER,
                r: int | None = None, h: RatFunc | None = None) -> LocalBlock:
     if e < 1:
         raise PpvError("ramification index e must be >= 1, got %d" % e)

@@ -20,7 +20,7 @@ from .logext import LogExtElem
 from .rationals import (RatFunc, _add, _coeff, _euclid, _is_zero, _leading, _monic, _neg,
                         _scale, _strip, _sub, _zero_like, k_const, t_var)
 from .scalars import _power
-from .series import TruncLaurent, TwoVarLaurent, INF, default_order
+from .series import DEFAULT_ORDER, INF, TruncLaurent, TwoVarLaurent
 
 
 class OrePoly:
@@ -173,10 +173,7 @@ def _act_trunc(c, f: TruncLaurent) -> TruncLaurent:
     den = TruncLaurent("t", dict(enumerate(c.den.coeffs)))
     if not num.coeffs:
         return TruncLaurent.zero("t", num.trunc - den.valuation())
-    if num.trunc == INF:
-        cap = default_order() + 1
-    else:
-        cap = num.trunc - num.valuation()
+    cap = DEFAULT_ORDER + 1 if num.trunc == INF else num.trunc - num.valuation()
     return num * den.inv(cap=cap)
 
 

@@ -235,12 +235,7 @@ class _Parser:
                 raise ParseError("division by zero", tok.line, tok.col)
             if isinstance(a, OrePoly):
                 # composition with the inverse constant, e.g. (t*Dt)/t
-                binv = k_const(b) if isinstance(b, Scalar) else b
-                if binv.var != "t":
-                    raise ParseError(
-                        "operator coefficients may not involve x", tok.line, tok.col
-                    )
-                return a * OrePoly.constant(binv.inv())
+                return a * _promote(_promote(b, _K, tok).inv(), _ORE, tok)
             lvl = max(_level(a), _level(b))
             return _promote(a, lvl, tok) / _promote(b, lvl, tok)
         lvl = max(_level(a), _level(b))
@@ -260,37 +255,26 @@ def parse_expr(src: str):
     return _Parser(_tokenize(src)).parse()
 
 
-def parse_operator(src: str) -> OrePoly:
+def _parse_at(src: str, level: int, what: str):
+    """Parse and promote to the tower level; a value above it is refused."""
     value = parse_expr(src)
-    if isinstance(value, OrePoly):
-        return value
-    if isinstance(value, Scalar):
-        value = k_const(value)
-    if isinstance(value, RatFunc) and value.var == "t":
-        return OrePoly.constant(value)
-    raise ParseError("expected an operator in Dt", 1, 1)
+    if _level(value) > level:
+        raise ParseError("expected %s" % what, 1, 1)
+    return _promote(value, level, _Token("eof", "", 1, 1))
+
+
+def parse_operator(src: str) -> OrePoly:
+    return _parse_at(src, _ORE, "an operator in Dt")
 
 
 def parse_k(src: str) -> RatFunc:
     """An element of K = Q(zeta)(t)."""
-    value = parse_expr(src)
-    if isinstance(value, Scalar):
-        return k_const(value)
-    if isinstance(value, RatFunc) and value.var == "t":
-        return value
-    raise ParseError("expected an element of the parameter field", 1, 1)
+    return _parse_at(src, _K, "an element of the parameter field")
 
 
 def parse_xrat(src: str) -> RatFunc:
     """An element of K(x)."""
-    value = parse_expr(src)
-    if isinstance(value, Scalar):
-        value = k_const(value)
-    if isinstance(value, RatFunc) and value.var == "t":
-        value = f_const(value)
-    if isinstance(value, RatFunc) and value.var == "x":
-        return value
-    raise ParseError("expected a rational function in x", 1, 1)
+    return _parse_at(src, _F, "a rational function in x")
 
 
 def parse_basis(src: str) -> list[RatFunc]:

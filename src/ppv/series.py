@@ -24,24 +24,15 @@ elements constant in w is plain d/dt.
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 
-from .errors import CoefficientFieldMismatch, NonInvertibleLeadingTerm, PpvError, TruncationExhausted
+from .errors import CoefficientFieldMismatch, NonInvertibleLeadingTerm, TruncationExhausted
 from .scalars import Scalar
 from .rationals import RatFunc
 
 INF = float("inf")
 
 DEFAULT_ORDER = 10
-
-
-def default_order() -> int:
-    """Working order: identities are certified for exponents up to this."""
-    env = os.environ.get("PPV_TRUNC")
-    if env and not (env.strip().isdecimal() and int(env) >= 1):
-        raise PpvError("PPV_TRUNC must be an integer >= 1, got %r" % env)
-    return int(env) if env else DEFAULT_ORDER
 
 
 def certified_window(a, b, order: int) -> tuple[int, int]:
@@ -368,15 +359,14 @@ class TwoVarLaurent:
         )
 
     @classmethod
-    def from_k(cls, f: RatFunc, q: Scalar, order=None) -> "TwoVarLaurent":
+    def from_k(cls, f: RatFunc, q: Scalar, order: int = DEFAULT_ORDER) -> "TwoVarLaurent":
         """Embed an element of K = k(t), constant in w."""
         if f.var != "t":
             raise ValueError("expected an element of the parameter field")
         num = cls.from_t_poly(f.num, q)
         if f.den.degree() == 0:
             return num
-        cap = (order if order is not None else default_order()) + 1
-        return num * cls.from_t_poly(f.den, q).inv(cap=(cap, cap))
+        return num * cls.from_t_poly(f.den, q).inv(cap=(order + 1, order + 1))
 
     # structure
 
@@ -416,7 +406,7 @@ class TwoVarLaurent:
     def scale(self, c) -> "TwoVarLaurent":
         return TwoVarLaurent(self.q, {n: f.scale(c) for n, f in self.coeffs.items()}, self.trunc)
 
-    def mul_k(self, f: RatFunc, order=None) -> "TwoVarLaurent":
+    def mul_k(self, f: RatFunc, order: int = DEFAULT_ORDER) -> "TwoVarLaurent":
         return self * TwoVarLaurent.from_k(f, self.q, order=order)
 
     def truncate(self, outer, inner=None) -> "TwoVarLaurent":

@@ -69,3 +69,20 @@ def test_window_check_is_the_one_compare_and_catch():
             target.add((path.stem, func))
     assert {module for module, _ in handlers} == {"checks", "series"}
     assert windows == {("checks", "window_check"), ("local_blocks", "fp_membership")}
+
+
+def _environment_reads(path: Path) -> bool:
+    """Whether a module touches os.environ or os.getenv."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "os" and node.attr in ("environ", "getenv")):
+            return True
+        if isinstance(node, ast.ImportFrom) and node.module == "os" and any(
+                alias.name in ("environ", "getenv") for alias in node.names):
+            return True
+    return False
+
+
+def test_only_the_cli_reads_the_environment():
+    paths = sorted(Path(ppv.__file__).parent.glob("*.py"))
+    assert {path.stem for path in paths if _environment_reads(path)} == {"cli"}

@@ -136,6 +136,21 @@ def test_exit_2_on_malformed_input(tmp_path, capsys):
     assert code == 2
     assert "'group'" in capsys.readouterr().err
     assert main(["orbits", "--gd", str(tmp_path / "missing.json"), "--count", "1"]) == 2
+    # an empty decomposition would certify nothing
+    sl2, _ = standard_sl2_decomposition()
+    group.write_text(json.dumps({"group": jsonio.encode(sl2), "decomposition": []}))
+    z2 = tmp_path / "z2.json"
+    z2.write_text(json.dumps(jsonio.encode(GaloisDatum.ramified(2))))
+    assert main(["certify", "--group", str(group), "--galois", str(z2)]) == 2
+    assert "empty decomposition" in capsys.readouterr().err
+    # a realization of an unknown kind
+    real = tmp_path / "real.json"
+    assert main(["realize", "--kind", "gm", "--op", "Dt", "--basis", "1,t", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    doc["realization"]["kind"] = "bogus"
+    real.write_text(json.dumps(doc))
+    assert main(["check", "--membership", "--realization", str(real), "--op", "t*Dt - 1"]) == 2
+    assert "realization kind" in capsys.readouterr().err
     # counts and orders below 1 and unknown criteria are refused by argparse
     for argv in (["block", "--kind", "cyclic", "--q", "1", "--r", "0"],
                  ["block", "--kind", "cyclic", "--q", "1", "--r", "-2"],

@@ -225,6 +225,9 @@ def test_unsupported_part_kind_rejected(gd2):
     part = DecompositionPart(FiniteCyclic(2), "mystery")
     with pytest.raises(UnsupportedGroup):
         run_criterion(FiniteCyclic(2), [part], gd2, order=6, samples=2)
+    group, _ = standard_sl2_decomposition()
+    with pytest.raises(UnsupportedGroup):  # an empty decomposition certifies nothing
+        run_criterion(group, [], gd2, order=6, samples=2)
 
 
 def test_unipotent_generator_reduction():

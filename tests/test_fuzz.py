@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from ppv import jsonio
 from ppv.errors import DecodeError, ParseError, PpvError
-from ppv.parser import parse_expr, parse_k, parse_operator, parse_xrat
+from ppv.parser import parse_basis, parse_expr, parse_k, parse_operator, parse_xrat
+from ppv.realization import realize_gm
 
 TAGS = ["scalar", "poly", "ratfunc", "ore", "trunc_laurent", "two_var", "logext", "group",
         "galois", "part", "realization", "identity_check", "bogus"]
@@ -54,6 +55,8 @@ def test_decode_gives_a_value_or_a_ppv_error(doc):
     {"type": "ratfunc", "num": 1},
     {"type": "scalar", "terms": [{"num": "1", "den": "0"}]},
     {"type": "group", "kind": "nope"},
+    {"type": "scalar", "order": 8, "terms": [{"num": "1", "den": "1", "zeta_pow": [1, 5]}]},
+    {**jsonio.encode(realize_gm(parse_operator("Dt"), parse_basis("1,t"))), "kind": "bogus"},
     [1, 2],
     "scalar",
 ])

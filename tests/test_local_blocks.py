@@ -131,7 +131,7 @@ def test_membership_check_rejects_wrong_clearing():
     assert not check.passed
 
 
-def test_make_block_dispatch_and_validation():
+def test_make_block_dispatch_and_validation(monkeypatch):
     assert make_block("cyclic", rational(1), 1, 6, r=2).kind == "cyclic"
     assert make_block("gm_const", rational(1), 1, 6).kind == "gm_const"
     with pytest.raises(PpvError):
@@ -143,6 +143,9 @@ def test_make_block_dispatch_and_validation():
             make_block("cyclic", rational(1), e, 6, r=r)
     with pytest.raises(PpvError):
         make_block("gm_const", rational(1), 0, 6)
+    # the library's default order does not read the environment
+    monkeypatch.setenv("PPV_TRUNC", "4")
+    assert make_block("gm_const", rational(1), 1).order == 10
 
 
 def test_checks_record_window_and_counts():

@@ -107,7 +107,7 @@ def test_apply_respects_composition():
         assert (a * b).apply(f) == a.apply(b.apply(f))
 
 
-def test_apply_to_truncated_series(k):
+def test_apply_to_truncated_series(k, monkeypatch):
     one, t, dt = k
     f = TruncLaurent("t", {-1: rational(2), 3: rational(1)}, 7)
     out = dt.apply(f)
@@ -116,6 +116,14 @@ def test_apply_to_truncated_series(k):
     l = OrePoly([one / t, one])  # Dt + 1/t
     out2 = l.apply(f)
     assert out2.trunc <= 6
+    # an exact series is cut at a window that does not read the environment
+    l = OrePoly([one.zero_like(), one / (t + 1)])  # (1/(t+1))*Dt
+    f = TruncLaurent("t", {0: rational(1), 3: rational(2)})  # 1 + 2t^3
+    truncs = set()
+    for env in ("4", "20"):
+        monkeypatch.setenv("PPV_TRUNC", env)
+        truncs.add(l.apply(f).trunc)
+    assert len(truncs) == 1
 
 
 def test_wronskian_operator_examples(k):

@@ -1,11 +1,12 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from ppv.errors import ParseError
 from ppv.ore import OrePoly
 from ppv.parser import parse_basis, parse_expr, parse_k, parse_operator, parse_xrat
-from ppv.rationals import k_const, t_var, x_var
+from ppv.rationals import f_const, k_const, t_var, x_var
 from ppv.render import format_ore, format_ratfunc, format_scalar
 from ppv.scalars import Scalar, rational
 
@@ -140,3 +141,35 @@ def test_operator_powers():
     assert parse_operator("Dt^0") == OrePoly.constant(one)
     with pytest.raises(ParseError):
         parse_operator("Dt^-1")
+
+
+# one input per tower level: (source, value as an operator, as an element
+# of K, as an element of K(x)); None marks a refusal at (line 1, column)
+_Q = k_const(Fraction(3, 4))
+_K = t**2 + 1 / t
+_F = x + f_const(t)
+_TOWER = (
+    ("3/4", OrePoly.constant(_Q), _Q, f_const(_Q)),
+    ("t^2 + 1/t", OrePoly.constant(_K), _K, f_const(_K)),
+    ("x + t", None, None, _F),
+    ("(t*Dt)/t", OrePoly([-1 / t, one]), None, None),
+    ("x*Dt", None, None, None),
+    ("Dt/x", None, None, None),
+)
+_REFUSED_AT = {"x + t": 1, "(t*Dt)/t": 1, "x*Dt": 2, "Dt/x": 3}
+
+
+@pytest.mark.parametrize("src,as_op,as_k,as_f", _TOWER, ids=[row[0] for row in _TOWER])
+def test_parse_helpers_climb_the_tower(src, as_op, as_k, as_f):
+    for parse, expected, var in ((parse_operator, as_op, None), (parse_k, as_k, "t"),
+                                 (parse_xrat, as_f, "x")):
+        if expected is None:
+            with pytest.raises(ParseError) as err:
+                parse(src)
+            assert (err.value.line, err.value.column) == (1, _REFUSED_AT[src])
+            continue
+        value = parse(src)
+        assert value == expected
+        assert type(value) is type(expected)
+        if var is not None:
+            assert value.var == var
