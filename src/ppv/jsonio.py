@@ -326,18 +326,23 @@ def _decode(data):
             representation=data.get("representation", ""),
         )
     if tag == "realization":
-        if data["kind"] not in ("gm", "ga"):
-            raise DecodeError("realization kind must be 'gm' or 'ga', got %r" % (data["kind"],))
+        kind = data["kind"]
+        if kind not in ("gm", "ga"):
+            raise DecodeError("realization kind must be 'gm' or 'ga', got %r" % (kind,))
+        claimed = decode(data["claimed_group"])
+        if not isinstance(claimed, GmSub if kind == "gm" else GaSub):
+            raise DecodeError("realization kind %r contradicts its claimed group %r"
+                              % (kind, data["claimed_group"].get("kind")))
         checks = tuple(
             CheckRecord(c["name"], c["passed"], note=c.get("note", ""))
             for c in data.get("checks", [])
         )
         return Realization(
-            kind=data["kind"],
+            kind=kind,
             operator=decode(data["operator"]),
             basis=tuple(decode(b) for b in data["basis"]),
             equation_datum=decode(data["equation_datum"]),
-            claimed_group=decode(data["claimed_group"]),
+            claimed_group=claimed,
             model=decode(data["model"]),
             checks=checks,
             window_note=data.get("window_note", ""),

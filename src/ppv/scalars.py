@@ -1,9 +1,13 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
 A Scalar is the residue of a rational-coefficient polynomial modulo the
-N-th cyclotomic polynomial, so equality is decidable and exact.  N = 1
-gives plain rationals.  Scalars are the constants of every ring in this
-package: both derivations vanish on them.
+N-th cyclotomic polynomial Phi_N, stored as phi(N) integer numerators
+over one positive denominator with no common factor, so equal values in
+one field have equal fields.  Phi_N is monic with integer coefficients,
+so reduction stays in integers, and the inverse is the extended Euclidean
+algorithm modulo Phi_N on integer vectors.  N = 1 gives plain rationals.
+Scalars are the constants of every ring in this package: both
+derivations vanish on them.
 """
 
 from __future__ import annotations
@@ -35,13 +39,39 @@ def cyclotomic_coeffs(n: int) -> tuple[int, ...]:
     poly = [-1] + [0] * (n - 1) + [1]  # X^n - 1
     for d in range(1, n):
         if n % d == 0:
-            poly, rem = _qpoly_divmod(poly, cyclotomic_coeffs(d))
-            assert not rem, "inexact division"
+            quot = _reduce(poly, d)
+            assert not any(poly[:euler_phi(d)]), "inexact division"
+            poly = quot
     return tuple(poly)
 
 
+@lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     return len(cyclotomic_coeffs(n)) - 1
+
+
+@lru_cache(maxsize=None)
+def _phi_tail(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """phi(n) and the nonzero (i, c) of Phi_n below its leading term."""
+    cs = cyclotomic_coeffs(n)
+    return len(cs) - 1, tuple((i, c) for i, c in enumerate(cs[:-1]) if c)
+
+
+def _reduce(vec: list, n: int) -> list:
+    """Divide the integer list vec (ascending) in place by the monic Phi_n.
+
+    Returns the quotient; the remainder is left in vec[:phi(n)].
+    """
+    phi, tail = _phi_tail(n)
+    quot = [0] * max(len(vec) - phi, 0)
+    for k in range(len(vec) - 1, phi - 1, -1):
+        c = vec[k]
+        if c:
+            base = k - phi
+            quot[base] = c
+            for i, p in tail:
+                vec[base + i] -= c * p
+    return quot
 
 
 @lru_cache(maxsize=None)
@@ -59,42 +89,6 @@ def _trace_weights(n: int) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def _qpoly_divmod(num, den):
-    """Long division of ascending lists; by a monic den, integers stay integers."""
-    num = list(num)
-    dlead = den[-1]
-    q = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
-    for k in range(len(q) - 1, -1, -1):
-        c = num[k + len(den) - 1]
-        if dlead != 1:
-            c = c / dlead
-        q[k] = c
-        if c:
-            for i, d in enumerate(den):
-                num[k + i] -= c * d
-    return q, _trim(num)
-
-
-def _qpoly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _trim(out)
-
-
-def _qpoly_sub(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] -= y
-    return _trim(out)
-
-
 def _power(x, n: int):
     """x**n by square-and-multiply; a negative n inverts x first."""
     if n < 0:
@@ -109,56 +103,84 @@ def _power(x, n: int):
     return out
 
 
+def _scalar(order: int, vec: list, den: int) -> "Scalar":
+    """The Scalar (sum vec[k] zeta^k) / den, for integers vec and den != 0.
+
+    Every Scalar is built here: vec is reduced modulo Phi_order, padded to
+    phi(order) entries and divided by its common factor with den > 0.
+    """
+    phi = euler_phi(order)
+    if len(vec) > phi:
+        _reduce(vec, order)
+        del vec[phi:]
+    elif len(vec) < phi:
+        vec = vec + [0] * (phi - len(vec))
+    g = math.gcd(den, *vec)
+    if den < 0:
+        g = -g
+    if g != 1:
+        vec = [c // g for c in vec]
+        den //= g
+    out = object.__new__(Scalar)
+    _set_order(out, order)
+    _set_nums(out, tuple(vec))
+    _set_den(out, den)
+    return out
+
+
 class Scalar:
     """Element of Q(zeta_N), reduced modulo the N-th cyclotomic polynomial."""
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "_nums", "_den")
 
-    def __init__(self, order: int, coeffs):
-        phi = euler_phi(order)
-        cs = [Fraction(c) for c in coeffs]
-        if len(cs) > phi:
-            modulus = [Fraction(c) for c in cyclotomic_coeffs(order)]
-            _, cs = _qpoly_divmod(cs, modulus)
-        cs += [Fraction(0)] * (phi - len(cs))
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(cs))
+    def __new__(cls, order: int, coeffs):
+        fracs = [Fraction(c) for c in coeffs]
+        den = math.lcm(*(f.denominator for f in fracs))
+        return _scalar(order, [f.numerator * (den // f.denominator) for f in fracs], den)
 
     def __setattr__(self, *a):
         raise AttributeError("Scalar is immutable")
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Power-basis coefficients, one Fraction per basis power below phi(N)."""
+        den = self._den
+        return tuple(Fraction(c, den) for c in self._nums)
 
     # constructors
 
     @classmethod
     def from_rational(cls, q, order: int = 1) -> "Scalar":
-        return cls(order, [Fraction(q)])
+        if not isinstance(q, (int, Fraction)):
+            q = Fraction(q)
+        return _scalar(order, [q.numerator], q.denominator)
 
     @classmethod
     def zeta(cls, order: int) -> "Scalar":
         """A primitive order-th root of unity."""
-        return cls(order, [Fraction(0), Fraction(1)])
+        return _scalar(order, [0, 1], 1)
 
     def zero_like(self) -> "Scalar":
-        return Scalar(self.order, [])
+        return _scalar(self.order, [], 1)
 
     def one_like(self) -> "Scalar":
-        return Scalar(self.order, [Fraction(1)])
+        return _scalar(self.order, [1], 1)
 
     # structure
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self._nums)
 
     def is_one(self) -> bool:
-        return self.coeffs[0] == 1 and not any(self.coeffs[1:])
+        return self._nums[0] == self._den and not any(self._nums[1:])
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self._nums[1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("scalar is not rational: %r" % (self,))
-        return self.coeffs[0]
+        return Fraction(self._nums[0], self._den)
 
     def promote(self, order: int) -> "Scalar":
         """Re-express in Q(zeta_order); requires self.order | order."""
@@ -168,22 +190,20 @@ class Scalar:
             raise CoefficientFieldMismatch(
                 "cannot embed Q(zeta_%d) into Q(zeta_%d)" % (self.order, order)
             )
-        # zeta_self = zeta_order^step; the constructor reduces modulo Phi_order
+        # zeta_self = zeta_order^step; _scalar reduces modulo Phi_order
         step = order // self.order
-        out = [Fraction(0)] * ((len(self.coeffs) - 1) * step + 1)
-        out[::step] = self.coeffs
-        return Scalar(order, out)
+        out = [0] * ((len(self._nums) - 1) * step + 1)
+        out[::step] = self._nums
+        return _scalar(order, out, self._den)
 
     @staticmethod
     def pair(a: "Scalar", b: "Scalar") -> tuple["Scalar", "Scalar"]:
-        if a.order == b.order:
-            return a, b
         n = math.lcm(a.order, b.order)
         return a.promote(n), b.promote(n)
 
     def _coerce(self, other):
         if isinstance(other, Scalar):
-            return Scalar.pair(self, other)
+            return (self, other) if self.order == other.order else Scalar.pair(self, other)
         if isinstance(other, (int, Fraction)):
             return self, Scalar.from_rational(other, self.order)
         return None
@@ -195,19 +215,25 @@ class Scalar:
         if pair is None:
             return NotImplemented
         a, b = pair
-        return Scalar(a.order, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        da, db = a._den, b._den
+        if da == db:
+            return _scalar(a.order, [x + y for x, y in zip(a._nums, b._nums)], da)
+        return _scalar(a.order, [x * db + y * da for x, y in zip(a._nums, b._nums)], da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(self.order, [-c for c in self.coeffs])
+        return _scalar(self.order, [-c for c in self._nums], self._den)
 
     def __sub__(self, other):
         pair = self._coerce(other)
         if pair is None:
             return NotImplemented
         a, b = pair
-        return Scalar(a.order, [x - y for x, y in zip(a.coeffs, b.coeffs)])
+        da, db = a._den, b._den
+        if da == db:
+            return _scalar(a.order, [x - y for x, y in zip(a._nums, b._nums)], da)
+        return _scalar(a.order, [x * db - y * da for x, y in zip(a._nums, b._nums)], da * db)
 
     def __rsub__(self, other):
         return -(self - other)
@@ -217,23 +243,53 @@ class Scalar:
         if pair is None:
             return NotImplemented
         a, b = pair
-        return Scalar(a.order, _qpoly_mul(list(a.coeffs), list(b.coeffs)))
+        an, bn = a._nums, b._nums
+        if len(an) == 1:
+            return _scalar(a.order, [an[0] * bn[0]], a._den * b._den)
+        out = [0] * (2 * len(an) - 1)
+        for i, x in enumerate(an):
+            if x:
+                for j, y in enumerate(bn, i):
+                    out[j] += x * y
+        return _scalar(a.order, out, a._den * b._den)
 
     __rmul__ = __mul__
 
     def inv(self) -> "Scalar":
-        """Inverse via the extended Euclidean algorithm modulo Phi_N."""
+        """Inverse via the extended Euclidean algorithm modulo Phi_N.
+
+        It pseudo-divides integer vectors, keeping r = s * X (mod Phi_N) for
+        the numerator polynomial X, and divides the content out of each pair
+        (r, s); the last remainder is an integer c, so X^-1 = s / c.
+        """
         if self.is_zero():
             raise ZeroDivisionError("scalar division by zero")
-        modulus = [Fraction(c) for c in cyclotomic_coeffs(self.order)]
-        r0, r1 = modulus, _trim(list(self.coeffs))
-        s0, s1 = [], [Fraction(1)]
+        nums, den = self._nums, self._den
+        if len(nums) == 1:
+            return _scalar(self.order, [den], nums[0])
+        r0, r1 = list(cyclotomic_coeffs(self.order)), _trim(list(nums))
+        s0, s1 = [], [1]
         while len(r1) > 1:
-            q, r = _qpoly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _qpoly_sub(s0, _qpoly_mul(q, s1))
-        lead = r1[0]
-        return Scalar(self.order, [c / lead for c in s1])
+            lead = r1[-1]
+            while len(r0) >= len(r1):
+                # r0 <- a*r0 - b*x^k*r1 cancels the leading term of r0
+                g = math.gcd(r0[-1], lead)
+                a, b, k = lead // g, r0[-1] // g, len(r0) - len(r1)
+                if a != 1:
+                    r0 = [a * c for c in r0]
+                    s0 = [a * c for c in s0]
+                for i, c in enumerate(r1, k):
+                    r0[i] -= b * c
+                s0 += [0] * (len(s1) + k - len(s0))
+                for i, c in enumerate(s1, k):
+                    s0[i] -= b * c
+                _trim(r0)
+            g = math.gcd(*r0, *s0)
+            if g > 1:
+                r0 = [c // g for c in r0]
+                s0 = [c // g for c in s0]
+            r0, r1, s0, s1 = r1, r0, s1, s0
+        return _scalar(self.order, [den * c for c in s1], r1[0])
 
     def __truediv__(self, other):
         pair = self._coerce(other)
@@ -254,14 +310,16 @@ class Scalar:
         if pair is None:
             return NotImplemented
         a, b = pair
-        return a.coeffs == b.coeffs
+        return a._den == b._den and a._nums == b._nums
 
     def __hash__(self):
         # the normalized trace does not change under promote, so equal
         # scalars from different fields hash equal; a rational hashes as itself
+        nums = self._nums
         if self.is_rational():
-            return hash(self.coeffs[0])
-        return hash(sum(c * w for c, w in zip(self.coeffs, _trace_weights(self.order)) if c))
+            return hash(Fraction(nums[0], self._den))
+        trace = sum(c * w for c, w in zip(nums, _trace_weights(self.order)) if c)
+        return hash(Fraction(trace, self._den))
 
     def __bool__(self):
         return not self.is_zero()
@@ -283,14 +341,14 @@ class Scalar:
         """Field automorphism zeta -> zeta^j; requires gcd(j, N) = 1.
 
         zeta^k goes to zeta^(j*k mod N), a permutation of the exponents
-        below N; the constructor reduces the result modulo Phi_N.
+        below N; _scalar reduces the result modulo Phi_N.
         """
         if math.gcd(j, self.order) != 1:
             raise ValueError("exponent %d not coprime to %d" % (j, self.order))
         out = [0] * self.order
-        for k, c in enumerate(self.coeffs):
+        for k, c in enumerate(self._nums):
             out[j * k % self.order] = c
-        return Scalar(self.order, out)
+        return _scalar(self.order, out, self._den)
 
     def __repr__(self):
         return "Scalar(%d, %s)" % (self.order, list(self.coeffs))
@@ -299,6 +357,11 @@ class Scalar:
         from .render import format_scalar
 
         return format_scalar(self)
+
+
+_set_order = Scalar.order.__set__
+_set_nums = Scalar._nums.__set__
+_set_den = Scalar._den.__set__
 
 
 def rational(q) -> Scalar:

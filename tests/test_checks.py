@@ -86,3 +86,15 @@ def _environment_reads(path: Path) -> bool:
 def test_only_the_cli_reads_the_environment():
     paths = sorted(Path(ppv.__file__).parent.glob("*.py"))
     assert {path.stem for path in paths if _environment_reads(path)} == {"cli"}
+
+
+def _private_scalar_reads(path: Path) -> bool:
+    """Whether a module reads Scalar's integer numerators or denominator."""
+    return any(isinstance(node, ast.Attribute) and node.attr in ("_nums", "_den")
+               for node in ast.walk(ast.parse(path.read_text())))
+
+
+def test_only_scalars_reads_the_integer_representation():
+    src = Path(ppv.__file__).parent
+    paths = sorted(src.glob("*.py")) + sorted((src.parents[1] / "bench").glob("*.py"))
+    assert {path.stem for path in paths if _private_scalar_reads(path)} == {"scalars"}

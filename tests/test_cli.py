@@ -151,6 +151,11 @@ def test_exit_2_on_malformed_input(tmp_path, capsys):
     real.write_text(json.dumps(doc))
     assert main(["check", "--membership", "--realization", str(real), "--op", "t*Dt - 1"]) == 2
     assert "realization kind" in capsys.readouterr().err
+    # a kind that contradicts the claimed group's kind
+    doc["realization"]["kind"] = "ga"
+    real.write_text(json.dumps(doc))
+    assert main(["check", "--membership", "--realization", str(real), "--op", "Dt"]) == 2
+    assert "contradicts its claimed group 'gm'" in capsys.readouterr().err
     # counts and orders below 1 and unknown criteria are refused by argparse
     for argv in (["block", "--kind", "cyclic", "--q", "1", "--r", "0"],
                  ["block", "--kind", "cyclic", "--q", "1", "--r", "-2"],

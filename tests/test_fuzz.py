@@ -57,6 +57,7 @@ def test_decode_gives_a_value_or_a_ppv_error(doc):
     {"type": "group", "kind": "nope"},
     {"type": "scalar", "order": 8, "terms": [{"num": "1", "den": "1", "zeta_pow": [1, 5]}]},
     {**jsonio.encode(realize_gm(parse_operator("Dt"), parse_basis("1,t"))), "kind": "bogus"},
+    {**jsonio.encode(realize_gm(parse_operator("Dt"), parse_basis("1,t"))), "kind": "ga"},
     [1, 2],
     "scalar",
 ])

@@ -151,3 +151,171 @@ def test_hash_is_the_normalized_trace_and_survives_promotion(data):
     b = a.promote(big)
     assert a == b and hash(a) == hash(b)
     assert hash(a) == hash(_normalized_trace(a)) == hash(_normalized_trace(b))
+
+
+# -- reference: the Fraction-list arithmetic that Scalar used to carry --------
+# Scalars as tuples of phi(N) Fractions, computed the old way.
+
+
+def _ref_trim(cs: list) -> list:
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def _ref_divmod(num, den):
+    num = list(num)
+    dlead = den[-1]
+    q = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c = num[k + len(den) - 1]
+        if dlead != 1:
+            c = c / dlead
+        q[k] = c
+        if c:
+            for i, d in enumerate(den):
+                num[k + i] -= c * d
+    return q, _ref_trim(num)
+
+
+def _ref_mul_poly(a, b):
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _ref_trim(out)
+
+
+def _ref_sub_poly(a, b):
+    out = [Fraction(0)] * max(len(a), len(b))
+    for i, x in enumerate(a):
+        out[i] += x
+    for i, y in enumerate(b):
+        out[i] -= y
+    return _ref_trim(out)
+
+
+def _ref(order: int, coeffs) -> tuple:
+    """The old constructor: Fractions reduced modulo Phi_order, padded to phi."""
+    phi = euler_phi(order)
+    cs = [Fraction(c) for c in coeffs]
+    if len(cs) > phi:
+        _, cs = _ref_divmod(cs, [Fraction(c) for c in cyclotomic_coeffs(order)])
+    return tuple(cs + [Fraction(0)] * (phi - len(cs)))
+
+
+def _ref_add(order, a, b):
+    return _ref(order, [x + y for x, y in zip(a, b)])
+
+
+def _ref_sub(order, a, b):
+    return _ref(order, [x - y for x, y in zip(a, b)])
+
+
+def _ref_mul(order, a, b):
+    return _ref(order, _ref_mul_poly(list(a), list(b)))
+
+
+def _ref_inv(order, a):
+    r0, r1 = [Fraction(c) for c in cyclotomic_coeffs(order)], _ref_trim(list(a))
+    s0, s1 = [], [Fraction(1)]
+    while len(r1) > 1:
+        q, r = _ref_divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, _ref_sub_poly(s0, _ref_mul_poly(q, s1))
+    return _ref(order, [c / r1[0] for c in s1])
+
+
+def _ref_promote(order, a, new_order):
+    step = new_order // order
+    out = [Fraction(0)] * ((len(a) - 1) * step + 1)
+    out[::step] = a
+    return _ref(new_order, out)
+
+
+def _ref_galois(order, a, j):
+    out = [0] * order
+    for k, c in enumerate(a):
+        out[j * k % order] = c
+    return _ref(order, out)
+
+
+def _ref_pow(order, a, n):
+    out = _ref(order, [1])
+    for _ in range(n):
+        out = _ref_mul(order, out, a)
+    return out
+
+
+fracs_with_dens = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+
+
+def raw_coeffs(order: int):
+    """Dense coefficient lists, some longer than phi(order) so that they reduce."""
+    return st.lists(fracs_with_dens, min_size=euler_phi(order), max_size=order + 2)
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_arithmetic_matches_the_fraction_reference(data):
+    order = data.draw(st.integers(min_value=1, max_value=30))
+    ca, cb = data.draw(raw_coeffs(order)), data.draw(raw_coeffs(order))
+    a, b, ra, rb = Scalar(order, ca), Scalar(order, cb), _ref(order, ca), _ref(order, cb)
+    assert a.coeffs == ra and b.coeffs == rb
+    assert (a + b).coeffs == _ref_add(order, ra, rb)
+    assert (a - b).coeffs == _ref_sub(order, ra, rb)
+    assert (a * b).coeffs == _ref_mul(order, ra, rb)
+    assert (-a).coeffs == _ref_sub(order, _ref(order, []), ra)
+    assert (a == b) == (ra == rb)
+    if any(rb):
+        rinv = _ref_inv(order, rb)
+        assert b.inv().coeffs == rinv
+        assert (a / b).coeffs == _ref_mul(order, ra, rinv)
+        assert (b ** -2).coeffs == _ref_mul(order, rinv, rinv)
+    assert (a ** 3).coeffs == _ref_pow(order, ra, 3)
+    j = data.draw(st.sampled_from([j for j in range(1, order + 1) if math.gcd(j, order) == 1]))
+    assert a.galois(j).coeffs == _ref_galois(order, ra, j)
+    big = order * data.draw(st.integers(min_value=2, max_value=3))
+    up = a.promote(big)
+    assert up.coeffs == _ref_promote(order, ra, big)
+    assert up == a and hash(up) == hash(a)
+    assert (up == b) == (ra == rb) and (up + b).coeffs == _ref_promote(order, _ref_add(order, ra, rb), big)
+
+
+def test_dense_inverse_in_q_zeta_64():
+    x = Scalar(64, [Fraction((-1) ** k * (k + 1), k % 5 + 1) for k in range(32)])
+    assert (x * x.inv()).is_one()
+    assert (x.inv() * x) == Scalar(64, [1])
+
+
+def _assert_canonical(x: Scalar):
+    assert len(x._nums) == euler_phi(x.order)
+    assert x._den > 0 and math.gcd(x._den, *x._nums) == 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_every_result_is_in_canonical_form(data):
+    order = data.draw(st.integers(min_value=1, max_value=30))
+    other = data.draw(st.sampled_from([d for d in range(1, order + 1) if order % d == 0]))
+    a = Scalar(order, data.draw(raw_coeffs(order)))
+    b = Scalar(other, data.draw(raw_coeffs(other)))
+    q = data.draw(fracs_with_dens)
+    results = [a, b, a + b, a - b, b - a, a * b, -a, a + q, q - a, a * q, a.promote(2 * order),
+               a.zero_like(), a.one_like(), Scalar.zeta(order), Scalar.from_rational(q, order),
+               a.galois(order - 1 if order > 1 else 1), a ** 2]
+    if not b.is_zero():
+        results += [b.inv(), a / b, q / b, b ** -3]
+    for x in results:
+        _assert_canonical(x)
+
+
+def test_order_2_zero_is_the_canonical_zero():
+    # 1/2 + (1/2) zeta_2 = 0: the constructor must reduce before it normalizes
+    z = Scalar(2, ["1/2", "1/2"])
+    empty = Scalar(2, [])
+    assert z == empty and z.is_zero()
+    assert (z.order, z._nums, z._den) == (empty.order, empty._nums, empty._den) == (2, (0,), 1)
