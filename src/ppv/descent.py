@@ -100,9 +100,9 @@ class GaloisDatum:
     # -- group structure ---------------------------------------------------
 
     def compose(self, a: GammaElement, b: GammaElement) -> GammaElement:
-        n_new = (_reduce_aut(a.aut, self.e) * b.n + a.n) % self.e
+        n_new = (_reduce_aut(a.aut, self.e, self.field_order) * b.n + a.n) % self.e
         aut_new = (a.aut * b.aut) % self.field_order if self.field_order > 1 else 1
-        return GammaElement(aut_new if aut_new else self.field_order, n_new)
+        return GammaElement(aut_new, n_new)
 
     def identity(self) -> GammaElement:
         return GammaElement(1, 0)
@@ -168,8 +168,9 @@ def _zeta_e(e: int, field_order: int) -> Scalar:
     )
 
 
-def _reduce_aut(aut: int, e: int) -> int:
-    return aut % e if e > 1 else 0
+def _reduce_aut(aut: int, e: int, field_order: int) -> int:
+    # m with sigma(zeta_e) = zeta_e^m; if e does not divide N, zeta_e = +-1 is rational
+    return aut % e if field_order % e == 0 else 1
 
 
 def _closure(gens, field_order: int, e: int) -> tuple[GammaElement, ...]:
@@ -245,12 +246,10 @@ def twisted_transport(zeta_e: Scalar, e: int, n: int, act_coeff, elem: TwoVarLau
     Exposed separately so the twist formula itself can be exercised (and
     mutated) against independently chosen source and target points.
     """
+    twist = [zeta_e**k for k in range(e)]
     out = {}
     for i, inner in elem.coeffs.items():
-        new_inner = {}
-        for j, c in inner.coeffs.items():
-            tw = zeta_e ** (((n * (i - j)) % e + e) % e) if e > 1 else zeta_e**0
-            new_inner[j] = tw * act_coeff(c)
+        new_inner = {j: twist[n * (i - j) % e] * act_coeff(c) for j, c in inner.coeffs.items()}
         out[i] = type(inner)("w", new_inner, inner.trunc)
     return TwoVarLaurent(q_target, out, elem.trunc)
 

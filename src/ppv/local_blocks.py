@@ -110,10 +110,8 @@ def fp_membership(elem: TwoVarLaurent, clearing: TwoVarLaurent, label: str, orde
     return CheckRecord(label, ok, outer, inner, count, clearing_factor=str(clearing))
 
 
-def _commutation_check(y: TwoVarLaurent, e: int, order: int) -> CheckRecord:
-    lhs = y.dx().dt0(e)
-    rhs = y.dt0(e).dx()
-    return window_check("dx and dt0 commute on the entry", lhs, rhs, order)
+def _commutation_check(y: TwoVarLaurent, dt0_y: TwoVarLaurent, e: int, order: int) -> CheckRecord:
+    return window_check("dx and dt0 commute on the entry", y.dx().dt0(e), dt0_y.dx(), order)
 
 
 # ---------------------------------------------------------------------------
@@ -141,16 +139,17 @@ def block_cyclic(q: Scalar, r: int, e: int, order: int = DEFAULT_ORDER) -> Local
     power = y
     for _ in range(r - 1):
         power = power * y
+    dt0_y = y.dt0(e)
     checks = [
         window_check(
             "y^%d = 1 - t/(z-q)" % r, power, target, order,
             note="algebraicity witness: y is a root of T^%d - (1 - t/(z-q)) over F_P" % r,
         ),
-        _commutation_check(y, e, order),
+        _commutation_check(y, dt0_y, e, order),
     ]
     a_entry = y.dx().div(y, cap=(order + 1, order + 1))
     clear = _w_poly(q, (0, 2, 1), (1, 1, -1))  # w^2 - w t
-    dt0_log = y.dt0(e).div(y, cap=(order + 1, order + 1))
+    dt0_log = dt0_y.div(y, cap=(order + 1, order + 1))
     witnesses = (
         ("dx(y)/y in F_P", a_entry, clear),
         ("dt0(y)/y in F_P", dt0_log, _shift_clear(clear, e)),
@@ -188,8 +187,9 @@ def block_ga_closure(q: Scalar, h: RatFunc, e: int, order: int = DEFAULT_ORDER) 
     s1 = _t_over_w_series(q, [0] + [Fraction((-1) ** (n + 1), e) for n in ns]).shift(-e)
     s2 = _t_over_w_series(q, [0, 0] + [Fraction((-1) ** n, e) for n in ns]).shift(-e - 1)
     two_sum = s1 - TwoVarLaurent.z_elem(q) * s2
-    checks.append(window_check("dt0(f) matches the two-sum formula", f.dt0(e), two_sum, order))
-    checks.append(_commutation_check(f, e, order))
+    dt0_f = f.dt0(e)
+    checks.append(window_check("dt0(f) matches the two-sum formula", dt0_f, two_sum, order))
+    checks.append(_commutation_check(f, dt0_f, e, order))
 
     # witness that f has the series-tail signature of a non-element of F_P
     t1 = f.coeffs.get(1)
@@ -210,7 +210,7 @@ def block_ga_closure(q: Scalar, h: RatFunc, e: int, order: int = DEFAULT_ORDER) 
     ly = y.dt0(e).mul_k(h, order=order) - y.mul_k(h.dt0(e), order=order)
     witnesses = (
         ("dx(y) in F_P", dy, base_clear * h_den_clear),
-        ("dt0(y/h) in F_P", f.dt0(e), _shift_clear(base_clear, e)),
+        ("dt0(y/h) in F_P", dt0_f, _shift_clear(base_clear, e)),
         (
             "L(y) in F_P for the closure operator",
             ly,
@@ -232,7 +232,8 @@ def block_gm_const(q: Scalar, e: int, order: int = DEFAULT_ORDER) -> LocalBlock:
     dlog = y.dx().div(y, cap=cap)
     target = _w_poly(q, (0, -2, -1))  # -1/(z-q)^2 = dx(t/(z-q))
     checks.append(window_check("dx(y)/y = -1/(z-q)^2", dlog, target, order))
-    dt0_log = y.dt0(e).div(y, cap=cap)
+    dt0_y = y.dt0(e)
+    dt0_log = dt0_y.div(y, cap=cap)
     t_over_w = _w_poly(q, (1, -1, 1))
     checks.append(
         window_check(
@@ -240,7 +241,7 @@ def block_gm_const(q: Scalar, e: int, order: int = DEFAULT_ORDER) -> LocalBlock:
             note="series quotient vs closed form, two independent computations",
         )
     )
-    checks.append(_commutation_check(y, e, order))
+    checks.append(_commutation_check(y, dt0_y, e, order))
     const_term = y.coeffs.get(0)
     checks.append(
         CheckRecord(

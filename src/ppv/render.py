@@ -45,8 +45,9 @@ def format_scalar(s) -> str:
     if s.is_rational():
         return _frac_str(s.as_fraction())
     parts = []
-    for k in range(len(s.coeffs) - 1, -1, -1):
-        c = s.coeffs[k]
+    coeffs = s.coeffs  # each read builds phi(N) Fractions
+    for k in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[k]
         if not c:
             continue
         if k == 0:

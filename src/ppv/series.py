@@ -18,8 +18,12 @@ the parameter direction through a ramified root t = t0^(1/e):
     dx:      sum f_n t^n  ->  sum f_n' t^(n-1)
     dt0(e):  sum f_n t^n  ->  sum ((n/e) f_n - (z/e) f_n') t^(n-e)
 
-with f_n' = d f_n / dw and z expanded as w + q.  dt0(1) restricted to
-elements constant in w is plain d/dt.
+with f_n' = d f_n / dw and z expanded as w + q.  dt0 applies this as a
+coefficient map: the w^j coefficient of dt0(f_n t^n) is
+((n - j) f_(n,j) - q (j + 1) f_(n,j+1)) / e, written in the field of its
+own inputs, valid below the inner truncation of f_n (one order less when
+q != 0) and the outer truncation less e.  dt0(1) restricted to elements
+constant in w is plain d/dt.
 """
 
 from __future__ import annotations
@@ -223,8 +227,6 @@ class TruncLaurent:
     shift = _shift
 
     def scale(self, c) -> "TruncLaurent":
-        if isinstance(c, (int, Fraction)) and not c:
-            return TruncLaurent.zero(self.var)
         return TruncLaurent(self.var, {n: a * c for n, a in self.coeffs.items()}, self.trunc)
 
     def truncate(self, upto) -> "TruncLaurent":
@@ -455,17 +457,18 @@ class TwoVarLaurent:
         return self.dt0(1)
 
     def dt0(self, e: int) -> "TwoVarLaurent":
-        """Parameter derivation through t = t0^(1/e); t-validity drops by e."""
-        one = self._one_scalar()
-        z_inner = {1: one}
-        if not self.q.is_zero():
-            z_inner[0] = self.q
-        z = TruncLaurent("w", z_inner)
+        """Parameter derivation through t = t0^(1/e), by the coefficient map in the module doc."""
+        q = self.q
+        lost = 0 if q.is_zero() else 1  # w-orders lost: the q term reads f_(n,j+1)
         out = {}
         for n, f in self.coeffs.items():
-            part = f.scale(Fraction(n, e)) - (z * f.deriv()).scale(Fraction(1, e))
-            cur = out.get(n - e)
-            out[n - e] = part if cur is None else cur + part
+            inner = {j: c * Fraction(n - j, e) for j, c in f.coeffs.items() if j != n}
+            if lost:
+                for k, c in f.coeffs.items():
+                    if k:
+                        term = q * c * Fraction(-k, e)
+                        inner[k - 1] = inner[k - 1] + term if k - 1 in inner else term
+            out[n - e] = TruncLaurent("w", inner, f.trunc - lost)
         return TwoVarLaurent(self.q, out, self.trunc - e)
 
     # comparisons

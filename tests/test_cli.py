@@ -91,6 +91,18 @@ def test_orbits_verb(tmp_path, capsys):
     assert "{1, -1}" in out and "{2, -2}" in out
 
 
+def test_orbits_on_odd_field_e2_datum(tmp_path, capsys):
+    # the group table closes; only rational points are scanned, and the
+    # automorphism fixes them, so no orbit is free: a failed verification
+    gd_path = tmp_path / "gd.json"
+    gd = GaloisDatum.build(2, field_order=3, generators=[(2, 0)])
+    gd_path.write_text(json.dumps(jsonio.encode(gd)))
+    code = main(["orbits", "--gd", str(gd_path), "--count", "1"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "not closed" not in err and "point action is degenerate" in err
+
+
 def test_certify_verb(tmp_path, capsys):
     group, parts = standard_sl2_decomposition()
     group_path = tmp_path / "group.json"

@@ -6,6 +6,7 @@ import pytest
 from ppv.descent import (
     DecompositionPart,
     GaloisDatum,
+    GammaElement,
     act_on_point,
     find_free_orbits,
     root_subgroup_parts,
@@ -59,6 +60,40 @@ def test_group_law_closure(gd2):
             assert gd2.compose(a, b) in gd2.elements
             inv = gd2.inverse(a)
             assert gd2.compose(a, inv).is_identity()
+
+
+_GROUP_LAW_DATA = {
+    "ramified2": lambda: GaloisDatum.ramified(2),
+    "ramified3": lambda: GaloisDatum.ramified(3),
+    "conj_q_i": lambda: GaloisDatum.build(1, field_order=4, generators=[(3, 0)]),
+    "e2_q_i": lambda: GaloisDatum.build(2, field_order=4, generators=[(3, 0)]),
+    # e = 2 over an odd field: zeta_2 = -1 is rational, so every
+    # automorphism fixes it and sigma o tau still sends t to -t
+    "e2_odd_field_3": lambda: GaloisDatum.build(2, field_order=3, generators=[(2, 0)]),
+    "e2_odd_field_5": lambda: GaloisDatum.build(2, field_order=5, generators=[(2, 0)]),
+    "e4_zeta8": lambda: GaloisDatum.build(4, field_order=8, generators=[(3, 0)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GROUP_LAW_DATA))
+def test_group_law_over_data(name):
+    gd = _GROUP_LAW_DATA[name]()
+    els, one = gd.elements, gd.identity()
+    for a in els:
+        assert gd.compose(a, one) == a == gd.compose(one, a)
+        inv = gd.inverse(a)
+        assert gd.compose(a, inv).is_identity() and gd.compose(inv, a).is_identity()
+        for b in els:
+            ab = gd.compose(a, b)
+            assert ab in els
+            for c in els:
+                assert gd.compose(ab, c) == gd.compose(a, gd.compose(b, c))
+
+
+def test_odd_field_e2_composition_keeps_the_twist():
+    gd = GaloisDatum.build(2, field_order=3, generators=[(2, 0)])
+    assert gd.compose(GammaElement(2, 0), GammaElement(1, 1)) == GammaElement(2, 1)
+    assert gd.inverse(GammaElement(2, 1)) == GammaElement(2, 1)
 
 
 def test_act_on_point_examples(gd2, sigma):

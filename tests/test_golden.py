@@ -24,6 +24,7 @@ GOLDEN = {
     "block_cyclic": "18e50b1a0d85f41a6f61f7b529ba7fb21ad4a3e289c7619132b530492b771dfa",
     "block_ga": "1a1ddb99d8e9e86a7011f4b9c4f37405b8098cbbb85c9a7f09675aade4afb441",
     "block_gmconst": "55b8b1f150401866862d4d2eacc26f2a681f10d30354e9cb3d2cbecf4edcc799",
+    "block_ga_zeta8_h": "c1874eb8d17d9ff19e1f605655c65fd6d682a916fdb87359628edfee58d714ec",
     "certify_sl2_order10": "b4d9764d0c54607e65123e741f8518d8d03a7fc58ab7d7fe0b5407b7e7155f94",
     "certify_z2_cyclic_order8": "92ddbfd27275730880f2bf4673d5c7699609124f97af138bf0a2a22404c0ff52",
     "certify_z3_ga_zeta3_order8": "6acca8aea52928c6992cdc932a2bcd61409b170c83fdb98054fc2f164251c137",
@@ -76,6 +77,11 @@ def _output(case, tmp_path, capsys) -> str:
     if case == "block_ga":
         return _stdout(capsys, "block", "--kind", "ga", "--q", "2", "--h", "(t + 1)/t",
                        "--e", "2", "--order", "8", "--json")
+    if case == "block_ga_zeta8_h":
+        # a rational point with h over Q(zeta_8): dt0 of series whose
+        # coefficients live in a larger field than the point
+        return _stdout(capsys, "block", "--kind", "ga", "--q", "1", "--h", "zeta(8)*t + 1",
+                       "--e", "2", "--json")
     if case == "block_gmconst":
         return _stdout(capsys, "block", "--kind", "gmconst", "--q", "3", "--e", "1",
                        "--order", "8", "--json")

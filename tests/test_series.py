@@ -1,9 +1,11 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ppv import jsonio
 from ppv.errors import CoefficientFieldMismatch, NonInvertibleLeadingTerm, TruncationExhausted
 from ppv.rationals import t_var
 from ppv.scalars import Scalar, rational
@@ -253,3 +255,58 @@ def test_w_constant_two_var_matches_trunc_laurent(ca, ta, cb, tb, cap):
     _assert_matches(a2 * b2, a1 * b1)
     if len(a1.coeffs) > 1:
         _assert_matches(a2.inv(cap=(cap, cap)), a1.inv(cap=cap))
+
+
+# dt0 as a coefficient map against the earlier z-product form of the formula
+
+
+def _dt0_reference(s, e):
+    """sum ((n/e) f_n - (z/e) f_n') t^(n-e) by series arithmetic, z = w + q."""
+    z_inner = {1: s._one_scalar()}
+    if not s.q.is_zero():
+        z_inner[0] = s.q
+    z = TruncLaurent("w", z_inner)
+    out = {}
+    for n, f in s.coeffs.items():
+        scaled = TruncLaurent.zero("w") if n == 0 else f.scale(Fraction(n, e))
+        out[n - e] = scaled - (z * f.deriv()).scale(Fraction(1, e))
+    return TwoVarLaurent(s.q, out, s.trunc - e)
+
+
+_DT0_POINTS = {
+    "zero": rational(0),
+    "rational": rational(Fraction(-3, 2)),
+    "zeta3": Scalar.zeta(3) + 2,
+}
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(sorted(_DT0_POINTS)),
+    st.integers(1, 4),
+    st.sets(st.integers(-2, 7), max_size=4),
+    st.dictionaries(st.integers(-2, 7), st.integers(2, 9), max_size=3),
+    st.booleans(),
+)
+def test_dt0_coefficient_map_matches_z_product(seed, point, e, exact_at, zero_at, exact_outer):
+    q = _DT0_POINTS[point]
+    f = random_two_var(random.Random(seed), q, 8, 8)
+    coeffs = dict(f.coeffs)
+    for n in exact_at & set(coeffs):
+        coeffs[n] = TruncLaurent("w", coeffs[n].coeffs)  # exact inner series
+    for n, trunc in zero_at.items():
+        coeffs[n] = TruncLaurent("w", {}, trunc)  # stored zero so far
+    f = TwoVarLaurent(q, coeffs, INF if exact_outer else f.trunc)
+    got, want = f.dt0(e), _dt0_reference(f, e)
+    # the encodings compare each scalar's field order and every inner trunc
+    assert json.dumps(jsonio.encode(got)) == json.dumps(jsonio.encode(want))
+
+
+def test_dt0_of_mixed_field_series_equals_reference():
+    # the reference writes the w coefficient -3 in Q(zeta_8), the field of
+    # the first stored coefficient; the map writes it in Q, its own field
+    f = TwoVarLaurent(rational(0), {0: TruncLaurent("w", {3: Scalar.zeta(8), 1: rational(3)})})
+    got = f.dt0(1)
+    assert got == _dt0_reference(f, 1)
+    assert got.coeffs[-1].coeffs[1] == rational(-3)
