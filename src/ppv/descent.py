@@ -7,11 +7,12 @@ local Laurent fields through the twisted substitution
     sum a_ij (z - q^sigma)^j t^i  ->  sum zeta^(n_sigma (i-j)) sigma(a_ij) (z - q)^j t^i
 
 where sigma(t) = zeta^n_sigma t and q^sigma = zeta^(n_(sigma^-1)) sigma^-1(q).
-The pipeline picks free orbits of rational points, builds one local
-block per orbit representative, transports it along the group, verifies
-that the twisted maps commute with both derivations and that the
-transported family is equivariant, and assembles a certificate that
-separates exactly verified identities from cited external theorems.
+The pipeline picks free orbits of points (rational, or c + zeta_N when
+Gamma moves k), builds one local block per orbit representative,
+transports it along the group, verifies that the twisted maps commute
+with both derivations and that the transported family is equivariant,
+and assembles a certificate that separates exactly verified identities
+from cited external theorems.
 """
 
 from __future__ import annotations
@@ -207,12 +208,16 @@ def act_on_point(gd: GaloisDatum, g: GammaElement, q: Scalar) -> Scalar:
 
 
 def find_free_orbits(gd: GaloisDatum, count: int) -> list[PointOrbit]:
-    """Scan q = 1, 2, 3, ... for disjoint orbits of full size |Gamma|.
+    """Scan points q for disjoint orbits of full size |Gamma|.
 
-    All but finitely many rational points work for a genuine datum, so a
+    A field automorphism fixes every rational point, so when some element
+    of Gamma moves k the scan runs over q = c + zeta_N (N the field
+    order), c = 1, 2, 3, ...; otherwise over the rational points q = c.
+    All but finitely many of these points work for a genuine datum, so a
     generous scan bound only triggers when the stored action is
     degenerate (e.g. a corrupted root of unity collapsing orbits).
     """
+    moves_field = any(g.aut != 1 for g in gd.elements)
     orbits: list[PointOrbit] = []
     used: set[Scalar] = set()
     candidate = 0
@@ -221,10 +226,13 @@ def find_free_orbits(gd: GaloisDatum, count: int) -> list[PointOrbit]:
         candidate += 1
         if candidate > bound:
             raise VerificationFailed(
-                "no %d free orbits among the first %d rational points: "
-                "the point action is degenerate" % (count, bound)
+                "no %d free orbits among the points q = %s for c = 1..%d: "
+                "the point action is degenerate"
+                % (count, "c + zeta_%d" % gd.field_order if moves_field else "c", bound)
             )
         q = Scalar.from_rational(candidate, gd.field_order)
+        if moves_field:
+            q = q + Scalar.zeta(gd.field_order)
         # dict keys keep the first image of each point, in group order
         points = tuple(dict.fromkeys(act_on_point(gd, g, q) for g in gd.elements))
         if len(points) != gd.order() or not used.isdisjoint(points):

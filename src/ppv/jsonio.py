@@ -206,16 +206,8 @@ def _enc_check(c: CheckRecord) -> dict:
 
 
 def _enc_scalar(s: Scalar) -> dict:
-    terms = []
-    for k, c in enumerate(s.coeffs):
-        if c:
-            terms.append(
-                {
-                    "num": str(c.numerator),
-                    "den": str(c.denominator),
-                    "zeta_pow": [k] if k else [],
-                }
-            )
+    terms = [{"num": str(num), "den": str(den), "zeta_pow": [k] if k else []}
+             for k, num, den in s.terms()]
     return {"type": "scalar", "order": s.order, "terms": terms}
 
 

@@ -9,6 +9,8 @@ not mix.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .errors import (
     CoefficientFieldMismatch,
     DependentFamily,
@@ -17,9 +19,9 @@ from .errors import (
 )
 from .linalg import det, nullspace
 from .logext import LogExtElem
-from .rationals import (RatFunc, _add, _coeff, _euclid, _is_zero, _leading, _monic, _neg,
-                        _scale, _strip, _sub, _zero_like, k_const, t_var)
-from .scalars import _power
+from .rationals import (PARAM_VARS, Poly, RatFunc, _add, _coeff, _euclid, _is_zero, _leading,
+                        _monic, _neg, _scale, _strip, _sub, _zero_like, k_const)
+from .scalars import Scalar, _power
 from .series import DEFAULT_ORDER, INF, TruncLaurent, TwoVarLaurent
 
 
@@ -253,34 +255,66 @@ def wronskian_operator(elems: list, e: int = 1) -> OrePoly:
 
 
 def monomial_window(width: int, order: int = 1) -> list[RatFunc]:
-    """The search window t^j for |j| <= width."""
-    t = t_var(order)
-    return [t**j for j in range(-width, width + 1)]
+    """The search window t^j for |j| <= width, each a quotient of monomials."""
+    zero = Scalar.from_rational(0, order)
+    mono = [Poly("t", [zero] * k + [zero.one_like()], zero) for k in range(width + 1)]
+    return [RatFunc(mono[max(j, 0)], mono[max(-j, 0)], reduced=True)
+            for j in range(-width, width + 1)]
+
+
+def _monomial_term(b: RatFunc) -> tuple:
+    """(c, j) with b = c*t^j; a ValueError for any other element."""
+    num, den = b.num, b.den
+    if b.var in PARAM_VARS and not any(num.coeffs[:-1] + den.coeffs[:-1]):
+        return num.leading(), num.degree() - den.degree()
+    raise ValueError("the window search needs monomials c*t^j, got %s" % (b,))
 
 
 def solve_in_window(l: OrePoly, basis: list[RatFunc]) -> list[RatFunc]:
-    """Basis of ker(l) within the constant-linear span of the given basis.
+    """Basis of ker(l) within the constant-linear span of monomials c*t^j.
+
+    Each image is read off in closed form.  Dt = dt0(e) sends t^j to
+    (j/e) t^(j-e), so Dt^i(t^j) = [j]_i t^(j-ie) with
+    [j]_i = prod_{k<i} (j - ke)/e.  Let D be the lcm of the coefficient
+    denominators of l = sum c_i Dt^i and P_i = c_i*D.  Then
+    D*t^s*l(c*t^j) = c * sum_i [j]_i P_i t^(j+s-ie), a polynomial once s
+    is large enough, written with scalar products only.  Scaling every
+    image by the same nonzero D*t^s keeps each constant-linear relation
+    among them, so the kernel, and the nullspace read off the unique
+    reduced row echelon form, are those of the images themselves.  Rows
+    are indexed by the powers of t, so the shift t^s only relabels them.
 
     This is a semi-decision: an empty or small answer only means nothing
     more was found inside the window, never that no solution exists.
+    Every basis element must be a monomial c*t^j (ValueError otherwise).
     """
     if not basis:
         return []
-    images = [l.apply(b) for b in basis]
-    common = images[0].den
-    for img in images[1:]:
-        g = common.gcd(img.den)
-        common = (common * img.den).divmod(g)[0]
-    cleared = []
-    for img in images:
-        factor = common.divmod(img.den)[0]
-        cleared.append(img.num * factor)
-    degree = max((p.degree() for p in cleared), default=-1)
-    if degree < 0:
+    terms = [_monomial_term(b) for b in basis]
+    common = basis[0].den.one_like()
+    for c in l.coeffs:
+        if c.den.degree() > 0:
+            common = (common * c.den).divmod(common.gcd(c.den))[0]
+    scaled = [c.num * common.divmod(c.den)[0] for c in l.coeffs]
+    # the basis field's zero, as in l.apply(b): a product keeps its left
+    # factor's zero, and so its field order, which reaches the JSON
+    e, zero = l.e, basis[0].czero
+    columns = []
+    for c, j in terms:
+        col, weight = {}, Fraction(1)
+        for i, p in enumerate(scaled):
+            for m, a in enumerate(p.coeffs, j - i * e):
+                if a:
+                    col[m] = col[m] + a * weight if m in col else a * weight
+            weight *= Fraction(j - i * e, e)
+            if not weight:
+                break
+        columns.append({m: c * a for m, a in col.items() if a and c})
+    powers = sorted(set().union(*columns))
+    if not powers:
         # every image is zero: the whole window solves
         return list(basis)
-    zero = cleared[0].czero
-    rows = [[p.coeff(r) for p in cleared] for r in range(degree + 1)]
+    rows = [[col.get(m, zero) for col in columns] for m in powers]
     vectors = nullspace(rows, zero, zero.one_like())
     out = []
     for vec in vectors:

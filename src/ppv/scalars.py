@@ -147,6 +147,14 @@ class Scalar:
         den = self._den
         return tuple(Fraction(c, den) for c in self._nums)
 
+    def terms(self):
+        """(power, num, den) of each nonzero coefficient, in lowest terms, den > 0."""
+        den = self._den
+        for k, c in enumerate(self._nums):
+            if c:
+                g = math.gcd(c, den)
+                yield k, c // g, den // g
+
     # constructors
 
     @classmethod

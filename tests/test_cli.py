@@ -92,15 +92,29 @@ def test_orbits_verb(tmp_path, capsys):
 
 
 def test_orbits_on_odd_field_e2_datum(tmp_path, capsys):
-    # the group table closes; only rational points are scanned, and the
-    # automorphism fixes them, so no orbit is free: a failed verification
+    # the group table closes, and the automorphism moves the scanned
+    # points c + zeta_3, so a free orbit of all four elements is found
     gd_path = tmp_path / "gd.json"
     gd = GaloisDatum.build(2, field_order=3, generators=[(2, 0)])
     gd_path.write_text(json.dumps(jsonio.encode(gd)))
-    code = main(["orbits", "--gd", str(gd_path), "--count", "1"])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert "not closed" not in err and "point action is degenerate" in err
+    code = main(["orbits", "--gd", str(gd_path), "--count", "1", "--json"])
+    captured = capsys.readouterr()
+    assert code == 0 and "not closed" not in captured.err
+    [orbit] = json.loads(captured.out)
+    assert len(orbit["points"]) == 4
+
+
+@pytest.mark.parametrize("e, field_order", [(3, 3), (1, 4), (2, 4)])
+def test_orbits_on_data_that_move_the_field(tmp_path, capsys, e, field_order):
+    # complex conjugation fixes every rational point; the scan over
+    # c + zeta_N finds free orbits of the full group
+    gd = GaloisDatum.build(e, field_order=field_order, generators=[(field_order - 1, 0)])
+    gd_path = tmp_path / "gd.json"
+    gd_path.write_text(json.dumps(jsonio.encode(gd)))
+    code = main(["orbits", "--gd", str(gd_path), "--count", "2", "--json"])
+    orbits = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert [len(o["points"]) for o in orbits] == [gd.order()] * 2
 
 
 def test_certify_verb(tmp_path, capsys):

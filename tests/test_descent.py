@@ -199,6 +199,23 @@ def test_corrupted_datum_degenerates_orbits(gd2):
         find_free_orbits(bad, 1)
 
 
+def test_degenerate_scan_names_the_points():
+    bad = replace(GaloisDatum.ramified(2), zeta_e=rational(1))
+    with pytest.raises(VerificationFailed, match=r"points q = c for c = 1\.\.300"):
+        find_free_orbits(bad, 1)
+    moved = GaloisDatum.build(2, field_order=4, generators=[(3, 0)])
+    with pytest.raises(VerificationFailed, match=r"points q = c \+ zeta_4 for c = 1\.\.500"):
+        find_free_orbits(replace(moved, zeta_e=rational(1)), 1)
+
+
+def test_orbits_of_a_datum_that_moves_the_field():
+    gd = GaloisDatum.build(3, field_order=3, generators=[(2, 0)])
+    orbits = find_free_orbits(gd, 2)
+    assert [str(o.representative) for o in orbits] == ["zeta(3) + 2", "zeta(3) + 3"]
+    assert all(len(o.points) == gd.order() == 6 for o in orbits)
+    assert not set(orbits[0].points) & set(orbits[1].points)
+
+
 def test_transport_and_equivariance(gd2, sigma):
     orbit = find_free_orbits(gd2, 1)[0]
     rep = block_ga_closure(orbit.representative, t_var(), 2, order=8)

@@ -13,11 +13,11 @@ from ppv import jsonio
 from ppv.cli import main
 from ppv.descent import DecompositionPart, GaloisDatum, standard_sl2_decomposition
 from ppv.groups import FiniteCyclic, closure_of_additive
-from ppv.ore import wronskian_operator
+from ppv.ore import OrePoly, wronskian_operator
 from ppv.parser import parse_basis, parse_operator, parse_xrat
 from ppv.partial_fractions import decompose, reassemble
 from ppv.rationals import RatFunc, t_var
-from ppv.realization import necessary_condition_report
+from ppv.realization import fundamental_set_in_window, necessary_condition_report, realize_in_window
 from ppv.scalars import Scalar
 
 GOLDEN = {
@@ -25,6 +25,7 @@ GOLDEN = {
     "block_ga": "1a1ddb99d8e9e86a7011f4b9c4f37405b8098cbbb85c9a7f09675aade4afb441",
     "block_gmconst": "55b8b1f150401866862d4d2eacc26f2a681f10d30354e9cb3d2cbecf4edcc799",
     "block_ga_zeta8_h": "c1874eb8d17d9ff19e1f605655c65fd6d682a916fdb87359628edfee58d714ec",
+    "certify_sl2_conjugation_order6_trunc8": "55ce3d41e6203d19e5e5f2a433698a1bf0b9754cf500185751f467e6c348976a",
     "certify_sl2_order10": "b4d9764d0c54607e65123e741f8518d8d03a7fc58ab7d7fe0b5407b7e7155f94",
     "certify_z2_cyclic_order8": "92ddbfd27275730880f2bf4673d5c7699609124f97af138bf0a2a22404c0ff52",
     "certify_z3_ga_zeta3_order8": "6acca8aea52928c6992cdc932a2bcd61409b170c83fdb98054fc2f164251c137",
@@ -37,6 +38,8 @@ GOLDEN = {
     "realize_gm": "092ae11ce176f55be94f21ef05f68d2b43bfc4cb5aa32021d26be73d7a9ceecb",
     "reassemble_t_double_pole": "7253898db39efbb4687864d28f1afe6f98c512539923de7176b27251cc88be55",
     "reassemble_zeta8_repeated_pole": "ed3a046b2445795dc17919e5a7efca67dd6789bb11696cb07af77560917f3da9",
+    "window_fundamental_sets_zeta8_e2": "ba760233c5bf26c22233f63bf7bdaa8b304d2495a792ad9ccaf544db1597d884",
+    "realize_in_window_zeta8": "2c58261cab7cf3c3b498145fddd7add061ed66940a6fcffee973652bbc87e3d7",
     "wronskian_operator_zeta8": "e2be29fa6919ed3894fad7edb79ea954f730eaa411bdc1a7345d88bd492fe7c6",
 }
 
@@ -67,6 +70,12 @@ def _output(case, tmp_path, capsys) -> str:
     if case == "certify_sl2_order10":
         group, parts = standard_sl2_decomposition()
         return _certify(tmp_path, capsys, group, parts, GaloisDatum.trivial(), "--trunc", "10")
+    if case == "certify_sl2_conjugation_order6_trunc8":
+        # complex conjugation on Q(zeta_3) with t -> zeta_3 t: a
+        # non-abelian group of order 6 whose orbits are not rational
+        group, parts = standard_sl2_decomposition()
+        gd = GaloisDatum.build(3, field_order=3, generators=[(2, 0)])
+        return _certify(tmp_path, capsys, group, parts, gd, "--trunc", "8")
     if case == "certify_z2_cyclic_order8":
         parts = [DecompositionPart(FiniteCyclic(2), "cyclic", r=2)]
         return _certify(tmp_path, capsys, FiniteCyclic(2), parts, GaloisDatum.ramified(2),
@@ -117,6 +126,17 @@ def _output(case, tmp_path, capsys) -> str:
     if case == "wronskian_operator_zeta8":
         w = wronskian_operator(parse_basis("zeta(8)*t^2 + 1, 1/(t - zeta(8)), t^3 - 2*zeta(8)"))
         return json.dumps(jsonio.encode(w), sort_keys=True)
+    if case == "window_fundamental_sets_zeta8_e2":
+        # Dt = dt0(2) over Q(zeta_8)(t), a coefficient with denominator
+        # t^3 + zeta_8: L kills t^3 + zeta_8, L o Dt also 2/5 t^5 + zeta_8 t^2
+        p = parse_operator("Dt - 3/2*t/(t^3 + zeta(8))")
+        l = OrePoly(p.coeffs, p.czero, 2)
+        sets = {kind: [jsonio.encode(b) for b in fundamental_set_in_window(l, kind, 6)]
+                for kind in ("ga", "gm")}
+        return json.dumps(sets, sort_keys=True)
+    if case == "realize_in_window_zeta8":
+        real = realize_in_window(parse_operator("(t^3 + zeta(8))*Dt - 3*t^2"), "gm", 6)
+        return json.dumps(jsonio.encode(real), sort_keys=True)
     if case == "necessary_ga_dependent_targets":
         # the residues 1 and 2 span one constant dimension against order 2
         report = necessary_condition_report(parse_xrat("1/(x-1) + 2/(x-2)"), "ga",

@@ -1,8 +1,10 @@
+import json
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ppv import jsonio
 from ppv.errors import CoefficientFieldMismatch, DependentFamily
 from ppv.ore import (
     OrePoly,
@@ -14,8 +16,10 @@ from ppv.ore import (
     solve_in_window,
     wronskian_operator,
 )
-from ppv.rationals import k_const, t_var
-from ppv.scalars import rational
+from ppv.linalg import nullspace
+from ppv.parser import parse_operator
+from ppv.rationals import RatFunc, k_const, t_var
+from ppv.scalars import Scalar, rational
 from ppv.series import TruncLaurent
 
 
@@ -218,3 +222,125 @@ def test_gcrd_of_planted_common_right_factor(data):
     assert g.leading().is_one()
     assert right_divides(g, a) and right_divides(g, b)
     assert right_divides(f, g)
+
+
+def _solve_in_window_reference(l, basis):
+    """The window search as it was before the closed form: apply, then clear."""
+    if not basis:
+        return []
+    images = [l.apply(b) for b in basis]
+    common = images[0].den
+    for img in images[1:]:
+        g = common.gcd(img.den)
+        common = (common * img.den).divmod(g)[0]
+    cleared = [img.num * common.divmod(img.den)[0] for img in images]
+    degree = max((p.degree() for p in cleared), default=-1)
+    if degree < 0:
+        return list(basis)
+    zero = cleared[0].czero
+    rows = [[p.coeff(r) for p in cleared] for r in range(degree + 1)]
+    out = []
+    for vec in nullspace(rows, zero, zero.one_like()):
+        sol = None
+        for lam, b in zip(vec, basis):
+            if lam.is_zero():
+                continue
+            term = b * lam
+            sol = term if sol is None else sol + term
+        if sol is not None and not sol.is_zero():
+            out.append(sol)
+    return out
+
+
+def _encoded(elems) -> str:
+    return json.dumps([jsonio.encode(x) for x in elems], sort_keys=True)
+
+
+def _scalar(draw, order):
+    if order == 1:
+        return Scalar(1, [draw(st.fractions(-3, 3, max_denominator=3))])
+    return Scalar(order, draw(st.lists(st.integers(-2, 2), min_size=1, max_size=4)))
+
+
+def _laurent(draw, order, low=-2, high=2):
+    """A sum of a few scalar multiples of t^j with low <= j <= high."""
+    t = t_var(order)
+    out = k_const(0, order)
+    for _ in range(draw(st.integers(1, 3))):
+        out = out + RatFunc.constant("t", _scalar(draw, order)) * t ** draw(st.integers(low, high))
+    return out
+
+
+def _denominator(draw, order):
+    t, one = t_var(order), k_const(1, order)
+    dens = [one, t, t - 1, t + 2, t**2 + 1, t**2 - 2 * t]
+    if order == 8:
+        dens.append(t - RatFunc.constant("t", Scalar.zeta(8)))
+    return draw(st.sampled_from(dens))
+
+
+def _window_operator(draw, order, e):
+    """An operator of order 0-3 whose coefficients have non-monomial denominators,
+    half the time planted with a kernel inside the window."""
+    if draw(st.booleans()):
+        fam = [_laurent(draw, order) for _ in range(draw(st.integers(1, 2)))]
+        try:
+            right = wronskian_operator(fam, e)
+        except DependentFamily:
+            right = OrePoly.dt_power(1, k_const(1, order), e)
+        left = OrePoly([_laurent(draw, order, 0, 1) / _denominator(draw, order)
+                        for _ in range(draw(st.integers(1, 2)))], k_const(0, order), e)
+        return left * right if not left.is_zero() else right
+    cs = [_laurent(draw, order) / _denominator(draw, order)
+          for _ in range(draw(st.integers(1, 4)))]
+    return OrePoly(cs, k_const(0, order), e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_solve_in_window_matches_apply_and_clear(data):
+    order = data.draw(st.sampled_from([1, 8]))
+    e = data.draw(st.integers(1, 3))
+    l = _window_operator(data.draw, order, e)
+    window = monomial_window(data.draw(st.integers(0, 5)), order)
+    assert _encoded(solve_in_window(l, window)) == _encoded(_solve_in_window_reference(l, window))
+
+
+@pytest.mark.parametrize("src", ["(t-1)*Dt + 1", "(t^2+1)*Dt + 2*t", "Dt^2 + 1/t*Dt",
+                                 "(t^3 + zeta(8))*Dt - 3*t^2", "0*Dt", "t^2/(t - zeta(8))"])
+@pytest.mark.parametrize("e", [1, 2, 3])
+def test_solve_in_window_examples_match_apply_and_clear(src, e):
+    p = parse_operator(src)
+    l = OrePoly(p.coeffs, p.czero, e)
+    order = l.czero.czero.order
+    for width in (0, 3, 16):
+        window = monomial_window(width, order)
+        assert _encoded(solve_in_window(l, window)) == _encoded(
+            _solve_in_window_reference(l, window))
+
+
+@pytest.mark.parametrize("order", [1, 8])
+def test_monomial_window_encodes_as_powers_of_t(order):
+    t = t_var(order)
+    for width in (0, 1, 7):
+        assert _encoded(monomial_window(width, order)) == _encoded(
+            [t**j for j in range(-width, width + 1)])
+
+
+def test_solve_in_window_refuses_a_non_monomial():
+    one, t = k_const(1), t_var()
+    l = OrePoly.dt_power(1, one)
+    assert solve_in_window(l, [k_const(3), 2 * t**-4]) == [k_const(3)]
+    for bad in (t + 1, one / (t - 1), t**2 / (t + 1)):
+        with pytest.raises(ValueError, match="monomials"):
+            solve_in_window(l, [one, bad])
+
+
+def test_solve_in_window_applies_no_operator(monkeypatch):
+    def refuse(self, f):
+        raise AssertionError("the window search applied the operator")
+
+    monkeypatch.setattr(OrePoly, "apply", refuse)
+    one, t = k_const(1), t_var()
+    l = OrePoly([one.zero_like(), one / t, one])  # Dt^2 + (1/t) Dt
+    assert [str(s) for s in solve_in_window(l, monomial_window(4))] == ["1"]

@@ -319,3 +319,13 @@ def test_order_2_zero_is_the_canonical_zero():
     empty = Scalar(2, [])
     assert z == empty and z.is_zero()
     assert (z.order, z._nums, z._den) == (empty.order, empty._nums, empty._den) == (2, (0,), 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_terms_are_the_reduced_nonzero_coefficients(data):
+    order = data.draw(st.sampled_from([1, 3, 8, 12]))
+    x = Scalar(order, data.draw(raw_coeffs(order)))
+    expected = [(k, c.numerator, c.denominator) for k, c in enumerate(x.coeffs) if c]
+    assert list(x.terms()) == expected
+    assert all(math.gcd(num, den) == 1 and den > 0 for _, num, den in x.terms())
