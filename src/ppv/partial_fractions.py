@@ -5,6 +5,15 @@ searches: every rational root, every root of the form zeta^j * r with r
 rational when the coefficients are constants of a cyclotomic field, and
 any root of a degree-one factor (which may involve t).  Anything else
 raises SplitFieldError: the input has left the supported split regime.
+
+Rational roots are found p-adically: take the primitive square-free part
+f over Z, find its roots modulo the least prime p that keeps f square-free
+and its leading coefficient nonzero, lift each by Newton's iteration past
+2 |f(0)| |lead(f)|, and read it back as a fraction by rational
+reconstruction.  A candidate is kept only when it is an exact root.  The
+cost grows with the degree and with that prime, not with the number of
+divisors of f(0) and lead(f).  Roots zeta^j * r come from the rational roots of the norms of
+f(zeta^j u), which are often not square-free.
 """
 
 from __future__ import annotations
@@ -14,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import SplitFieldError
-from .rationals import Poly, RatFunc
+from .rationals import Poly, RatFunc, _is_prime, _mod_coprime
 from .scalars import Scalar
 
 
@@ -22,21 +31,80 @@ from .scalars import Scalar
 # root finding
 
 
-def _int_divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
+def _primitive(f: list[int]) -> list[int]:
+    """f over its content, with a positive leading coefficient."""
+    g = math.gcd(*f)
+    if f[-1] < 0:
+        g = -g
+    return [c // g for c in f]
+
+
+def _pseudo_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """(q, r) with lead(b)^k * a = q * b + r and deg r < deg b, over Z."""
+    lead, db = b[-1], len(b) - 1
+    q, r = [0] * max(len(a) - db, 0), list(a)
+    for k in range(len(a) - 1, db - 1, -1):
+        c = r[k]
+        q = [lead * x for x in q]
+        q[k - db] = c
+        r = [lead * x for x in r]
+        for i, d in enumerate(b, k - db):
+            r[i] -= c * d
+    del r[db:]
+    while r and not r[-1]:
+        r.pop()
+    return q, r
+
+
+def _squarefree_part(f: list[int]) -> list[int]:
+    """The primitive part of f / gcd(f, f'), by a primitive remainder sequence."""
+    a, b = f, [i * c for i, c in enumerate(f)][1:]
+    while len(b) > 1:
+        r = _pseudo_divmod(a, b)[1]
+        a, b = b, (_primitive(r) if r else r)
+    if b:  # the sequence ends in a nonzero constant: gcd(f, f') = 1
+        return f
+    return _primitive(_pseudo_divmod(f, _primitive(a))[0])
+
+
+def _eval_mod(f: list[int], x: int, m: int) -> int:
+    acc = 0
+    for c in reversed(f):
+        acc = (acc * x + c) % m
+    return acc
+
+
+def _hensel_prime(f: list[int]) -> int:
+    """The least prime that keeps the leading coefficient and keeps f square-free.
+
+    f must be square-free: then only the primes dividing lead(f) * disc(f)
+    are refused.
+    """
+    p = 1
+    while True:
+        p += 1
+        if not _is_prime(p) or f[-1] % p == 0:
+            continue
+        fp = [c % p for c in f]
+        dfp = [i * c % p for i, c in enumerate(fp)][1:]
+        while dfp and not dfp[-1]:
+            dfp.pop()
+        if dfp and _mod_coprime(fp, dfp, p):
+            return p
 
 
 def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
-    """All rational roots of a polynomial with rational coefficients."""
+    """All rational roots of a polynomial with rational coefficients.
+
+    0 comes first, then the others sorted by (|numerator|, denominator),
+    + before -.  The roots modulo a prime p that keeps the square-free part
+    f square-free are lifted p-adically past 2 |f(0)| |lead(f)|, and each
+    lift is read back as the one a/b with |a| <= |f(0)|, 0 < b <= |lead(f)|
+    that it can be, by rational reconstruction (R. Loos, SIAM J. Comput.
+    12, 1983).  Every rational root lifts from its residue mod p, and a
+    candidate is kept only when f(a/b) = 0 exactly, so the search misses no
+    root and adds no false one.
+    """
     denlcm = math.lcm(*(c.denominator for c in coeffs))
     ints = [int(c * denlcm) for c in coeffs]
     while ints and ints[-1] == 0:
@@ -46,22 +114,38 @@ def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
     shift = 0
     while ints[shift] == 0:
         shift += 1
-    ints = ints[shift:]
     roots = [Fraction(0)] if shift else []
-    content = math.gcd(*ints)
-    ints = [c // content for c in ints]
-    lead_divisors = _int_divisors(ints[-1])
-    for p in _int_divisors(ints[0]):
-        for q in lead_divisors:
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if cand in roots:
-                    continue
-                acc = Fraction(0)
-                for c in reversed(ints):
-                    acc = acc * cand + c
-                if acc == 0:
-                    roots.append(cand)
-    return roots
+    if len(ints) - shift == 1:
+        return roots
+    f = _squarefree_part(_primitive(ints[shift:]))
+    df = [i * c for i, c in enumerate(f)][1:]
+    a0, lead = abs(f[0]), f[-1]
+    p = _hensel_prime(f)
+    found = []
+    for r in range(p):
+        if _eval_mod(f, r, p):
+            continue
+        m = p
+        while m <= 2 * a0 * lead:  # Newton steps double the p-adic precision
+            m *= m
+            r = (r - _eval_mod(f, r, m) * pow(_eval_mod(df, r, m), -1, m)) % m
+        # the first remainder of the Euclidean sequence of (m, r) that is <= a0
+        r0, r1, s0, s1 = m, r, 0, 1
+        while r1 > a0:
+            q = r0 // r1
+            r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+        num, den = (r1, s1) if s1 > 0 else (-r1, -s1)
+        if not 0 < den <= lead:
+            continue
+        # sum f_i num^i den^(n-i), in integers
+        acc, power = f[-1], 1
+        for c in reversed(f[:-1]):
+            power *= den
+            acc = acc * num + c * power
+        if acc == 0:
+            found.append(Fraction(num, den))
+    found.sort(key=lambda r: (abs(r.numerator), r.denominator, r < 0))
+    return roots + found
 
 
 def _cyclotomic_roots(coeffs: list[Scalar]) -> list[Scalar]:

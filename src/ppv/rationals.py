@@ -14,7 +14,9 @@ derivations on K(x).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import CoefficientFieldMismatch
 from .scalars import Scalar, _power
@@ -243,9 +245,142 @@ class Poly:
         return "Poly(%r, %r)" % (self.var, list(self.coeffs))
 
 
-def _coprime(p: Poly, q: Poly) -> bool:
-    """True when gcd(p, q) is a unit; a nonzero constant is coprime to anything."""
-    return p.degree() == 0 or q.degree() == 0 or p.gcd(q).degree() == 0
+# ---------------------------------------------------------------------------
+# prime-field images.  A list of ints is a dense polynomial over F_p,
+# ascending, with a nonzero last entry.
+#
+# A ring map phi from the coefficients onto F_p that keeps the leading
+# coefficients of f and g nonzero sends Res(f, g) to Res(phi f, phi g)
+# (von zur Gathen and Gerhard, Modern Computer Algebra, ch. 6).  Coprime
+# images therefore prove Res(f, g) != 0, that is gcd(f, g) = 1; images
+# with a common factor prove nothing.  The map sends zeta_L to a primitive
+# L-th root of unity w modulo a prime p = 1 (mod L), where L is the lcm of
+# the scalar orders, and t to the fixed integer _T0.
+
+_PRIME_FLOOR = 1 << 30
+# any fixed t works; a large one avoids the small integers where the
+# denominators met in practice (t, t + 1, ...) vanish
+_T0 = 271828183
+# Miller-Rabin with these bases decides primality below 3.3 * 10^24
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _prime_field(order: int) -> tuple[int, int]:
+    """(p, w): the least prime p = 1 (mod order) above 2^30, w of order exactly order mod p."""
+    p = _PRIME_FLOOR // order * order + 1
+    while p < _PRIME_FLOOR or not _is_prime(p):
+        p += order
+    factors = [q for q in range(2, order + 1) if order % q == 0 and _is_prime(q)]
+    g = 2
+    while True:
+        w = pow(g, (p - 1) // order, p)
+        if all(pow(w, order // q, p) != 1 for q in factors):
+            return p, w
+        g += 1
+
+
+def _mod_rem(f: list, g: list, p: int) -> list:
+    """f mod g over F_p."""
+    f = list(f)
+    dg = len(g) - 1
+    inv = pow(g[-1], -1, p)
+    for k in range(len(f) - 1, dg - 1, -1):
+        c = f[k] * inv % p
+        if c:
+            for i, d in enumerate(g, k - dg):
+                f[i] = (f[i] - c * d) % p
+    del f[dg:]
+    while f and not f[-1]:
+        f.pop()
+    return f
+
+
+def _mod_coprime(f: list, g: list, p: int) -> bool:
+    """True when the nonzero f and g have no common factor over F_p."""
+    while g:
+        f, g = g, _mod_rem(f, g, p)
+    return len(f) == 1
+
+
+def _scalar_orders(c, out: set):
+    if isinstance(c, Scalar):
+        out.add(c.order)
+    elif isinstance(c, RatFunc):
+        for s in c.num.coeffs + c.den.coeffs:
+            _scalar_orders(s, out)
+
+
+def _coeff_image(c, p: int, roots: dict):
+    """c in F_p, or None when a denominator vanishes there or c has another type."""
+    if isinstance(c, Scalar):
+        return c.residue(p, roots[c.order])
+    if isinstance(c, RatFunc):
+        num = _value_image(c.num, p, roots)
+        den = _value_image(c.den, p, roots)
+        if num is None or not den:
+            return None
+        return num * pow(den, -1, p) % p
+    return None
+
+
+def _value_image(f: "Poly", p: int, roots: dict):
+    """f(_T0) in F_p, or None."""
+    acc = 0
+    for c in reversed(f.coeffs):
+        v = _coeff_image(c, p, roots)
+        if v is None:
+            return None
+        acc = (acc * _T0 + v) % p
+    return acc
+
+
+def _poly_image(f: "Poly", p: int, roots: dict):
+    """The coefficients of f in F_p, or None unless each maps and the leading one survives."""
+    out = [_coeff_image(c, p, roots) for c in f.coeffs]
+    return out if out and out[-1] and None not in out else None
+
+
+def _coprime(f: "Poly", g: "Poly") -> bool:
+    """True when gcd(f, g) is provably a unit: a constant side, or coprime images.
+
+    False proves nothing; the caller then reduces by the exact gcd.
+    """
+    if f.degree() == 0 or g.degree() == 0:
+        return True
+    orders = set()
+    for c in f.coeffs + g.coeffs:
+        _scalar_orders(c, orders)
+    order = math.lcm(*orders)
+    p, w = _prime_field(order)
+    roots = {n: pow(w, order // n, p) for n in orders}
+    a = _poly_image(f, p, roots)
+    if a is None:
+        return False
+    b = _poly_image(g, p, roots)
+    return b is not None and _mod_coprime(a, b, p)
 
 
 def _lowest_terms(num: Poly, den: Poly, coprime: bool) -> tuple[Poly, Poly]:
@@ -275,12 +410,18 @@ class RatFunc:
     Sums, products and inverses of reduced operands use Henrici's rule
     (Knuth, TAOCP vol. 2, 4.5.1): a/b + c/d is already reduced when
     gcd(b, d) = 1, (a/b)(c/d) when gcd(a, d) = gcd(c, b) = 1, and b/a
-    always.  Those gcds are of the smaller parts, and most pairs pass, so
-    the gcd of the whole numerator and denominator runs only when a test
-    fails.  A failed test takes that full reduction unchanged rather than
+    always.  Each of those coprimality decisions is a prime-field
+    certificate (_coprime), never an exact gcd, and so is the test an
+    unreduced pair gets in the constructor.  When a certificate fails, the
+    reducing gcd of the whole numerator and denominator runs: the only
+    exact gcd here.  A failed Henrici test goes to it straight, since a
+    factor shared by b and d (or by a and d) divides the new numerator and
+    denominator too.  The full reduction is taken unchanged rather than
     dividing the parts first: the JSON keeps each coefficient's field
     order, which follows the operand order of every product, so only the
-    full reduction keeps the output byte for byte what it was.
+    full reduction keeps the output byte for byte what it was.  A
+    certificate skips a gcd only when it would be 1, and a gcd of 1 divides
+    nothing, so the certificates change no output.
     """
 
     __slots__ = ("num", "den")
@@ -290,8 +431,7 @@ class RatFunc:
             raise ZeroDivisionError("rational function with zero denominator")
         num._check(den)
         if not reduced:
-            # a nonzero constant is a unit, coprime to the other part
-            num, den = _lowest_terms(num, den, num.degree() == 0 or den.degree() == 0)
+            num, den = _lowest_terms(num, den, _coprime(num, den))
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 

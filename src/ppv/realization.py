@@ -75,7 +75,16 @@ def _log_model(coeffs, order: int) -> LogExtElem:
     return model
 
 
+def _require_unramified(l: OrePoly):
+    # the log-extension model carries dt, not dt0: its membership test needs e = 1
+    if l.e != 1:
+        raise RealizationError(
+            "realizations are built only for unramified operators (e = 1), got e = %d" % l.e
+        )
+
+
 def _verify_basis(l: OrePoly, target: OrePoly, basis, needed: int, what: str):
+    _require_unramified(l)
     if l.order() < 1:
         raise RealizationError(
             "degenerate order-zero operator: the constant group needs no pole datum"
@@ -237,6 +246,7 @@ def window_kernel_dimension(l: OrePoly, width: int = 12) -> int:
 
 def realize_in_window(l: OrePoly, kind: str, width: int = 12) -> Realization:
     """Find a fundamental set in the window and realize; refuses when absent."""
+    _require_unramified(l)
     basis = fundamental_set_in_window(l, kind, width)
     real = realize_gm(l, basis) if kind == "gm" else realize_ga(l, basis)
     return replace(real, window_note="basis found in monomial window |j| <= %d" % width)

@@ -155,6 +155,20 @@ class Scalar:
                 g = math.gcd(c, den)
                 yield k, c // g, den // g
 
+    def residue(self, p: int, zeta: int):
+        """The image in F_p under zeta_N -> zeta, or None when p divides the denominator.
+
+        zeta must be a root of Phi_N modulo the prime p; then this is the
+        ring map Z[zeta_N][1/den] -> F_p.
+        """
+        den = self._den % p
+        if not den:
+            return None
+        acc = 0
+        for c in reversed(self._nums):
+            acc = (acc * zeta + c) % p
+        return acc if den == 1 else acc * pow(den, -1, p) % p
+
     # constructors
 
     @classmethod

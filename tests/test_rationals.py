@@ -5,7 +5,17 @@ from hypothesis import given, settings, strategies as st
 
 from ppv import jsonio
 from ppv.errors import CoefficientFieldMismatch
-from ppv.rationals import Poly, RatFunc, f_const, k_const, t_var, x_var
+from ppv.rationals import (
+    _T0,
+    Poly,
+    RatFunc,
+    _coprime,
+    _prime_field,
+    f_const,
+    k_const,
+    t_var,
+    x_var,
+)
 from ppv.scalars import Scalar, rational
 
 
@@ -258,3 +268,68 @@ def test_sum_and_product_over_q_of_t_match_sympy_cancel():
             assert (num, den) == canonical(want)
 
     check()
+
+
+# The prime-field coprimality certificate.  It may only answer "coprime"
+# when the exact gcd is a unit, and it must refuse when the image map is
+# undefined or drops a leading coefficient.
+
+
+@st.composite
+def _polys(draw, name, min_roots=0):
+    """multiplier * prod(x - root), nonzero, from the same lists as _elements."""
+    var, one, roots, mults = _field(name)
+    p = Poly.constant(var, draw(st.sampled_from(mults)))
+    for root in draw(st.lists(st.sampled_from(roots), min_size=min_roots, max_size=3)):
+        p = p * Poly(var, [-root, one])
+    return p
+
+
+@pytest.mark.parametrize("name", ["Q(t)", "Q(zeta_8)(t)", "K(x)"])
+def test_certificate_is_sound(name):
+    @settings(max_examples=60, deadline=None)
+    @given(f=_polys(name), g=_polys(name), h=_polys(name, min_roots=1))
+    def check(f, g, h):
+        if _coprime(f, g):
+            assert f.gcd(g).degree() == 0
+        # a planted common factor is never certified
+        assert not _coprime(f * h, g * h)
+
+    check()
+
+
+def test_certificate_is_reached():
+    # not vacuous: coprime pairs in each field get a certificate
+    t, x = t_var(), x_var()
+    z = Scalar.zeta(8)
+    one8 = Scalar.from_rational(1, 8)
+    assert _coprime((t + 1).num, (t - 1).num)
+    assert _coprime(Poly("t", [z, one8]), Poly("t", [-z, one8]))
+    assert _coprime((x - t).num, (x + t / (t + 1)).num)
+
+
+def _unmapped_cases():
+    """(f, g) coprime pairs whose image is undefined or loses a leading coefficient."""
+    p = _prime_field(1)[0]
+    t = t_var()
+    q = rational(1)
+    yield Poly("t", [q, rational(p)]), (t + 2).num  # leading coefficient p
+    yield Poly("t", [rational(1) / p, q]), (t + 2).num  # denominator p
+    w8 = _prime_field(8)[1]
+    z, one8 = Scalar.zeta(8), Scalar.from_rational(1, 8)
+    # zeta_8 - w maps to 0: a vanishing leading coefficient in Q(zeta_8)
+    yield Poly("t", [one8, z - w8]), Poly("t", [one8, one8])
+    # t = _T0 is a pole of a coefficient, and a root of a leading coefficient
+    x = x_var()
+    t0 = k_const(_T0)
+    yield (x + 1 / (t - t0)).num, (x - 1).num
+    yield (f_const(t - t0) * x + 1).num, (x - 1).num
+
+
+def test_no_certificate_where_the_image_fails():
+    for f, g in _unmapped_cases():
+        assert not _coprime(f, g), (f, g)
+        assert f.gcd(g).degree() == 0
+        # the reduction falls back to the exact gcd and is still right
+        for label, got, want in _reference_results(RatFunc(f, g), RatFunc(g, f)):
+            assert jsonio.encode(got) == jsonio.encode(want), label

@@ -149,3 +149,20 @@ def test_corollary_from_generators():
     assert real.all_checks_passed()
     rep = necessary_condition_report(real.equation_datum, "ga", real.operator)
     assert rep.all_annihilated and rep.minimal
+
+
+def test_realize_refuses_ramified_operators_before_the_search(monkeypatch):
+    from ppv import realization
+    from ppv.parser import parse_operator
+
+    p = parse_operator("Dt - 3/2*t/(t^3 + zeta(8))")
+    l = OrePoly(p.coeffs, p.czero, 2)
+    searched = []
+    monkeypatch.setattr(realization, "fundamental_set_in_window",
+                        lambda *a: searched.append(a) or [])
+    for kind in ("ga", "gm"):
+        with pytest.raises(RealizationError, match="e = 2"):
+            realize_in_window(l, kind, 6)
+    assert not searched
+    with pytest.raises(RealizationError, match="e = 2"):
+        realize_ga(l, [one])
