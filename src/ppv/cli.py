@@ -22,9 +22,10 @@ from .descent import find_free_orbits, run_criterion
 from .errors import DecodeError, PpvError, VerificationFailed
 from .local_blocks import make_block
 from .ore import gcrd as ore_gcrd
-from .ore import right_divmod
+from .ore import OrePoly, right_divmod
 from .parser import parse_basis, parse_expr, parse_k, parse_operator, parse_xrat
 from .partial_fractions import decompose as pf_decompose
+from .rationals import k_const
 from .realization import (
     check_membership_ga,
     check_membership_gm,
@@ -94,11 +95,9 @@ def _cmd_ore(args) -> int:
     a = parse_operator(args.a)
     if args.action == "apply":
         f = parse_expr(args.b)
-        if isinstance(f, Scalar):
-            from .rationals import k_const
-
-            f = k_const(f)
-        result = a.apply(f)
+        if isinstance(f, OrePoly):
+            raise PpvError("ore apply expects an element of K or K(x), not an operator")
+        result = a.apply(k_const(f) if isinstance(f, Scalar) else f)
         _emit(args, jsonio.encode(result), "L(f) = %s" % format_ratfunc(result))
         return 0
     b = parse_operator(args.b)

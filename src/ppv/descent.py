@@ -101,9 +101,7 @@ class GaloisDatum:
     # -- group structure ---------------------------------------------------
 
     def compose(self, a: GammaElement, b: GammaElement) -> GammaElement:
-        n_new = (_reduce_aut(a.aut, self.e, self.field_order) * b.n + a.n) % self.e
-        aut_new = (a.aut * b.aut) % self.field_order if self.field_order > 1 else 1
-        return GammaElement(aut_new, n_new)
+        return _compose(a, b, self.e, self.field_order)
 
     def identity(self) -> GammaElement:
         return GammaElement(1, 0)
@@ -174,15 +172,20 @@ def _reduce_aut(aut: int, e: int, field_order: int) -> int:
     return aut % e if field_order % e == 0 else 1
 
 
+def _compose(a: GammaElement, b: GammaElement, e: int, field_order: int) -> GammaElement:
+    n_new = (_reduce_aut(a.aut, e, field_order) * b.n + a.n) % e
+    aut_new = (a.aut * b.aut) % field_order if field_order > 1 else 1
+    return GammaElement(aut_new, n_new)
+
+
 def _closure(gens, field_order: int, e: int) -> tuple[GammaElement, ...]:
-    datum = GaloisDatum(e, field_order, 1, _zeta_e(e, field_order), ())
     seen = {GammaElement(1, 0)}
     frontier = list(seen | set(gens))
     while frontier:
         new = []
         for a in frontier:
             for b in list(seen) + gens:
-                c = datum.compose(a, b)
+                c = _compose(a, b, e, field_order)
                 if c not in seen:
                     seen.add(c)
                     new.append(c)
@@ -203,8 +206,12 @@ class PointOrbit:
 
 def act_on_point(gd: GaloisDatum, g: GammaElement, q: Scalar) -> Scalar:
     """Image of the point z = q: zeta^(n of the inverse) * sigma^-1(q)."""
-    ginv = gd.inverse(g)
-    return gd.zeta_e**ginv.n * gd.act_scalar(ginv, q)
+    return _point_under(gd, gd.inverse(g), q)
+
+
+def _point_under(gd: GaloisDatum, g: GammaElement, q: Scalar) -> Scalar:
+    """zeta_e^n * sigma(q): act_on_point at the inverse of g, with no inversion."""
+    return gd.zeta_e**g.n * gd.act_scalar(g, q)
 
 
 def find_free_orbits(gd: GaloisDatum, count: int) -> list[PointOrbit]:
@@ -268,7 +275,7 @@ def sigma_map(gd: GaloisDatum, g: GammaElement, elem: TwoVarLaurent) -> TwoVarLa
     The input lives at act_on_point(g, q) and the output at q; the
     coefficient of (z-q)^j t^i picks up zeta^(n_sigma (i-j)).
     """
-    q_target = act_on_point(gd, gd.inverse(g), elem.q)
+    q_target = _point_under(gd, g, elem.q)
     return twisted_transport(
         gd.zeta_e, gd.e, g.n, lambda c: gd.act_scalar(g, c), elem, q_target
     )
@@ -567,7 +574,7 @@ def _conjugation_check(gd: GaloisDatum, part: DecompositionPart, blocks: dict,
     ok = True
     notes = []
     for g in gd.elements:
-        q = act_on_point(gd, gd.inverse(g), orbit.representative)
+        q = _point_under(gd, g, orbit.representative)
         blk = blocks[q]
         if part.kind == "ga" and part.h is not None:
             expected = closure_of_additive(gd.act_k(g, part.h), gd.e)

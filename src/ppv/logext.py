@@ -14,7 +14,7 @@ K(x) (all log coefficients zero) is a finite, exact computation.
 
 from __future__ import annotations
 
-from .rationals import RatFunc, f_const, x_var
+from .rationals import RatFunc, f_const, k_const, x_var
 
 
 def _x_minus(beta: RatFunc) -> RatFunc:
@@ -76,8 +76,10 @@ class LogExtElem:
             return NotImplemented
         return self + (-other)
 
-    def mul_k(self, c: RatFunc) -> "LogExtElem":
-        """Multiply by an element of K."""
+    def __mul__(self, c) -> "LogExtElem":
+        """Multiply by an element of K; any other c (a Scalar) is read as k_const(c)."""
+        if not isinstance(c, RatFunc):
+            c = k_const(c)
         return LogExtElem(self.tail * c, {b: cb * c for b, cb in self.logs.items()})
 
     def dx(self) -> "LogExtElem":

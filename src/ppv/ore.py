@@ -5,24 +5,20 @@ rule Dt o a = a*Dt + dt(a).  Operators optionally carry a ramification
 twist e, in which case the derivation acting on coefficients and on
 arguments is dt0(e) instead of dt; operators with different twists do
 not mix.
+
+Operators act on K, K(x) and log extensions by one rule, L(f) = sum
+dt0(e)^i(f) * c_i through the argument's own *; local series raise TypeError.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import (
-    CoefficientFieldMismatch,
-    DependentFamily,
-    TruncationExhausted,
-    ZeroOperatorDivision,
-)
+from .errors import CoefficientFieldMismatch, DependentFamily, ZeroOperatorDivision
 from .linalg import det, nullspace
-from .logext import LogExtElem
 from .rationals import (PARAM_VARS, Poly, RatFunc, _add, _coeff, _euclid, _is_zero, _leading,
                         _monic, _neg, _scale, _strip, _sub, _zero_like, k_const)
 from .scalars import Scalar, _power
-from .series import DEFAULT_ORDER, INF, TruncLaurent, TwoVarLaurent
 
 
 class OrePoly:
@@ -135,54 +131,15 @@ class OrePoly:
     # action
 
     def apply(self, f):
-        """Apply the operator: sum c_i * dt0(e)^i (f)."""
+        """Apply the operator: sum dt0(e)^i (f) * c_i, the product taken in f's ring."""
         derivs = [f]
         for _ in range(self.order()):
             derivs.append(derivs[-1].dt0(self.e))
         out = None
         for i, c in enumerate(self.coeffs):
-            term = _act(c, derivs[i])
+            term = derivs[i] * c
             out = term if out is None else out + term
-        if out is None:
-            out = _act(self.czero, f)
-        _check_window(out)
-        return out
-
-
-def _act(c, f):
-    """Multiply the argument f by the coefficient c in f's own ring."""
-    if isinstance(f, RatFunc):
-        return f * c
-    if isinstance(f, LogExtElem):
-        return f.mul_k(c if isinstance(c, RatFunc) else k_const(c))
-    if isinstance(f, TwoVarLaurent):
-        if isinstance(c, RatFunc):
-            return f.mul_k(c)
-        return f.scale(c)
-    if isinstance(f, TruncLaurent):
-        return _act_trunc(c, f)
-    return f * c
-
-
-def _act_trunc(c, f: TruncLaurent) -> TruncLaurent:
-    if not isinstance(c, RatFunc):
-        return f.scale(c)
-    if c.var != "t" or f.var != "t":
-        raise CoefficientFieldMismatch("cannot act on a series in %s by %s" % (f.var, c.var))
-    num = f * TruncLaurent("t", dict(enumerate(c.num.coeffs)))
-    if c.den.degree() == 0:
-        return num
-    den = TruncLaurent("t", dict(enumerate(c.den.coeffs)))
-    if not num.coeffs:
-        return TruncLaurent.zero("t", num.trunc - den.valuation())
-    cap = DEFAULT_ORDER + 1 if num.trunc == INF else num.trunc - num.valuation()
-    return num * den.inv(cap=cap)
-
-
-def _check_window(res):
-    if isinstance(res, (TruncLaurent, TwoVarLaurent)):
-        if not res.coeffs and res.trunc <= 0:
-            raise TruncationExhausted("series argument too short for the operator order")
+        return f * self.czero if out is None else out
 
 
 def right_divmod(a: OrePoly, b: OrePoly) -> tuple[OrePoly, OrePoly]:

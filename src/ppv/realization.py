@@ -108,13 +108,12 @@ def realize_gm(l: OrePoly, basis) -> Realization:
     order = _scalar_order(l)
     a = _pole_sum(basis, order)
     model = _log_model([b.dt() for b in basis], order)
+    dmodel = model.dx()  # the model satisfies dx(model) = dt(a) exactly
     checks = [
         CheckRecord("basis solves L o Dt", True),
         CheckRecord("basis independent over constants", True),
+        CheckRecord("model identity dx(f) = dt(a)", dmodel.tail == a.dt() and dmodel.in_base_field()),
     ]
-    # the model satisfies dx(model) = dt(a) exactly
-    identity = model.dx().tail == a.dt() and model.dx().in_base_field()
-    checks.append(CheckRecord("model identity dx(f) = dt(a)", identity))
     witness = any(not b.dt().is_zero() for b in basis)
     checks.append(
         CheckRecord(
@@ -137,10 +136,11 @@ def realize_ga(l: OrePoly, basis) -> Realization:
     order = _scalar_order(l)
     a = _pole_sum(basis, order)
     model = _log_model(list(basis), order)
+    dmodel = model.dx()
     checks = [
         CheckRecord("basis solves L", True),
         CheckRecord("basis independent over constants", True),
-        CheckRecord("model identity dx(y) = a", model.dx().tail == a and model.dx().in_base_field()),
+        CheckRecord("model identity dx(y) = a", dmodel.tail == a and dmodel.in_base_field()),
         CheckRecord("membership L(y) in K(x)", check_membership_ga(model, l)),
     ]
     real = Realization("ga", l, basis, a, GaSub(l), model, tuple(checks))

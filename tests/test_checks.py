@@ -88,6 +88,26 @@ def test_only_the_cli_reads_the_environment():
     assert {path.stem for path in paths if _environment_reads(path)} == {"cli"}
 
 
+def _imported_modules(path: Path) -> set:
+    """Last name of every module a module imports, `from . import m` included."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            names.add((node.module or "").rsplit(".", 1)[-1])
+            if node.module is None:
+                names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+    return names
+
+
+def test_operators_do_not_import_series_or_log_extensions():
+    # OrePoly.apply acts through its argument's own *, so ore needs neither module
+    imported = _imported_modules(Path(ppv.__file__).parent / "ore.py")
+    assert "linalg" in imported  # the scan sees ore's own imports
+    assert not imported & {"series", "logext"}
+
+
 def _private_scalar_reads(path: Path) -> bool:
     """Whether a module reads Scalar's integer numerators or denominator."""
     return any(isinstance(node, ast.Attribute) and node.attr in ("_nums", "_den")

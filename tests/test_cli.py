@@ -33,6 +33,13 @@ def test_ore_apply(capsys):
     assert code == 0 and "2*t" in out
 
 
+def test_ore_apply_refuses_an_operator_argument(capsys):
+    code = main(["ore", "apply", "Dt", "Dt"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "element of K or K(x)" in err and "internal error" not in err
+
+
 def test_decompose(capsys):
     code, out = run(capsys, "decompose", "(x+1)/(x*(x-1))")
     assert code == 0

@@ -1,5 +1,10 @@
+import json
+from fractions import Fraction
+
+from ppv import jsonio
 from ppv.logext import LogExtElem
 from ppv.rationals import f_const, k_const, t_var, x_var
+from ppv.scalars import Scalar, rational
 
 
 def test_dx_of_log():
@@ -58,8 +63,18 @@ def test_dt_of_log_moving_point_against_series_expansion():
 def test_mul_by_parameter_element():
     t = t_var()
     f = LogExtElem.log_term(k_const(1), k_const(1))
-    g = f.mul_k(t)
+    g = f * t
     assert g.logs == {k_const(1): t}
+
+
+def test_mul_by_scalar_is_mul_by_its_constant():
+    # a bare Scalar multiplies as the constant k_const(c) of K, over Q and Q(zeta_8)
+    for order, scalars in ((1, (rational(5), rational(Fraction(-2, 3)))),
+                           (8, (Scalar.zeta(8) + 1, Scalar.zeta(8) ** 3))):
+        t, x = t_var(order), x_var(order)
+        f = LogExtElem(f_const(t) / (x - 1), {k_const(2, order): t, t: k_const(3, order)})
+        for c in scalars:
+            assert json.dumps(jsonio.encode(f * c)) == json.dumps(jsonio.encode(f * k_const(c)))
 
 
 def test_zero_and_membership():

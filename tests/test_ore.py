@@ -20,7 +20,7 @@ from ppv.linalg import nullspace
 from ppv.parser import parse_operator
 from ppv.rationals import RatFunc, k_const, t_var
 from ppv.scalars import Scalar, rational
-from ppv.series import TruncLaurent
+from ppv.series import TruncLaurent, TwoVarLaurent
 
 
 @pytest.fixture
@@ -111,23 +111,17 @@ def test_apply_respects_composition():
         assert (a * b).apply(f) == a.apply(b.apply(f))
 
 
-def test_apply_to_truncated_series(k, monkeypatch):
+@pytest.mark.parametrize("series", [
+    TruncLaurent("t", {-1: rational(2), 3: rational(1)}, 7),
+    TwoVarLaurent.term(rational(0), rational(1), 1, 2),
+], ids=["trunc_laurent", "two_var_laurent"])
+def test_apply_refuses_local_series(k, series):
+    # operators act on K, K(x) and log extensions; a local series has no
+    # product with an element of K, so the one action rule meets a TypeError
     one, t, dt = k
-    f = TruncLaurent("t", {-1: rational(2), 3: rational(1)}, 7)
-    out = dt.apply(f)
-    assert out.coeffs == {-2: rational(-2), 2: rational(3)}
-    assert out.trunc == 6
-    l = OrePoly([one / t, one])  # Dt + 1/t
-    out2 = l.apply(f)
-    assert out2.trunc <= 6
-    # an exact series is cut at a window that does not read the environment
-    l = OrePoly([one.zero_like(), one / (t + 1)])  # (1/(t+1))*Dt
-    f = TruncLaurent("t", {0: rational(1), 3: rational(2)})  # 1 + 2t^3
-    truncs = set()
-    for env in ("4", "20"):
-        monkeypatch.setenv("PPV_TRUNC", env)
-        truncs.add(l.apply(f).trunc)
-    assert len(truncs) == 1
+    for l in (dt, OrePoly([one / t, one]), OrePoly([t])):
+        with pytest.raises(TypeError):
+            l.apply(series)
 
 
 def test_wronskian_operator_examples(k):
