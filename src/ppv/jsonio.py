@@ -272,7 +272,7 @@ def _decode(data):
         coeffs = [decode(c) for c in data["coeffs"]]
         if not coeffs:
             raise DecodeError("the zero operator has no JSON form")
-        return OrePoly(coeffs, coeffs[0].zero_like(), data.get("e", 1))
+        return OrePoly(coeffs, coeffs[0].zero_like(), _bounded(data.get("e", 1), "e"))
     if tag == "trunc_laurent":
         trunc = data.get("trunc", "inf")
         return TruncLaurent(
@@ -295,12 +295,12 @@ def _decode(data):
         return _dec_group(data)
     if tag == "galois":
         gens = [
-            (int(a), int(n))
+            (_integer(a, "generator"), _integer(n, "generator"))
             for a, n in data.get("generators", data.get("elements", []))
         ]
         return GaloisDatum.build(
             _bounded(data["e"], "e"),
-            field_order=_bounded(data.get("field_order"), "field_order"),
+            field_order=_bounded(data["field_order"], "field_order") if "field_order" in data else None,
             base_order=_bounded(data.get("base_order", 1), "base_order"),
             generators=gens,
         )
@@ -309,7 +309,7 @@ def _decode(data):
             group=decode(data["group"]),
             kind=data["kind"],
             h=decode(data["h"]) if "h" in data else None,
-            r=data.get("r"),
+            r=_integer(data["r"], "r") if "r" in data else None,
             embedding=tuple(
                 tuple(decode(x) for x in row) for row in data["embedding"]
             )
@@ -342,9 +342,16 @@ def _decode(data):
     raise DecodeError("cannot decode type tag %r" % (tag,))
 
 
-def _bounded(order, field: str):
+def _integer(value, field: str) -> int:
+    """An integer field from input; booleans, strings and floats are refused."""
+    if type(value) is not int:
+        raise DecodeError("%s must be a JSON integer, got %r" % (field, value))
+    return value
+
+
+def _bounded(order, field: str) -> int:
     """A cyclotomic order or ramification index from input, refused past the bound."""
-    if isinstance(order, int) and order > _MAX_INPUT_ORDER:
+    if _integer(order, field) > _MAX_INPUT_ORDER:
         raise DecodeError("%s %d is beyond the bound %d" % (field, order, _MAX_INPUT_ORDER))
     return order
 
@@ -370,7 +377,7 @@ def _dec_group(data):
     if kind == "gm_const":
         return GmConst()
     if kind == "cyclic":
-        return FiniteCyclic(data["r"])
+        return FiniteCyclic(_integer(data["r"], "r"))
     if kind == "generated":
         parts = tuple(
             GeneratedPart(

@@ -40,10 +40,6 @@ class LogExtElem:
         raise AttributeError("LogExtElem is immutable")
 
     @classmethod
-    def from_tail(cls, tail: RatFunc) -> "LogExtElem":
-        return cls(tail)
-
-    @classmethod
     def log_term(cls, beta: RatFunc, coeff: RatFunc) -> "LogExtElem":
         """coeff * log(x - beta)."""
         zero_tail = f_const(coeff.zero_like())

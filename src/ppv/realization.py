@@ -69,10 +69,8 @@ def _pole_sum(basis, order: int) -> RatFunc:
 
 
 def _log_model(coeffs, order: int) -> LogExtElem:
-    model = LogExtElem.from_tail(f_const(k_const(0, order)))
-    for i, c in enumerate(coeffs, start=1):
-        model = model + LogExtElem.log_term(k_const(i, order), c)
-    return model
+    return LogExtElem(f_const(k_const(0, order)),
+                      {k_const(i, order): c for i, c in enumerate(coeffs, start=1)})
 
 
 def _require_unramified(l: OrePoly):

@@ -6,10 +6,15 @@ Laurent series in t whose t-coefficients are Laurent series in w = z - q,
 i.e. an element of k((z-q))((t)) at the point z = q.  Every operation
 returns the validity it can prove, never padding with zeros, so an
 identity that checks out on a window is a genuine partial verification.
+Nothing stored is zero: TruncLaurent drops zero coefficients and
+TwoVarLaurent exact-zero inner series when built, so a coefficient not
+stored below the truncation is the zero (a stored inner series may be
+zero so far, with nothing known below its own truncation).
+
 One kernel serves both types: the sum, the product, the geometric-series
 inverse and the window comparison are written once below, and each class
-keeps only what differs (its variable or point, which coefficients count
-as zero, the monomial shortcut of inv and the 1 that seeds it, and its
+keeps only what differs (its variable or point, the monomial shortcut of
+inv and the 1 that seeds it, its coefficient comparison and its
 derivations).
 
 The two derivations on k((z-q))((t)) come from d/dx via z = x/t and from
@@ -128,17 +133,17 @@ def _geometric_inv(s, v: int, lead_inv, validity, one):
     return (acc.shift(-v) * s._new({0: lead_inv}, INF)).truncate(validity)
 
 
-def _agree(a, b, upto: int, what: str, zero, compare) -> int:
+def _agree(a, b, upto: int, what: str, compare) -> int:
     """Compare a and b through order upto (inclusive); the number compared.
 
-    compare(n, x, y) checks the coefficients at n, a missing one read as
-    zero, and returns how many it compared or raises AssertionError.
+    compare(n, x, y) checks the coefficients at n, None for one that is not
+    stored, and returns how many it compared or raises AssertionError.
     """
     if a.trunc <= upto or b.trunc <= upto:
         raise TruncationExhausted(
             "cannot certify through %s %d: validity %s vs %s" % (what, upto, a.trunc, b.trunc)
         )
-    return sum(compare(n, a.coeffs.get(n, zero), b.coeffs.get(n, zero))
+    return sum(compare(n, a.coeffs.get(n), b.coeffs.get(n))
                for n in sorted(set(a.coeffs) | set(b.coeffs)) if n <= upto)
 
 
@@ -189,33 +194,9 @@ class TruncLaurent:
     def is_exact_zero(self) -> bool:
         return not self.coeffs and self.trunc == INF
 
-    def stored_zero(self) -> bool:
-        """True when no nonzero coefficient is stored (zero as far as known)."""
-        return not self.coeffs
-
     def valuation(self):
         """Proven lower bound for the valuation (INF for the exact zero)."""
         return min(self.coeffs) if self.coeffs else self.trunc
-
-    def coeff(self, n: int):
-        if n >= self.trunc:
-            raise TruncationExhausted(
-                "coefficient of order %d requested; series only valid below %s" % (n, self.trunc)
-            )
-        return self.coeffs.get(n)
-
-    def _sample(self):
-        for c in self.coeffs.values():
-            return c
-        return None
-
-    def _czero(self, other=None):
-        s = self._sample()
-        if s is None and other is not None:
-            s = other._sample()
-        if s is None:
-            return Scalar(1, [])
-        return s.zero_like()
 
     # arithmetic
 
@@ -281,11 +262,11 @@ class TruncLaurent:
         self._check_var(other)
 
         def compare(n, a, b):
-            if not (a - b).is_zero():
-                raise AssertionError("series differ at order %d: %r vs %r" % (n, a, b))
+            if a is None or b is None or a != b:
+                raise AssertionError("series differ at order %d: %r vs %r" % (n, a or 0, b or 0))
             return 1
 
-        return _agree(self, other, upto, "order", self._czero(other), compare)
+        return _agree(self, other, upto, "order", compare)
 
     def __eq__(self, other):
         if not isinstance(other, TruncLaurent):
@@ -339,11 +320,6 @@ class TwoVarLaurent:
         return cls(q, {}, trunc)
 
     @classmethod
-    def term(cls, q: Scalar, c, w_exp: int = 0, t_exp: int = 0) -> "TwoVarLaurent":
-        """The exact term c * (z-q)^w_exp * t^t_exp."""
-        return cls(q, {t_exp: TruncLaurent.monomial("w", c, w_exp)})
-
-    @classmethod
     def z_elem(cls, q: Scalar) -> "TwoVarLaurent":
         """z itself, expanded as (z-q) + q."""
         inner = {1: q.one_like()}
@@ -377,20 +353,8 @@ class TwoVarLaurent:
             raise ValueError("series live at different points: %r vs %r" % (self.q, other.q))
 
     def valuation(self):
-        """Proven lower bound for the t-valuation."""
-        live = [n for n, f in self.coeffs.items() if f.coeffs or f.trunc != INF]
-        return min(live) if live else self.trunc
-
-    def is_exact_zero(self) -> bool:
-        return not self.coeffs and self.trunc == INF
-
-    def stored_zero(self) -> bool:
-        return all(f.stored_zero() for f in self.coeffs.values())
-
-    def coeff(self, n: int) -> TruncLaurent:
-        if n >= self.trunc:
-            raise TruncationExhausted("t-order %d beyond validity %s" % (n, self.trunc))
-        return self.coeffs.get(n, TruncLaurent.zero("w"))
+        """Proven lower bound for the t-valuation (INF for the exact zero)."""
+        return min(self.coeffs) if self.coeffs else self.trunc
 
     def inner_validity(self):
         """Smallest inner truncation among stored coefficients (INF if none)."""
@@ -411,11 +375,8 @@ class TwoVarLaurent:
     def mul_k(self, f: RatFunc, order: int = DEFAULT_ORDER) -> "TwoVarLaurent":
         return self * TwoVarLaurent.from_k(f, self.q, order=order)
 
-    def truncate(self, outer, inner=None) -> "TwoVarLaurent":
-        coeffs = self.coeffs
-        if inner is not None:
-            coeffs = {n: f.truncate(inner) for n, f in coeffs.items()}
-        return TwoVarLaurent(self.q, coeffs, min(self.trunc, outer))
+    def truncate(self, outer) -> "TwoVarLaurent":
+        return TwoVarLaurent(self.q, self.coeffs, min(self.trunc, outer))
 
     def inv(self, cap: tuple | None = None) -> "TwoVarLaurent":
         """Inverse by geometric expansion off the leading t-coefficient.
@@ -441,9 +402,8 @@ class TwoVarLaurent:
 
     def _one_scalar(self):
         for f in self.coeffs.values():
-            s = f._sample()
-            if s is not None:
-                return s.one_like()
+            for c in f.coeffs.values():
+                return c.one_like()
         return self.q.one_like()
 
     # derivations
@@ -480,21 +440,15 @@ class TwoVarLaurent:
         difference or if validity does not reach the requested window.
         """
         self._check_point(other)
+        zero = TruncLaurent.zero("w")
 
         def compare(n, a, b):
             try:
-                return max(a.agree(b, inner_upto), 1)
+                return max((a or zero).agree(b or zero, inner_upto), 1)
             except AssertionError as exc:
                 raise AssertionError("t-order %d: %s" % (n, exc)) from None
 
-        return _agree(self, other, outer_upto, "t-order", TruncLaurent.zero("w"), compare)
-
-    def is_zero_through(self, outer_upto: int, inner_upto: int) -> bool:
-        try:
-            self.agree(TwoVarLaurent.zero(self.q, trunc=INF), outer_upto, inner_upto)
-            return True
-        except AssertionError:
-            return False
+        return _agree(self, other, outer_upto, "t-order", compare)
 
     def __eq__(self, other):
         if not isinstance(other, TwoVarLaurent):

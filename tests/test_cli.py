@@ -124,6 +124,18 @@ def test_orbits_on_data_that_move_the_field(tmp_path, capsys, e, field_order):
     assert [len(o["points"]) for o in orbits] == [gd.order()] * 2
 
 
+@pytest.mark.parametrize("field, value", [
+    ("field_order", True), ("base_order", "1"), ("e", 2.0), ("generators", [[1, "1"]]),
+])
+def test_orbits_refuses_galois_fields_that_are_not_integers(tmp_path, capsys, field, value):
+    # a boolean once decoded as the integer 1 and was written back as "order": true
+    datum = {"type": "galois", "e": 2, "field_order": 1, "base_order": 1, "generators": []}
+    gd_path = tmp_path / "gd.json"
+    gd_path.write_text(json.dumps({**datum, field: value}))
+    assert main(["orbits", "--gd", str(gd_path), "--count", "1", "--json"]) == 2
+    assert "must be a JSON integer" in capsys.readouterr().err
+
+
 def test_certify_verb(tmp_path, capsys):
     group, parts = standard_sl2_decomposition()
     group_path = tmp_path / "group.json"

@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ppv import jsonio
@@ -11,6 +12,7 @@ from ppv.descent import (
     standard_sl2_decomposition,
 )
 from ppv.groups import FiniteCyclic, GaSub, GmConst
+from ppv.errors import DecodeError
 from ppv.local_blocks import block_ga_closure
 from ppv.logext import LogExtElem
 from ppv.ore import OrePoly
@@ -76,7 +78,7 @@ def test_series_round_trip():
 
 def test_logext_round_trip():
     t = t_var()
-    model = LogExtElem.log_term(k_const(2), t) + LogExtElem.from_tail(1 / (x_var() - 1))
+    model = LogExtElem.log_term(k_const(2), t) + LogExtElem(1 / (x_var() - 1))
     assert round_trip(model) == model
 
 
@@ -151,3 +153,36 @@ def test_sl2_decomposition_document():
     back_parts = [jsonio.decode(p) for p in doc["decomposition"]]
     assert [p.kind for p in back_parts] == ["ga"] * 4
     assert [str(p.h) for p in back_parts] == ["1", "1", "t", "1/t"]
+
+
+def _integer_fields():
+    """(name, node builder) for every integer field the decoder reads."""
+    galois = {"type": "galois", "e": 2, "field_order": 4, "base_order": 1, "generators": [[3, 0]]}
+    ore = jsonio.encode(OrePoly([k_const(1), t_var()]))
+    part = jsonio.encode(DecompositionPart(FiniteCyclic(2), "cyclic", r=2))
+    return [
+        ("scalar order", lambda v: {"type": "scalar", "order": v, "terms": []}),
+        ("galois e", lambda v: {**galois, "e": v}),
+        ("galois field_order", lambda v: {**galois, "field_order": v}),
+        ("galois base_order", lambda v: {**galois, "base_order": v}),
+        ("generator aut", lambda v: {**galois, "generators": [[v, 0]]}),
+        ("generator n", lambda v: {**galois, "generators": [[3, v]]}),
+        ("ore e", lambda v: {**ore, "e": v}),
+        ("cyclic r", lambda v: {"type": "group", "kind": "cyclic", "r": v}),
+        ("part r", lambda v: {**part, "r": v}),
+    ]
+
+
+@pytest.mark.parametrize("value", [True, "3", 2.5, None], ids=["bool", "str", "float", "null"])
+@pytest.mark.parametrize("field,node", _integer_fields(), ids=[f for f, _ in _integer_fields()])
+def test_decode_refuses_integer_fields_that_are_not_integers(field, node, value):
+    jsonio.decode(node(1 if field != "galois e" else 2))  # the node decodes with an integer
+    with pytest.raises(DecodeError):
+        jsonio.decode(node(value))
+
+
+def test_absent_field_order_and_part_r_keep_their_defaults():
+    gd = jsonio.decode({"type": "galois", "e": 3, "generators": [[1, 1]]})
+    assert gd == GaloisDatum.build(3, generators=[(1, 1)]) and gd.field_order == 3
+    part = jsonio.encode(DecompositionPart(FiniteCyclic(2), "cyclic"))
+    assert "r" not in part and jsonio.decode(part).r is None

@@ -78,7 +78,7 @@ def test_mul_by_scalar_is_mul_by_its_constant():
 
 
 def test_zero_and_membership():
-    f = LogExtElem.from_tail(f_const(0))
+    f = LogExtElem(f_const(0))
     assert f.is_zero() and f.in_base_field()
     g = LogExtElem.log_term(k_const(1), k_const(0))
     assert g.is_zero()  # zero coefficients are dropped

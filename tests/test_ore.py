@@ -113,7 +113,7 @@ def test_apply_respects_composition():
 
 @pytest.mark.parametrize("series", [
     TruncLaurent("t", {-1: rational(2), 3: rational(1)}, 7),
-    TwoVarLaurent.term(rational(0), rational(1), 1, 2),
+    TwoVarLaurent(rational(0), {2: TruncLaurent.monomial("w", rational(1), 1)}),
 ], ids=["trunc_laurent", "two_var_laurent"])
 def test_apply_refuses_local_series(k, series):
     # operators act on K, K(x) and log extensions; a local series has no

@@ -72,7 +72,7 @@ def test_membership_examples():
     model = LogExtElem.log_term(k_const(2), one)  # log(x-2)
     assert check_membership_gm(model, dt)
     assert not check_membership_gm(model, OrePoly.constant(one))
-    zero_model = LogExtElem.from_tail(f_const(0))
+    zero_model = LogExtElem(f_const(0))
     for l in (dt, OrePoly.constant(one), OrePoly([one, t])):
         assert check_membership_gm(zero_model, l)
 
@@ -82,7 +82,7 @@ def test_membership_ga_examples():
     model = LogExtElem.log_term(k_const(1), t)  # t log(x-1)
     assert check_membership_ga(model, l)
     assert not check_membership_ga(model, dt)
-    in_field = LogExtElem.from_tail(1 / (x_var() - 3))
+    in_field = LogExtElem(1 / (x_var() - 3))
     for op in (dt, l):
         assert check_membership_ga(in_field, op)
 

@@ -68,7 +68,7 @@ def test_dx_of_t_over_w():
     assert d.coeffs[0] == w_mono(-1, -2)  # -1/z^2
     # (d/dx of t itself is zero: the t-coefficient is w-constant)
     t_elem = TwoVarLaurent(q, {1: w_mono(1, 0)})
-    assert t_elem.dx().stored_zero()
+    assert t_elem.dx() == TwoVarLaurent.zero(q)
 
 
 def test_dt0_of_t_at_e1():
@@ -134,7 +134,7 @@ def test_truncation_soundness():
     rng = random.Random(5)
     q = rational(1)
     hi = random_two_var(rng, q, 14, 14)
-    lo = hi.truncate(8, 8)
+    lo = TwoVarLaurent(q, {n: f.truncate(8) for n, f in hi.coeffs.items()}, 8)
     lo2 = (lo * lo).dt0(2)
     hi2 = (hi * hi).dt0(2)
     lo2.agree(hi2, *certified_window(lo2, lo2, 8))
@@ -146,9 +146,11 @@ def test_constants_kernel_is_inner_constant():
     const_elem = TwoVarLaurent(
         q, {n: w_mono(n + 1, 0) for n in range(-2, 6)}, 6
     )
-    assert const_elem.dx().is_zero_through(4, 4)
+    zero = TwoVarLaurent.zero(q)
+    assert const_elem.dx().agree(zero, 4, 4) == 0
     non_const = const_elem + TwoVarLaurent(q, {2: w_mono(1, 3)}, 6)
-    assert not non_const.dx().is_zero_through(4, 4)
+    with pytest.raises(AssertionError):
+        non_const.dx().agree(zero, 4, 4)
 
 
 def test_certified_window_caps_at_order():
@@ -188,7 +190,7 @@ def test_division_round_trip():
         if not any(c.coeffs for c in f.coeffs.values()):
             continue
         g = f * f.inv(cap=(7, 7))
-        one = TwoVarLaurent.term(q, rational(1))
+        one = TwoVarLaurent(q, {0: w_mono(1, 0)})
         g.agree(one, *certified_window(g, one, 6))
         done += 1
 
@@ -219,7 +221,7 @@ def test_monomial_cap_two_var_applies_trunc_laurent_ignores():
 def test_zero_so_far_inner_coefficient_keeps_validity():
     q = rational(1)
     a = TwoVarLaurent(q, {0: w_mono(1, 0), 2: TruncLaurent("w", {}, 3)}, 10)
-    one = TwoVarLaurent.term(q, rational(1))
+    one = TwoVarLaurent(q, {0: w_mono(1, 0)})
     for res in (a + one, a * one, one * a):
         assert res.coeffs[2] == TruncLaurent("w", {}, 3)
         assert res.inner_validity() == 3
@@ -310,3 +312,130 @@ def test_dt0_of_mixed_field_series_equals_reference():
     got = f.dt0(1)
     assert got == _dt0_reference(f, 1)
     assert got.coeffs[-1].coeffs[1] == rational(-3)
+
+
+# a coefficient that is not stored is the zero: the window comparison against
+# the zero-sample comparison it replaced, which read a missing coefficient as
+# a zero in the field of a stored sample and compared by subtraction
+
+
+def _zero_sample(a, b):
+    for s in (a, b):
+        for c in s.coeffs.values():
+            return c.zero_like()
+    return Scalar(1, [])
+
+
+def _trunc_agree_reference(a, b, upto):
+    if a.var != b.var:
+        raise CoefficientFieldMismatch("series variables differ")
+    if a.trunc <= upto or b.trunc <= upto:
+        raise TruncationExhausted("window beyond validity")
+    zero = _zero_sample(a, b)
+    count = 0
+    for n in sorted(set(a.coeffs) | set(b.coeffs)):
+        if n <= upto:
+            if not (a.coeffs.get(n, zero) - b.coeffs.get(n, zero)).is_zero():
+                raise AssertionError("series differ at order %d" % n)
+            count += 1
+    return count
+
+
+def _two_var_agree_reference(a, b, outer, inner):
+    if a.trunc <= outer or b.trunc <= outer:
+        raise TruncationExhausted("window beyond validity")
+    zero = TruncLaurent.zero("w")
+    return sum(max(_trunc_agree_reference(a.coeffs.get(n, zero), b.coeffs.get(n, zero), inner), 1)
+               for n in sorted(set(a.coeffs) | set(b.coeffs)) if n <= outer)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except (AssertionError, TruncationExhausted) as exc:
+        return type(exc)
+
+
+_ZETA8 = Scalar.zeta(8)
+
+
+def _map_scalars(s, f):
+    return TwoVarLaurent(s.q, {n: TruncLaurent("w", {j: f(c) for j, c in g.coeffs.items()}, g.trunc)
+                               for n, g in s.coeffs.items()}, s.trunc)
+
+
+def _in_q_zeta8(c):
+    """c written in Q(zeta_8): the same value in another field."""
+    return Scalar(8, list(c.coeffs)) if c.order == 1 else c
+
+
+def _edit(s, edit, rng):
+    coeffs = {n: dict(f.coeffs) for n, f in s.coeffs.items()}
+    stored = [(n, j) for n, inner in sorted(coeffs.items()) for j in sorted(inner)]
+    if edit in ("change", "drop") and stored:
+        n, j = rng.choice(stored)
+        if edit == "change":
+            coeffs[n][j] = coeffs[n][j] + rng.choice([1, _ZETA8])
+        else:
+            del coeffs[n][j]
+    out = {n: TruncLaurent("w", inner, s.coeffs[n].trunc) for n, inner in coeffs.items()}
+    if edit == "drop_inner" and out:
+        del out[rng.choice(sorted(out))]
+    if edit == "zero_so_far":
+        out[rng.randint(-2, 8)] = TruncLaurent("w", {}, rng.randint(1, 9))
+    return TwoVarLaurent(s.q, out, s.trunc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+    st.sampled_from(["equal", "change", "drop", "drop_inner", "zero_so_far"]),
+    st.integers(-3, 9),
+    st.integers(-3, 9),
+)
+def test_agree_matches_the_zero_sample_reference(seed, mixed, edit, outer, inner):
+    rng = random.Random(seed)
+    a = random_two_var(rng, rational(1), rng.choice([6, 9]), rng.choice([6, 9]))
+    if mixed:
+        # Q and Q(zeta_8) coefficients; b writes some rational ones in Q(zeta_8)
+        a = _map_scalars(a, lambda c: rng.choice([c, c * _ZETA8, _in_q_zeta8(c)]))
+    b = _map_scalars(a, lambda c: _in_q_zeta8(c) if mixed and rng.random() < 0.5 else c)
+    b = _edit(b, edit, rng)
+    if rng.random() < 0.5:
+        a, b = b, a
+    assert (_outcome(lambda: a.agree(b, outer, inner))
+            == _outcome(lambda: _two_var_agree_reference(a, b, outer, inner)))
+    zero = TruncLaurent.zero("w")
+    for n in set(a.coeffs) | set(b.coeffs):
+        x, y = a.coeffs.get(n, zero), b.coeffs.get(n, zero)
+        assert (_outcome(lambda: x.agree(y, inner))
+                == _outcome(lambda: _trunc_agree_reference(x, y, inner)))
+
+
+def _assert_stores_no_zero(s):
+    if isinstance(s, TruncLaurent):
+        assert not any(c.is_zero() for c in s.coeffs.values())
+        return
+    for f in s.coeffs.values():
+        assert not f.is_exact_zero()
+        _assert_stores_no_zero(f)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.integers(1, 3))
+def test_results_store_no_zero(seed, mixed, e):
+    rng = random.Random(seed)
+    q = rng.choice([rational(0), rational(2)])
+    a, b = (random_two_var(rng, q, 8, 8) for _ in range(2))
+    if mixed:
+        a = _map_scalars(a, lambda c: rng.choice([c, c * _ZETA8, _in_q_zeta8(c)]))
+    # exact inner series cancel to the exact zero, which is not stored
+    exact = TwoVarLaurent(q, {n: TruncLaurent("w", f.coeffs) for n, f in a.coeffs.items()})
+    for s in (a + b, a - b, a - a, exact - exact, a * b, a * a - a * a, a.dx(), a.dt0(e),
+              exact.dt0(e)):
+        _assert_stores_no_zero(s)
+    for f in a.coeffs.values():
+        g = rng.choice(list(b.coeffs.values()) or [f])
+        for s in (f + g, f - f, f * g, f * f - f * f, f.deriv(), f.dt0(e)):
+            _assert_stores_no_zero(s)
