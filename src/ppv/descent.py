@@ -311,8 +311,9 @@ def _sampled_commutation(name: str, gd: GaloisDatum, g: GammaElement, move, deri
     failures = []
     for i in range(samples):
         f = random_two_var(rng, q_source, order, order)
+        moved = move(f, q_target)
         for tag, deriv in derivations:
-            rec = window_check(tag, move(deriv(f), q_target), deriv(move(f, q_target)), order)
+            rec = window_check(tag, move(deriv(f), q_target), deriv(moved), order)
             compared += rec.coefficients_compared
             if not rec.passed:
                 failures.append("sample %d, %s: %s" % (i, tag, rec.note))

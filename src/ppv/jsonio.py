@@ -8,6 +8,7 @@ blocks, transcripts) have encoders only.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .checks import CheckRecord
@@ -274,19 +275,9 @@ def _decode(data):
             raise DecodeError("the zero operator has no JSON form")
         return OrePoly(coeffs, coeffs[0].zero_like(), _bounded(data.get("e", 1), "e"))
     if tag == "trunc_laurent":
-        trunc = data.get("trunc", "inf")
-        return TruncLaurent(
-            data["var"],
-            {int(n): decode(c) for n, c in data["coeffs"].items()},
-            INF if trunc == "inf" else int(trunc),
-        )
+        return TruncLaurent(data["var"], _dec_exponents(data), _dec_trunc(data))
     if tag == "two_var":
-        trunc = data.get("trunc", "inf")
-        return TwoVarLaurent(
-            decode(data["q"]),
-            {int(n): decode(c) for n, c in data["coeffs"].items()},
-            INF if trunc == "inf" else int(trunc),
-        )
+        return TwoVarLaurent(decode(data["q"]), _dec_exponents(data), _dec_trunc(data))
     if tag == "logext":
         tail = decode(data["tail"])
         logs = {decode(e["point"]): decode(e["coeff"]) for e in data.get("logs", [])}
@@ -347,6 +338,25 @@ def _integer(value, field: str) -> int:
     if type(value) is not int:
         raise DecodeError("%s must be a JSON integer, got %r" % (field, value))
     return value
+
+
+# an exponent key as encode writes it: no sign but a minus, no leading zero, no space
+_EXPONENT = re.compile(r"0|-?[1-9][0-9]*")
+
+
+def _dec_trunc(data):
+    trunc = data.get("trunc", "inf")
+    return INF if trunc == "inf" else _integer(trunc, "trunc")
+
+
+def _dec_exponents(data) -> dict:
+    """The coeffs of a series node; each key is an exponent written as str(n)."""
+    out = {}
+    for key, c in data["coeffs"].items():
+        if not _EXPONENT.fullmatch(key):
+            raise DecodeError("series exponent must be a decimal integer, got %r" % (key,))
+        out[int(key)] = decode(c)
+    return out
 
 
 def _bounded(order, field: str) -> int:

@@ -202,12 +202,13 @@ def block_ga_closure(q: Scalar, h: RatFunc, e: int, order: int = DEFAULT_ORDER) 
         )
     )
 
-    y = f.mul_k(h, order=order)
+    h_series = TwoVarLaurent.from_k(h, q, order=order)
+    y = f * h_series
     dy = y.dx()
     h_den_clear = TwoVarLaurent.from_t_poly(h.den, q)
     base_clear = _w_poly(q, (0, 2, 1), (1, 1, 1))  # w^2 + t w
     # operator membership: L(y) = h^2 * dt0(f) for L = h Dt - dt0(h)
-    ly = y.dt0(e).mul_k(h, order=order) - y.mul_k(h.dt0(e), order=order)
+    ly = y.dt0(e) * h_series - y.mul_k(h.dt0(e), order=order)
     witnesses = (
         ("dx(y) in F_P", dy, base_clear * h_den_clear),
         ("dt0(y/h) in F_P", dt0_f, _shift_clear(base_clear, e)),

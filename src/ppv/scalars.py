@@ -261,13 +261,23 @@ class Scalar:
         return -(self - other)
 
     def __mul__(self, other):
-        pair = self._coerce(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
+        if not isinstance(other, Scalar):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            # a rational factor scales the integer vector: no coercion, no convolution
+            num = other.numerator
+            return _scalar(self.order, [c * num for c in self._nums],
+                           self._den * other.denominator)
+        a, b = (self, other) if self.order == other.order else Scalar.pair(self, other)
         an, bn = a._nums, b._nums
         if len(an) == 1:
             return _scalar(a.order, [an[0] * bn[0]], a._den * b._den)
+        if not any(an[1:]):
+            r = an[0]
+            return _scalar(a.order, [r * y for y in bn], a._den * b._den)
+        if not any(bn[1:]):
+            r = bn[0]
+            return _scalar(a.order, [x * r for x in an], a._den * b._den)
         out = [0] * (2 * len(an) - 1)
         for i, x in enumerate(an):
             if x:

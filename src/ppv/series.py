@@ -11,11 +11,13 @@ TwoVarLaurent exact-zero inner series when built, so a coefficient not
 stored below the truncation is the zero (a stored inner series may be
 zero so far, with nothing known below its own truncation).
 
-One kernel serves both types: the sum, the product, the geometric-series
-inverse and the window comparison are written once below, and each class
-keeps only what differs (its variable or point, the monomial shortcut of
-inv and the 1 that seeds it, its coefficient comparison and its
-derivations).
+One kernel serves both types: the sum, the geometric-series inverse and
+the window comparison are written once below, and each class keeps only
+what differs (its variable or point, the monomial shortcut of inv and the
+1 that seeds it, its coefficient comparison and its derivations).  The
+product has one convolution of w-coefficients, _convolve: TruncLaurent
+multiplies through it, and TwoVarLaurent sums its pair products per
+t-order in plain dicts, building each inner series of the product once.
 
 The two derivations on k((z-q))((t)) come from d/dx via z = x/t and from
 the parameter direction through a ramified root t = t0^(1/e):
@@ -34,6 +36,7 @@ constant in w is plain d/dt.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import CoefficientFieldMismatch, NonInvertibleLeadingTerm, TruncationExhausted
 from .scalars import Scalar
@@ -61,10 +64,11 @@ def certified_window(a, b, order: int) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# the kernel: one sum, product, geometric inverse and window comparison for
-# both series types.  A series s has coeffs (exponent -> coefficient) and a
-# trunc; s._new(coeffs, trunc) builds a series of the same kind at the same
-# variable or point, and s._operand(other) says whether other combines with s.
+# the kernel: one sum, product truncation, geometric inverse and window
+# comparison for both series types, and the one convolution.  A series s has
+# coeffs (exponent -> coefficient) and a trunc; s._new(coeffs, trunc) builds a
+# series of the same kind at the same variable or point, and s._operand(other)
+# says whether other combines with s.
 
 
 def _add(a, b):
@@ -87,21 +91,31 @@ def _sub(a, b):
     return a + (-b)
 
 
-def _mul(a, b):
-    if not a._operand(b):
-        return NotImplemented
+def _product_trunc(a, b):
     # an exact factor adds no bound, so the valuation of the other is not needed
-    trunc = min(a.trunc if a.trunc == INF else a.trunc + b.valuation(),
-                b.trunc if b.trunc == INF else b.trunc + a.valuation())
+    return min(a.trunc if a.trunc == INF else a.trunc + b.valuation(),
+               b.trunc if b.trunc == INF else b.trunc + a.valuation())
+
+
+def _convolve(x: "TruncLaurent", y: "TruncLaurent"):
+    """The w-coefficients of x * y and its truncation; a sum may be zero."""
+    x._check_var(y)
+    trunc = _product_trunc(x, y)
     out: dict = {}
-    for i, x in a.coeffs.items():
-        for j, y in b.coeffs.items():
-            if i + j >= trunc:
-                continue
-            prod = x * y
-            cur = out.get(i + j)
-            out[i + j] = prod if cur is None else cur + prod
-    return a._new(out, trunc)
+    for i, c in x.coeffs.items():
+        for j, d in y.coeffs.items():
+            n = i + j
+            if n < trunc:
+                prod = c * d
+                cur = out.get(n)
+                out[n] = prod if cur is None else cur + prod
+    return out, trunc
+
+
+@lru_cache(maxsize=4096)
+def _ratio(m: int, e: int):
+    """m / e as dt0 scales by it: an int when e = 1, else a Fraction."""
+    return m if e == 1 else Fraction(m, e)
 
 
 def _div(a, b, cap=None):
@@ -123,9 +137,10 @@ def _geometric_inv(s, v: int, lead_inv, validity, one):
     rel = validity + v  # validity of the (1+u)^-1 factor
     u = s._new({n - v: c * lead_inv for n, c in s.coeffs.items() if n != v},
                s.trunc - v).truncate(rel)
+    neg_u = -u
     acc = term = s._new({0: one}, rel)
     while True:
-        term = (term * (-u)).truncate(rel)
+        term = (term * neg_u).truncate(rel)
         if not term.coeffs:
             # even zero-so-far coefficients are kept, so this is exact zero
             break
@@ -203,9 +218,14 @@ class TruncLaurent:
     __add__ = _add
     __neg__ = _neg
     __sub__ = _sub
-    __mul__ = _mul
     div = _div
     shift = _shift
+
+    def __mul__(self, other):
+        if not isinstance(other, TruncLaurent):
+            return NotImplemented
+        coeffs, trunc = _convolve(self, other)
+        return TruncLaurent(self.var, coeffs, trunc)
 
     def scale(self, c) -> "TruncLaurent":
         return TruncLaurent(self.var, {n: a * c for n, a in self.coeffs.items()}, self.trunc)
@@ -365,9 +385,44 @@ class TwoVarLaurent:
     __add__ = _add
     __neg__ = _neg
     __sub__ = _sub
-    __mul__ = _mul
     div = _div
     shift = _shift
+
+    def __mul__(self, other):
+        """The product, summed per t-order in plain dicts.
+
+        Each pair of inner series adds its nonzero w-coefficients below the
+        least inner truncation so far to the sum at its t-order, and the sum
+        drops a coefficient as soon as it cancels.  Each inner series of the
+        product is built once, from its sum; building it drops the orders
+        past the final truncation.
+        """
+        if not self._operand(other):
+            return NotImplemented
+        trunc = _product_trunc(self, other)
+        sums: dict = {}  # t-order -> [var, w-order -> coefficient, inner truncation]
+        for i, x in self.coeffs.items():
+            for j, y in other.coeffs.items():
+                n = i + j
+                if n >= trunc:
+                    continue
+                prods, inner = _convolve(x, y)
+                slot = sums.get(n)
+                if slot is None:
+                    slot = sums[n] = [x.var, {}, inner]
+                inner = slot[2] = min(slot[2], inner)
+                cur = slot[1]
+                for k, c in prods.items():
+                    if k < inner and not c.is_zero():
+                        prev = cur.get(k)
+                        if prev is not None:
+                            c = prev + c
+                            if c.is_zero():
+                                del cur[k]
+                                continue
+                        cur[k] = c
+        return TwoVarLaurent(self.q, {n: TruncLaurent(var, cur, inner)
+                                      for n, (var, cur, inner) in sums.items()}, trunc)
 
     def scale(self, c) -> "TwoVarLaurent":
         return TwoVarLaurent(self.q, {n: f.scale(c) for n, f in self.coeffs.items()}, self.trunc)
@@ -422,11 +477,11 @@ class TwoVarLaurent:
         lost = 0 if q.is_zero() else 1  # w-orders lost: the q term reads f_(n,j+1)
         out = {}
         for n, f in self.coeffs.items():
-            inner = {j: c * Fraction(n - j, e) for j, c in f.coeffs.items() if j != n}
+            inner = {j: c * _ratio(n - j, e) for j, c in f.coeffs.items() if j != n}
             if lost:
                 for k, c in f.coeffs.items():
                     if k:
-                        term = q * c * Fraction(-k, e)
+                        term = q * c * _ratio(-k, e)
                         inner[k - 1] = inner[k - 1] + term if k - 1 in inner else term
             out[n - e] = TruncLaurent("w", inner, f.trunc - lost)
         return TwoVarLaurent(self.q, out, self.trunc - e)

@@ -160,6 +160,9 @@ def _integer_fields():
     galois = {"type": "galois", "e": 2, "field_order": 4, "base_order": 1, "generators": [[3, 0]]}
     ore = jsonio.encode(OrePoly([k_const(1), t_var()]))
     part = jsonio.encode(DecompositionPart(FiniteCyclic(2), "cyclic", r=2))
+    one = TruncLaurent("w", {0: rational(1)}, 5)
+    series = jsonio.encode(one)
+    two = jsonio.encode(TwoVarLaurent(rational(1), {0: one}, 5))
     return [
         ("scalar order", lambda v: {"type": "scalar", "order": v, "terms": []}),
         ("galois e", lambda v: {**galois, "e": v}),
@@ -170,6 +173,8 @@ def _integer_fields():
         ("ore e", lambda v: {**ore, "e": v}),
         ("cyclic r", lambda v: {"type": "group", "kind": "cyclic", "r": v}),
         ("part r", lambda v: {**part, "r": v}),
+        ("trunc_laurent trunc", lambda v: {**series, "trunc": v}),
+        ("two_var trunc", lambda v: {**two, "trunc": v}),
     ]
 
 
@@ -186,3 +191,30 @@ def test_absent_field_order_and_part_r_keep_their_defaults():
     assert gd == GaloisDatum.build(3, generators=[(1, 1)]) and gd.field_order == 3
     part = jsonio.encode(DecompositionPart(FiniteCyclic(2), "cyclic"))
     assert "r" not in part and jsonio.decode(part).r is None
+
+
+@pytest.mark.parametrize("key", [" 3", "3 ", "+3", "03", "-0", "-03", "3.0", "1e1", "0x3", "\u0663", ""])
+@pytest.mark.parametrize("kind", ["trunc_laurent", "two_var"])
+def test_decode_refuses_series_exponents_not_written_as_integers(kind, key):
+    inner = TruncLaurent("w", {0: rational(1)})
+    node = jsonio.encode(inner if kind == "trunc_laurent" else TwoVarLaurent(rational(1), {0: inner}))
+    coeff = node["coeffs"]["0"]
+    assert jsonio.decode({**node, "coeffs": {"-3": coeff, "0": coeff, "12": coeff}})
+    with pytest.raises(DecodeError, match="exponent"):
+        jsonio.decode({**node, "coeffs": {key: coeff}})
+
+
+def test_cli_exits_2_on_a_series_trunc_that_is_not_an_integer(tmp_path, capsys):
+    from ppv.cli import main
+
+    assert main(["realize", "--kind", "ga", "--op", "t*Dt - 1", "--basis", "t", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    inner = TruncLaurent("w", {0: rational(1)}, 4)
+    path = tmp_path / "real.json"
+    for trunc in (2.5, True, "4"):
+        model = jsonio.encode(TwoVarLaurent(rational(1), {0: inner}, 4))
+        model["trunc"] = trunc
+        doc["realization"]["model"] = model
+        path.write_text(json.dumps(doc))
+        assert main(["check", "--membership", "--realization", str(path), "--op", "Dt"]) == 2
+        assert "trunc must be a JSON integer" in capsys.readouterr().err

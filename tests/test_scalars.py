@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ppv import jsonio
 from ppv.scalars import Scalar, cyclotomic_coeffs, euler_phi, rational
 
 
@@ -329,3 +330,36 @@ def test_terms_are_the_reduced_nonzero_coefficients(data):
     expected = [(k, c.numerator, c.denominator) for k, c in enumerate(x.coeffs) if c]
     assert list(x.terms()) == expected
     assert all(math.gcd(num, den) == 1 and den > 0 for _, num, den in x.terms())
+
+
+# a rational factor scales the integer vector; the general path promotes both
+# factors to one field and convolves their coefficient vectors modulo Phi_N
+
+
+def _convolution_product(a, b):
+    if not isinstance(b, Scalar):
+        b = Scalar.from_rational(b, a.order)
+    a, b = Scalar.pair(a, b)
+    out = [Fraction(0)] * (2 * euler_phi(a.order) - 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] += x * y
+    return Scalar(a.order, out)
+
+
+_SCALING_ORDERS = st.sampled_from([1, 3, 4, 8, 12])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_rational_scaling_matches_the_convolution(data):
+    s = Scalar(data.draw(_SCALING_ORDERS), data.draw(st.lists(fracs_with_dens, max_size=5)))
+    n = data.draw(st.integers(-40, 40))
+    q = data.draw(fracs_with_dens)
+    r = Scalar.from_rational(data.draw(fracs_with_dens), data.draw(_SCALING_ORDERS))
+    cases = [(s * n, s, n), (n * s, s, n), (s * q, s, q), (q * s, s, q),
+             (s * r, s, r), (r * s, r, s)]
+    for got, x, y in cases:
+        want = _convolution_product(x, y)
+        assert jsonio.encode(got) == jsonio.encode(want) and got.order == want.order
+        _assert_canonical(got)

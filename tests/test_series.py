@@ -439,3 +439,115 @@ def test_results_store_no_zero(seed, mixed, e):
         g = rng.choice(list(b.coeffs.values()) or [f])
         for s in (f + g, f - f, f * g, f * f - f * f, f.deriv(), f.dt0(e)):
             _assert_stores_no_zero(s)
+
+
+# the product against the nested form it replaced: each pair of inner
+# series multiplied to a series of its own, and the pair products summed as
+# series, each sum dropping what cancels and what lies past its truncation
+
+
+def _nested_product(a, b):
+    trunc = min(a.trunc if a.trunc == INF else a.trunc + b.valuation(),
+                b.trunc if b.trunc == INF else b.trunc + a.valuation())
+    out = {}
+    for i, x in a.coeffs.items():
+        for j, y in b.coeffs.items():
+            if i + j >= trunc:
+                continue
+            prod = x * y if isinstance(x, Scalar) else _nested_product(x, y)
+            cur = out.get(i + j)
+            out[i + j] = prod if cur is None else cur + prod
+    return a._new(out, trunc)
+
+
+# few values in Q, Q(zeta_3) and Q(zeta_8), so sums cancel often and mix fields
+_MIXED = st.sampled_from([
+    rational(1), rational(-1), rational(Fraction(-3, 2)), Scalar.from_rational(1, 8),
+    Scalar.zeta(3), -Scalar.zeta(3), Scalar.zeta(8), -Scalar.zeta(8),
+])
+_SERIES_TRUNCS = st.sampled_from([INF, INF, -1, 0, 1, 3])
+
+
+# few exponents, so that several pair products meet at one order
+_EXPONENTS = st.integers(-2, 2)
+
+
+@st.composite
+def _inner_series(draw):
+    coeffs = draw(st.dictionaries(_EXPONENTS, _MIXED, max_size=4))
+    return TruncLaurent("w", coeffs, draw(_SERIES_TRUNCS))  # may be zero so far
+
+
+@st.composite
+def _outer_series(draw):
+    coeffs = draw(st.dictionaries(_EXPONENTS, _inner_series(), max_size=4))
+    return TwoVarLaurent(rational(2), coeffs, draw(_SERIES_TRUNCS))
+
+
+def _layout(s):
+    """The stored exponents in storage order, at both levels."""
+    return [(n, list(f.coeffs)) for n, f in s.coeffs.items()]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_outer_series(), _outer_series())
+def test_product_matches_the_nested_reference(a, b):
+    got, want = a * b, _nested_product(a, b)
+    # the encodings compare each scalar's field order and every inner trunc
+    assert json.dumps(jsonio.encode(got)) == json.dumps(jsonio.encode(want))
+    assert _layout(got) == _layout(want)
+    for x in a.coeffs.values():
+        for y in b.coeffs.values():
+            assert json.dumps(jsonio.encode(x * y)) == json.dumps(jsonio.encode(_nested_product(x, y)))
+
+
+def test_product_that_cancels_drops_the_exact_zero_and_keeps_a_zero_so_far():
+    def series(sign, inner_trunc):  # 1 + sign * t w, each inner series known below w^inner_trunc
+        return TwoVarLaurent(rational(2), {0: TruncLaurent("w", {0: rational(1)}, inner_trunc),
+                                           1: TruncLaurent("w", {1: rational(sign)}, inner_trunc)})
+
+    exact = series(1, INF) * series(-1, INF)
+    assert exact == TwoVarLaurent(rational(2), {0: w_mono(1, 0), 2: w_mono(-1, 2)})
+    cut = series(1, 4) * series(-1, 4)
+    # t w - t w is zero below w^4: stored, with nothing known past its truncation
+    assert cut.coeffs[1] == TruncLaurent("w", {}, 4)
+    assert cut.coeffs[2] == TruncLaurent("w", {2: rational(-1)}, 5)
+
+
+def test_a_term_after_a_cancellation_keeps_its_own_field():
+    # the old sum dropped each zero as it arose, so a later rational term is
+    # written in Q, not in the field of the terms that cancelled before it
+    def series(inner):
+        return TwoVarLaurent(rational(2), {n: TruncLaurent("w", f) for n, f in inner.items()})
+
+    z3, z8, one = Scalar.zeta(3), Scalar.zeta(8), rational(1)
+    # t^2: zeta_3 from t^0 * t^2, then -zeta_3 from t^1 * t^1, then 1 from t^2 * t^0
+    p = series({0: {0: one}, 1: {0: one}, 2: {0: one}}) * series({0: {0: one}, 1: {0: -z3}, 2: {0: z3}})
+    assert p.coeffs[2] == TruncLaurent("w", {0: one}) and p.coeffs[2].coeffs[0].order == 1
+    # t^0: (1 + w)(zeta_8 - zeta_8 w) has no w^1 term; then w^1 from t^-1 * t^1
+    p = series({0: {0: one, 1: one}, -1: {0: one}}) * series({0: {0: z8, 1: -z8}, 1: {1: one}})
+    assert list(p.coeffs[0].coeffs) == [0, 2, 1] and p.coeffs[0].coeffs[1].order == 1
+    assert p == _nested_product(series({0: {0: one, 1: one}, -1: {0: one}}),
+                                series({0: {0: z8, 1: -z8}, 1: {1: one}}))
+
+
+def test_dense_product_builds_one_inner_series_per_t_order(monkeypatch):
+    def dense(shift):
+        return TwoVarLaurent(rational(2), {
+            n: TruncLaurent("w", {j: rational(n + j + shift) or rational(1) for j in range(-1, 6)}, 6)
+            for n in range(-1, 6)
+        }, 6)
+
+    a, b = dense(1), dense(2)
+    want = _nested_product(a, b)
+    built = []
+    init = TruncLaurent.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(TruncLaurent, "__init__", counting_init)
+    got = a * b
+    assert got == want and sorted(got.coeffs) == list(range(-2, 5))
+    assert len(built) <= len(got.coeffs)
