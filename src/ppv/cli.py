@@ -171,12 +171,10 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_block(args) -> int:
-    q = parse_expr(args.q)
-    if not isinstance(q, Scalar):
-        if hasattr(q, "is_constant") and q.is_constant():
-            q = q.as_coefficient()
-        else:
-            raise PpvError("--q must be a constant point")
+    q = parse_k(args.q)
+    if not q.is_constant():
+        raise PpvError("--q must be a constant point")
+    q = q.as_coefficient()
     kind = {"cyclic": "cyclic", "ga": "ga", "gmconst": "gm_const"}[args.kind]
     h = parse_k(args.h) if args.h is not None else None
     blk = make_block(kind, q, args.e, _working_order(args.order), r=args.r, h=h)

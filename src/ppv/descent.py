@@ -26,13 +26,15 @@ from .errors import PpvError, UnsupportedGroup, VerificationFailed
 from .groups import (
     FiniteCyclic,
     GaSub,
+    Generated,
+    GeneratedPart,
     GmConst,
     GroupSpec,
     closure_of_additive,
     group_eq,
 )
 from .local_blocks import LocalBlock, fp_membership, make_block, matrix_identity_check
-from .matrices import exp_nilpotent, is_unipotent, mat, mat_map
+from .matrices import exp_nilpotent, mat, mat_is_zero, mat_map, mat_pow
 from .ore import OrePoly
 from .rationals import Poly, RatFunc, k_const, t_var
 from .scalars import Scalar
@@ -59,6 +61,16 @@ class GammaElement:
 
 @dataclass(frozen=True)
 class GaloisDatum:
+    """The Galois group Gamma of k((t)) over k0((t0)), t^e = t0.
+
+    k = Q(zeta_N) with N = field_order, k0 = Q(zeta_base_order).  Gamma is
+    H x| Z/e: every (aut, n) with aut in the subgroup H of units mod N that
+    the generators' automorphisms generate and n in Z/e, listed sorted by
+    (aut, n).  The inertia element t -> zeta_e t gives every twist n, and
+    sigma_aut scales a twist by aut mod e, so a generator's own twist does
+    not change Gamma.  zeta_e must lie in k: e | N, or e <= 2.
+    """
+
     e: int
     field_order: int  # k = Q(zeta_field_order)
     base_order: int  # k0 = Q(zeta_base_order)
@@ -77,16 +89,20 @@ class GaloisDatum:
         if field_order % base_order:
             raise ValueError("base field must embed into the upper field")
         zeta_e = _zeta_e(e, field_order)
-        gens = [GammaElement(1, 0)]
-        for aut, n in generators:
+        auts = []
+        for aut, _n in generators:
             if math.gcd(aut, field_order) != 1:
                 raise ValueError("automorphism exponent %d not coprime to %d" % (aut, field_order))
             if aut % base_order != 1 % base_order:
                 raise ValueError("automorphism must fix the base cyclotomic field")
-            gens.append(GammaElement(aut % field_order if field_order > 1 else 1, n % e))
-        if e > 1:
-            gens.append(GammaElement(1, 1))  # inertia: t -> zeta_e * t
-        elements = _closure(gens, field_order, e)
+            auts.append(_unit(aut, field_order))
+        units = {1}
+        while True:
+            grown = units | {_unit(u * a, field_order) for u in units for a in auts}
+            if grown == units:
+                break
+            units = grown
+        elements = tuple(GammaElement(a, n) for a in sorted(units) for n in range(e))
         return cls(e, field_order, base_order, zeta_e, elements)
 
     @classmethod
@@ -101,16 +117,15 @@ class GaloisDatum:
     # -- group structure ---------------------------------------------------
 
     def compose(self, a: GammaElement, b: GammaElement) -> GammaElement:
-        return _compose(a, b, self.e, self.field_order)
+        r = _reduce_aut(a.aut, self.e, self.field_order)
+        return GammaElement(_unit(a.aut * b.aut, self.field_order), (r * b.n + a.n) % self.e)
 
     def identity(self) -> GammaElement:
         return GammaElement(1, 0)
 
     def inverse(self, g: GammaElement) -> GammaElement:
-        for h in self.elements:
-            if self.compose(g, h).is_identity():
-                return h
-        raise PpvError("group table is not closed: no inverse for %r" % (g,))
+        aut = _unit(pow(g.aut, -1, self.field_order), self.field_order)
+        return GammaElement(aut, -_reduce_aut(aut, self.e, self.field_order) * g.n % self.e)
 
     def order(self) -> int:
         return len(self.elements)
@@ -163,34 +178,19 @@ def _zeta_e(e: int, field_order: int) -> Scalar:
     if field_order % e == 0:
         return Scalar.zeta(field_order) ** (field_order // e)
     raise ValueError(
-        "field order %d does not contain a primitive %d-th root of unity" % (field_order, e)
+        "ramification index %d needs e | N or e <= 2 for the field order N = %d"
+        % (e, field_order)
     )
+
+
+def _unit(aut: int, field_order: int) -> int:
+    """aut as a unit mod N; the one unit mod 1 is written 1."""
+    return aut % field_order if field_order > 1 else 1
 
 
 def _reduce_aut(aut: int, e: int, field_order: int) -> int:
     # m with sigma(zeta_e) = zeta_e^m; if e does not divide N, zeta_e = +-1 is rational
     return aut % e if field_order % e == 0 else 1
-
-
-def _compose(a: GammaElement, b: GammaElement, e: int, field_order: int) -> GammaElement:
-    n_new = (_reduce_aut(a.aut, e, field_order) * b.n + a.n) % e
-    aut_new = (a.aut * b.aut) % field_order if field_order > 1 else 1
-    return GammaElement(aut_new, n_new)
-
-
-def _closure(gens, field_order: int, e: int) -> tuple[GammaElement, ...]:
-    seen = {GammaElement(1, 0)}
-    frontier = list(seen | set(gens))
-    while frontier:
-        new = []
-        for a in frontier:
-            for b in list(seen) + gens:
-                c = _compose(a, b, e, field_order)
-                if c not in seen:
-                    seen.add(c)
-                    new.append(c)
-        frontier = new
-    return tuple(sorted(seen, key=lambda g: (g.aut, g.n)))
 
 
 # ---------------------------------------------------------------------------
@@ -603,21 +603,21 @@ def unipotent_generator_part(g_matrix: tuple, nilpotent: tuple, c: RatFunc,
     """Verified reduction of a unipotent generator to an additive part.
 
     The caller supplies the one-parameter embedding exp(c*E) together
-    with the nilpotent E and the coordinate c; the function verifies the
-    matrix is unipotent and matches the embedding, then takes the
-    closure of c inside the additive coordinate.
+    with E and the coordinate c; the function verifies that E^n = 0 for
+    the n x n matrix E and that g = exp(c*E), which makes g unipotent, then
+    takes the closure of c inside the additive coordinate.
     """
     one = c.one_like()
-    if not is_unipotent(g_matrix, one):
-        raise UnsupportedGroup("supplied generator is not unipotent")
-    rebuilt = exp_nilpotent(nilpotent, c, one)
-    if rebuilt != mat(g_matrix):
+    nil = mat(nilpotent)
+    if not mat_is_zero(mat_pow(nil, len(nil), one)):
+        raise UnsupportedGroup("supplied E is not nilpotent")
+    if exp_nilpotent(nil, c, one) != mat(g_matrix):
         raise UnsupportedGroup("generator does not match exp(c * E) for the supplied data")
     return DecompositionPart(
         group=closure_of_additive(c),
         kind="ga",
         h=c,
-        embedding=mat(nilpotent),
+        embedding=nil,
         representation=representation,
     )
 
@@ -650,17 +650,10 @@ def standard_sl2_decomposition(order: int = 1) -> tuple[GroupSpec, list[Decompos
     upper = mat([[zero, one], [zero, zero]])
     lower = mat([[zero, zero], [one, zero]])
     parts = [
-        DecompositionPart(closure_of_additive(one), "ga", h=one, embedding=upper,
-                          representation="upper triangular"),
-        DecompositionPart(closure_of_additive(one), "ga", h=one, embedding=lower,
-                          representation="lower triangular"),
-        DecompositionPart(closure_of_additive(t), "ga", h=t, embedding=upper,
-                          representation="upper triangular"),
-        DecompositionPart(closure_of_additive(t.inv()), "ga", h=t.inv(), embedding=lower,
-                          representation="lower triangular"),
+        unipotent_generator_part(exp_nilpotent(nil, c, one), nil, c, representation=rep)
+        for nil, c, rep in ((upper, one, "upper triangular"), (lower, one, "lower triangular"),
+                            (upper, t, "upper triangular"), (lower, t.inv(), "lower triangular"))
     ]
-    from .groups import Generated, GeneratedPart
-
     group = Generated(
         tuple(GeneratedPart(p.group, p.embedding, p.representation) for p in parts)
     )

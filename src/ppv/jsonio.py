@@ -316,6 +316,10 @@ def _decode(data):
         if not isinstance(claimed, GmSub if kind == "gm" else GaSub):
             raise DecodeError("realization kind %r contradicts its claimed group %r"
                               % (kind, data["claimed_group"].get("kind")))
+        model = decode(data["model"])
+        if not isinstance(model, LogExtElem):
+            raise DecodeError("realization model must be a 'logext' node, got %r"
+                              % (data["model"].get("type"),))
         checks = tuple(
             CheckRecord(c["name"], c["passed"], note=c.get("note", ""))
             for c in data.get("checks", [])
@@ -326,7 +330,7 @@ def _decode(data):
             basis=tuple(decode(b) for b in data["basis"]),
             equation_datum=decode(data["equation_datum"]),
             claimed_group=claimed,
-            model=decode(data["model"]),
+            model=model,
             checks=checks,
             window_note=data.get("window_note", ""),
         )

@@ -15,10 +15,6 @@ def mat_add(a, b) -> tuple:
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
-def mat_sub(a, b) -> tuple:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
 def mat_mul(a, b) -> tuple:
     n, k, m = len(a), len(b), len(b[0])
     out = []
@@ -50,13 +46,6 @@ def mat_pow(a, k: int, one) -> tuple:
     for _ in range(k):
         out = mat_mul(out, a)
     return out
-
-
-def is_unipotent(g, one) -> bool:
-    """(g - 1)^n = 0 for an n x n matrix over an exact field."""
-    n = len(g)
-    nil = mat_sub(g, mat_identity(n, one))
-    return mat_is_zero(mat_pow(nil, n, one))
 
 
 def exp_nilpotent(e, c, one) -> tuple:

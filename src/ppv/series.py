@@ -437,16 +437,16 @@ class TwoVarLaurent:
         """Inverse by geometric expansion off the leading t-coefficient.
 
         cap = (outer, inner) bounds for expansions that would otherwise
-        be infinite.  The leading inner series must itself be invertible
-        inside its stored window.
+        be infinite.  The leading inner series, at the lowest stored
+        t-order, must itself be invertible inside its stored window; one
+        that is zero so far raises NonInvertibleLeadingTerm.
         """
         outer_cap, inner_cap = cap if cap is not None else (None, None)
-        live = [n for n, f in self.coeffs.items() if f.coeffs]
-        if not live:
+        if not self.coeffs:
             raise NonInvertibleLeadingTerm(
                 "no invertible leading t-coefficient below order %s" % self.trunc
             )
-        v = min(live)
+        v = min(self.coeffs)
         lead_inv = self.coeffs[v].inv(cap=inner_cap)
         validity = min(self.trunc - 2 * v, INF if outer_cap is None else outer_cap)
         if len(self.coeffs) == 1 and validity == INF:

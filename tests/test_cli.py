@@ -6,6 +6,9 @@ from ppv import cli, jsonio
 from ppv.cli import main
 from ppv.descent import GaloisDatum, standard_sl2_decomposition
 from ppv.errors import VerificationFailed
+from ppv.rationals import t_var
+from ppv.scalars import rational
+from ppv.series import TruncLaurent, TwoVarLaurent
 
 
 def run(capsys, *argv):
@@ -88,6 +91,38 @@ def test_block_verbs(capsys):
     code, out = run(capsys, "block", "--kind", "gmconst", "--q", "2", "--e", "1",
                     "--order", "6")
     assert code == 0
+
+
+@pytest.mark.parametrize("q", ["x/x", "(x+1)/(x+1)"])
+def test_block_refuses_a_point_in_k_of_x(capsys, q):
+    code = main(["block", "--kind", "ga", "--q", q, "--h", "t"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "parameter field" in err and "internal error" not in err
+
+
+def test_block_reads_a_constant_of_k_as_its_coefficient(capsys):
+    argv = ["block", "--kind", "ga", "--h", "t", "--e", "1", "--order", "6", "--json"]
+    assert run(capsys, *argv, "--q", "t/t") == run(capsys, *argv, "--q", "1")
+    code = main(argv + ["--q", "t"])
+    assert code == 2 and "constant point" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model", [
+    TwoVarLaurent(rational(1), {0: TruncLaurent("w", {0: rational(1)}, 4)}, 4),
+    rational(1),
+    t_var(),
+], ids=["two_var", "scalar", "ratfunc"])
+def test_check_refuses_a_model_that_is_not_logext(tmp_path, capsys, model):
+    assert main(["realize", "--kind", "ga", "--op", "t*Dt - 1", "--basis", "t", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    doc["realization"]["model"] = jsonio.encode(model)
+    path = tmp_path / "real.json"
+    path.write_text(json.dumps(doc))
+    code = main(["check", "--membership", "--realization", str(path), "--op", "Dt"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "model must be a 'logext' node" in err and "internal error" not in err
 
 
 def test_orbits_verb(tmp_path, capsys):

@@ -1,8 +1,12 @@
+import json
+import math
 import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ppv import jsonio
 from ppv.descent import (
     DecompositionPart,
     GaloisDatum,
@@ -20,7 +24,7 @@ from ppv.descent import (
     verify_sigma_commutes,
 )
 from ppv.errors import PpvError, UnsupportedGroup, VerificationFailed
-from ppv.groups import FiniteCyclic, GaSub, closure_of_additive, group_eq
+from ppv.groups import FiniteCyclic, GaSub, Generated, GeneratedPart, closure_of_additive, group_eq
 from ppv.local_blocks import block_ga_closure
 from ppv.matrices import mat
 from ppv.ore import OrePoly
@@ -94,6 +98,78 @@ def test_odd_field_e2_composition_keeps_the_twist():
     gd = GaloisDatum.build(2, field_order=3, generators=[(2, 0)])
     assert gd.compose(GammaElement(2, 0), GammaElement(1, 1)) == GammaElement(2, 1)
     assert gd.inverse(GammaElement(2, 1)) == GammaElement(2, 1)
+
+
+# Reference: the group as a breadth-first closure of the generators under the
+# composition law, and the inverse as a scan of the closed table.
+
+
+def _ref_compose(a, b, e, n_field):
+    r = a.aut % e if n_field % e == 0 else 1
+    return GammaElement((a.aut * b.aut) % n_field if n_field > 1 else 1, (r * b.n + a.n) % e)
+
+
+def _ref_closure(gens, n_field, e):
+    seen = {GammaElement(1, 0)}
+    frontier = list(seen | set(gens))
+    while frontier:
+        new = []
+        for a in frontier:
+            for b in list(seen) + gens:
+                c = _ref_compose(a, b, e, n_field)
+                if c not in seen:
+                    seen.add(c)
+                    new.append(c)
+        frontier = new
+    return tuple(sorted(seen, key=lambda g: (g.aut, g.n)))
+
+
+def _ref_elements(e, n_field, generators):
+    gens = [GammaElement(1, 0)]
+    gens += [GammaElement(a % n_field if n_field > 1 else 1, n % e) for a, n in generators]
+    if e > 1:
+        gens.append(GammaElement(1, 1))
+    return _ref_closure(gens, n_field, e)
+
+
+def _ref_inverse(elements, g, e, n_field):
+    return next(h for h in elements if _ref_compose(g, h, e, n_field).is_identity())
+
+
+@st.composite
+def _galois_inputs(draw):
+    n_field = draw(st.integers(1, 30))
+    divisors = [d for d in range(1, n_field + 1) if n_field % d == 0]
+    e = draw(st.sampled_from(sorted({1, 2} | set(divisors))))
+    base = draw(st.sampled_from(divisors))
+    units = [u for u in range(1, max(n_field, 2)) if math.gcd(u, n_field) == 1
+             and u % base == 1 % base]
+    gens = draw(st.lists(
+        st.tuples(st.sampled_from(units), st.integers(0, 2), st.integers(-40, 40)),
+        max_size=2))
+    return e, n_field, base, [(u + k * n_field, n) for u, k, n in gens]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_galois_inputs())
+def test_gamma_is_the_closure_of_its_generators(data):
+    e, n_field, base, generators = data
+    gd = GaloisDatum.build(e, field_order=n_field, base_order=base, generators=generators)
+    ref = _ref_elements(e, n_field, generators)
+    assert gd.elements == ref
+    assert gd.order() == len(ref) == len({g.aut for g in ref}) * e
+    for g in gd.elements:
+        inv = gd.inverse(g)
+        assert inv == _ref_inverse(ref, g, e, n_field)
+        assert gd.compose(g, inv) == gd.identity() == gd.compose(inv, g)
+
+
+def test_zeta_e_refusal_states_the_condition():
+    # Q(zeta_3) holds a primitive 6-th root of unity, but Gamma = H x| Z/e
+    # is built only for e | N or e <= 2
+    with pytest.raises(ValueError, match=r"e \| N or e <= 2") as info:
+        GaloisDatum.build(6, field_order=3)
+    assert "does not contain" not in str(info.value)
 
 
 def test_act_on_point_examples(gd2, sigma):
@@ -296,6 +372,46 @@ def test_unipotent_generator_reduction():
         unipotent_generator_part(bad, nil, t)
     with pytest.raises(UnsupportedGroup):
         unipotent_generator_part(g, nil, t + 1)  # exp(cE) mismatch
+
+
+def test_unipotent_generator_part_refuses_a_non_nilpotent_e():
+    # the truncated exponential of E = diag(1, 0) at c = -2 is the identity
+    one = k_const(1)
+    zero = one.zero_like()
+    ident = mat([[one, zero], [zero, one]])
+    with pytest.raises(UnsupportedGroup, match="nilpotent"):
+        unipotent_generator_part(ident, mat([[one, zero], [zero, zero]]), k_const(-2))
+
+
+def _hand_built_sl2(order):
+    one = k_const(1, order)
+    zero = one.zero_like()
+    t = t_var(order)
+    upper = mat([[zero, one], [zero, zero]])
+    lower = mat([[zero, zero], [one, zero]])
+    parts = [
+        DecompositionPart(closure_of_additive(one), "ga", h=one, embedding=upper,
+                          representation="upper triangular"),
+        DecompositionPart(closure_of_additive(one), "ga", h=one, embedding=lower,
+                          representation="lower triangular"),
+        DecompositionPart(closure_of_additive(t), "ga", h=t, embedding=upper,
+                          representation="upper triangular"),
+        DecompositionPart(closure_of_additive(t.inv()), "ga", h=t.inv(), embedding=lower,
+                          representation="lower triangular"),
+    ]
+    group = Generated(
+        tuple(GeneratedPart(p.group, p.embedding, p.representation) for p in parts)
+    )
+    return group, parts
+
+
+@pytest.mark.parametrize("order", [1, 3, 8])
+def test_standard_sl2_decomposition_encodes_as_the_hand_built_list(order):
+    group, parts = standard_sl2_decomposition(order)
+    ref_group, ref_parts = _hand_built_sl2(order)
+    assert json.dumps(jsonio.encode(group)) == json.dumps(jsonio.encode(ref_group))
+    assert [json.dumps(jsonio.encode(p)) for p in parts] == \
+        [json.dumps(jsonio.encode(p)) for p in ref_parts]
 
 
 def test_root_subgroup_recipe_produces_3m_parts():

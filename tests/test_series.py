@@ -1,6 +1,10 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -225,6 +229,36 @@ def test_zero_so_far_inner_coefficient_keeps_validity():
     for res in (a + one, a * one, one * a):
         assert res.coeffs[2] == TruncLaurent("w", {}, 3)
         assert res.inner_validity() == 3
+
+
+_ZERO_SO_FAR_LEAD = """
+from ppv.errors import NonInvertibleLeadingTerm
+from ppv.scalars import rational
+from ppv.series import TruncLaurent, TwoVarLaurent
+
+s = TwoVarLaurent(rational(0), {-1: TruncLaurent("w", {}, 3),
+                                0: TruncLaurent("w", {0: rational(1)}, 5),
+                                1: TruncLaurent("w", {0: rational(2)}, 5)}, 4)
+try:
+    s.inv(cap=(6, 6))
+except NonInvertibleLeadingTerm:
+    print("refused")
+"""
+
+
+def test_inverse_refuses_a_zero_so_far_lowest_order():
+    # run apart, so that an expansion that never ends fails the test
+    # instead of holding the suite
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    try:
+        done = subprocess.run([sys.executable, "-c", _ZERO_SO_FAR_LEAD], env=env,
+                              capture_output=True, text=True, timeout=20)
+    except subprocess.TimeoutExpired:
+        pytest.fail("inv of a series with a zero-so-far lowest t-order did not return")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "refused"
 
 
 _t_coeffs = st.dictionaries(
