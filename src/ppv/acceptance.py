@@ -248,43 +248,24 @@ def _sl2_certificate(order: int = 10):
         group_path = Path(tmp) / "group.json"
         gd_path = Path(tmp) / "galois.json"
         out_path = Path(tmp) / "certificate.json"
-        group_path.write_text(
-            json.dumps(
-                {
-                    "group": jsonio.encode(group),
-                    "decomposition": [jsonio.encode(p) for p in parts],
-                }
-            )
-        )
+        group_path.write_text(json.dumps({"group": jsonio.encode(group),
+                                          "decomposition": [jsonio.encode(p) for p in parts]}))
         gd_path.write_text(json.dumps(jsonio.encode(GaloisDatum.trivial())))
         with contextlib.redirect_stdout(io.StringIO()):
-            code = cli.main(
-                [
-                    "certify",
-                    "--group", str(group_path),
-                    "--galois", str(gd_path),
-                    "--trunc", str(order),
-                    "--out", str(out_path),
-                ]
-            )
+            code = cli.main(["certify", "--group", str(group_path), "--galois", str(gd_path),
+                             "--trunc", str(order), "--out", str(out_path)])
         if code != 0:
             return False, "certify exited with code %d" % code
-        cert = json.loads(out_path.read_text())
-    if not cert["all_exact_checks_passed"]:
+        # read back, so the verdict is recomputed from the records, not the stored flag
+        cert = jsonio.decode(json.loads(out_path.read_text()), "certificate")
+    if not cert.all_exact_checks_passed():
         return False, "certificate records failing checks"
-    kinds = [a["kind"] for a in cert["assumptions"]]
+    kinds = [a.kind for a in cert.assumptions]
     if kinds != ["density", "patching", "adjustment", "descent"]:
         return False, "expected exactly the four assumptions, got %r" % kinds
-    blocks = cert["blocks"]
-    if len(blocks) != 4:
-        return False, "expected 4 local blocks, got %d" % len(blocks)
-    points = [b["point"]["terms"] for b in blocks]
-    hs = []
-    for b in blocks:
-        h = b["block"]["h"]
-        num = h["num"]["coeffs"]
-        den = h["den"]["coeffs"]
-        hs.append((len(num) - 1, len(den) - 1))  # (deg num, deg den)
+    if len(cert.blocks) != 4:
+        return False, "expected 4 local blocks, got %d" % len(cert.blocks)
+    hs = [(b.h.num.degree(), b.h.den.degree()) for _, b in cert.blocks]
     if sorted(hs) != [(0, 0), (0, 0), (0, 1), (1, 0)]:
         return False, "block data h do not match {1, 1, t, 1/t}: %r" % hs
     return True, (

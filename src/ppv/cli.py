@@ -157,7 +157,7 @@ def _cmd_realize(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    real = jsonio.decode(_field(_read_json(args.realization), "realization"))
+    real = jsonio.decode(_field(_read_json(args.realization), "realization"), "realization")
     l = parse_operator(args.op)
     fn = check_membership_gm if real.kind == "gm" else check_membership_ga
     verdict = fn(real.model, l)
@@ -186,7 +186,7 @@ def _cmd_block(args) -> int:
 
 
 def _cmd_orbits(args) -> int:
-    gd = jsonio.decode(_read_json(args.gd))
+    gd = jsonio.decode(_read_json(args.gd), "galois")
     orbits = find_free_orbits(gd, args.count)
     payload = [jsonio.encode(o) for o in orbits]
     text = "\n".join(
@@ -199,9 +199,10 @@ def _cmd_orbits(args) -> int:
 
 def _cmd_certify(args) -> int:
     group_doc = _read_json(args.group)
-    group = jsonio.decode(_field(group_doc, "group"))
-    parts = [jsonio.decode(p) for p in _field(group_doc, "decomposition")]
-    gd = jsonio.decode(_read_json(args.galois))
+    group = jsonio.decode(_field(group_doc, "group"), "group")
+    parts = [jsonio.decode(p, "part", "decomposition[%d]" % i)
+             for i, p in enumerate(_field(group_doc, "decomposition"))]
+    gd = jsonio.decode(_read_json(args.galois), "galois")
     # run_criterion raises VerificationFailed unless every exact check passed
     cert = run_criterion(group, parts, gd, order=_working_order(args.trunc),
                          samples=args.samples)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, replace
+from itertools import zip_longest
 
 from .checks import CheckRecord, window_check
 from .errors import PpvError, UnsupportedGroup, VerificationFailed
@@ -490,22 +491,36 @@ class Certificate:
         )
 
 
-def _validate_part(part: DecompositionPart):
-    if part.kind == "ga":
-        if part.h is None or part.h.is_zero():
-            raise UnsupportedGroup("additive part needs a nonzero element h")
-        if not isinstance(part.group, GaSub):
-            raise UnsupportedGroup("additive part must claim a Ga subgroup")
-    elif part.kind == "cyclic":
-        if part.r is None or not isinstance(part.group, FiniteCyclic) or part.group.order != part.r:
-            raise UnsupportedGroup("cyclic part needs matching r and FiniteCyclic spec")
-    elif part.kind == "gm_const":
-        if not isinstance(part.group, GmConst):
-            raise UnsupportedGroup("constants part must claim GmConst")
+def _validate(group: GroupSpec, parts: tuple):
+    """Each part is one a block builder verifies, and the target names exactly the parts."""
+    for i, part in enumerate(parts):
+        if part.kind == "ga":
+            if part.h is None or part.h.is_zero():
+                raise UnsupportedGroup("part %d: additive part needs a nonzero element h" % i)
+            # the closure of h is Ga^L for the order-one L with L(h) = 0, unique up to a unit
+            op = part.group.operator if isinstance(part.group, GaSub) else None
+            if op is None or op.order() != 1 or not op.apply(part.h).is_zero():
+                raise UnsupportedGroup("part %d: additive part must claim Ga^L with L of order 1 "
+                                       "and L(h) = 0" % i)
+        elif part.kind == "cyclic":
+            if not (isinstance(part.group, FiniteCyclic) and part.group.order == part.r):
+                raise UnsupportedGroup("part %d: cyclic part must claim FiniteCyclic(r)" % i)
+        elif part.kind == "gm_const":
+            if not isinstance(part.group, GmConst):
+                raise UnsupportedGroup("part %d: constants part must claim GmConst" % i)
+        else:
+            raise UnsupportedGroup("part %d: unsupported part kind %r: the local repertoire is "
+                                   "cyclic, ga, gm_const" % (i, part.kind))
+    if isinstance(group, Generated):
+        pairs = zip_longest([(p.group, p.embedding) for p in group.parts],
+                            [(p.group, p.embedding) for p in parts])
+        bad = next((i for i, (claimed, given) in enumerate(pairs) if claimed != given), None)
     else:
-        raise UnsupportedGroup(
-            "unsupported part kind %r: the local repertoire is cyclic, ga, gm_const" % part.kind
-        )
+        bad = None if len(parts) == 1 and group_eq(group, parts[0].group) else 0
+    if bad is not None:
+        raise UnsupportedGroup("part %d does not match the target group: a generated target lists "
+                               "each part's group and embedding in order, any other target is the "
+                               "group of its one part" % bad)
 
 
 def run_criterion(group: GroupSpec, decomposition, gd: GaloisDatum,
@@ -522,8 +537,7 @@ def run_criterion(group: GroupSpec, decomposition, gd: GaloisDatum,
     parts = tuple(decomposition)
     if not parts:
         raise UnsupportedGroup("an empty decomposition certifies nothing")
-    for part in parts:
-        _validate_part(part)
+    _validate(group, parts)
     orbits = find_free_orbits(gd, len(parts))
     all_blocks: list[tuple[Scalar, LocalBlock]] = []
     transcripts: list[Transcript] = []

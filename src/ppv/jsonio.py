@@ -2,208 +2,96 @@
 
 All numbers are exact: rationals travel as integer strings, never
 floats.  Each node carries a "type" tag; see docs/formats.md for the
-full schema.  Objects that only ever leave the tool (certificates,
-blocks, transcripts) have encoders only.
+full schema.  The format is stated once, in the node table at the end:
+a row per tag gives the class and its fields in written order, and both
+`encode` and `decode` walk it.  Rows that share a tag differ in one
+discriminating key: the `kind` of a group, the `var` of a polynomial or
+rational function.  A field names its JSON key, the attribute it holds
+(also its constructor keyword) and the kind of its value, so a child of
+the wrong kind is refused with its path.  Computed fields are written
+and rebuilt, never read back.  Only the scalar's own form is written by
+hand.
 """
 
 from __future__ import annotations
 
+import math
 import re
-from fractions import Fraction
+from functools import partial
+from operator import attrgetter, itemgetter, methodcaller
 
 from .checks import CheckRecord
-from .descent import (
-    Assumption,
-    Certificate,
-    DecompositionPart,
-    GaloisDatum,
-    PointOrbit,
-    Transcript,
-)
+from .descent import (Assumption, Certificate, DecompositionPart, GaloisDatum, PointOrbit,
+                      Transcript)
 from .errors import DecodeError
 from .groups import FiniteCyclic, GaSub, Generated, GeneratedPart, GmConst, GmSub
 from .local_blocks import LocalBlock
 from .logext import LogExtElem
 from .ore import OrePoly
-from .partial_fractions import PFDecomp
+from .partial_fractions import PFDecomp, PFTerm
 from .rationals import Poly, RatFunc
 from .realization import NecessaryReport, Realization
-from .scalars import _MAX_INPUT_ORDER, Scalar
+from .scalars import _MAX_INPUT_ORDER, Scalar, _scalar
 from .series import INF, TruncLaurent, TwoVarLaurent
 
+# what a missing or ill-typed field raises inside the constructors
+_MALFORMED = (KeyError, IndexError, TypeError, AttributeError, ValueError, ZeroDivisionError)
 
-# ---------------------------------------------------------------------------
-# encoding
+# an integer string as encode writes it: no sign but a minus, no leading zero, no space
+_INTEGER = re.compile(r"0|-?[1-9][0-9]*")
 
 
 def encode(obj):
-    if isinstance(obj, Scalar):
-        return _enc_scalar(obj)
-    if isinstance(obj, Poly):
-        out = {"type": "poly", "var": obj.var, "coeffs": [encode(c) for c in obj.coeffs]}
-        if not obj.coeffs:
-            out["czero"] = encode(obj.czero)
-        return out
-    if isinstance(obj, RatFunc):
-        return {"type": "ratfunc", "var": obj.var, "num": encode(obj.num), "den": encode(obj.den)}
-    if isinstance(obj, OrePoly):
-        return {"type": "ore", "e": obj.e, "coeffs": [encode(c) for c in obj.coeffs]}
-    if isinstance(obj, TruncLaurent):
-        return {
-            "type": "trunc_laurent",
-            "var": obj.var,
-            "valuation": None if not obj.coeffs else min(obj.coeffs),
-            "trunc": _enc_order(obj.trunc),
-            "coeffs": {str(n): encode(c) for n, c in sorted(obj.coeffs.items())},
-        }
-    if isinstance(obj, TwoVarLaurent):
-        return {
-            "type": "two_var",
-            "q": encode(obj.q),
-            "trunc": _enc_order(obj.trunc),
-            "coeffs": {str(n): encode(c) for n, c in sorted(obj.coeffs.items())},
-        }
-    if isinstance(obj, LogExtElem):
-        return {
-            "type": "logext",
-            "tail": encode(obj.tail),
-            "logs": [
-                {"point": encode(b), "coeff": encode(c)} for b, c in obj.logs.items()
-            ],
-        }
-    if isinstance(obj, (GaSub, GmSub, GmConst, FiniteCyclic, Generated)):
-        return _enc_group(obj)
-    if isinstance(obj, GaloisDatum):
-        return {
-            "type": "galois",
-            "e": obj.e,
-            "field_order": obj.field_order,
-            "base_order": obj.base_order,
-            "zeta_e": encode(obj.zeta_e),
-            "elements": [[g.aut, g.n] for g in obj.elements],
-        }
-    if isinstance(obj, PointOrbit):
-        return {
-            "type": "orbit",
-            "representative": encode(obj.representative),
-            "points": [encode(p) for p in obj.points],
-            "stabilizer_trivial": obj.stabilizer_trivial,
-        }
-    if isinstance(obj, DecompositionPart):
-        out = {"type": "part", "kind": obj.kind, "group": encode(obj.group)}
-        if obj.h is not None:
-            out["h"] = encode(obj.h)
-        if obj.r is not None:
-            out["r"] = obj.r
-        if obj.embedding is not None:
-            out["embedding"] = [[encode(x) for x in row] for row in obj.embedding]
-        if obj.representation:
-            out["representation"] = obj.representation
-        return out
-    if isinstance(obj, CheckRecord):
-        return _enc_check(obj)
-    if isinstance(obj, Transcript):
-        return {
-            "type": "transcript",
-            "name": obj.name,
-            "passed": obj.passed,
-            "samples": obj.samples,
-            "coefficients_compared": obj.coefficients_compared,
-            "order": list(obj.order),
-            "failures": list(obj.failures),
-        }
-    if isinstance(obj, Assumption):
-        return {"type": "assumption", "kind": obj.kind, "statement": obj.statement}
-    if isinstance(obj, LocalBlock):
-        return {
-            "type": "local_block",
-            "point": encode(obj.q),
-            "kind": obj.kind,
-            "e": obj.e,
-            "order": obj.order,
-            "r": obj.r,
-            "h": encode(obj.h) if obj.h is not None else None,
-            "claimed_group": encode(obj.claimed_group),
-            "fundamental_matrix": [[encode(x) for x in row] for row in obj.fundamental_matrix],
-            "equation_matrix": [[encode(x) for x in row] for row in obj.equation_matrix],
-            "checks": [encode(c) for c in obj.checks],
-            "transported_by": obj.transported_by,
-        }
-    if isinstance(obj, Certificate):
-        return {
-            "type": "certificate",
-            "schema_version": obj.schema_version,
-            "group": encode(obj.group),
-            "decomposition": [encode(p) for p in obj.decomposition],
-            "galois": encode(obj.galois),
-            "orbits": [encode(o) for o in obj.orbits],
-            "blocks": [
-                {"point": encode(q), "block": encode(b)} for q, b in obj.blocks
-            ],
-            "transcripts": [encode(t) for t in obj.transcripts],
-            "completeness": [encode(c) for c in obj.completeness],
-            "assumptions": [encode(a) for a in obj.assumptions],
-            "order": obj.order,
-            "all_exact_checks_passed": obj.all_exact_checks_passed(),
-        }
-    if isinstance(obj, Realization):
-        return {
-            "type": "realization",
-            "kind": obj.kind,
-            "operator": encode(obj.operator),
-            "basis": [encode(b) for b in obj.basis],
-            "equation_datum": encode(obj.equation_datum),
-            "claimed_group": encode(obj.claimed_group),
-            "model": encode(obj.model),
-            "checks": [encode(c) for c in obj.checks],
-            "window_note": obj.window_note,
-        }
-    if isinstance(obj, NecessaryReport):
-        return {
-            "type": "necessary_report",
-            "kind": obj.kind,
-            "operator_order": obj.operator_order,
-            "residues": [
-                {"pole": encode(p), "coeff": encode(c)} for p, c in obj.residues
-            ],
-            "annihilated": list(obj.annihilated),
-            "all_annihilated": obj.all_annihilated,
-            "witness_order": obj.witness_order,
-            "minimal": obj.minimal,
-            "poles_dt_constant": obj.poles_dt_constant,
-            "note": obj.note,
-        }
-    if isinstance(obj, PFDecomp):
-        return {
-            "type": "pf_decomp",
-            "poly_part": encode(obj.poly_part),
-            "terms": [
-                {"pole": encode(t.pole), "mult": t.mult, "coeff": encode(t.coeff)}
-                for t in obj.terms
-            ],
-        }
-    raise TypeError("no JSON encoding for %s" % type(obj).__name__)
+    """The JSON node of obj, written field by field from its row."""
+    write = _WRITERS.get(type(obj))
+    if write is None:
+        raise TypeError("no JSON encoding for %s" % type(obj).__name__)
+    return write(obj)
 
 
-def _enc_order(x):
-    return "inf" if x == INF else int(x)
+def decode(data, tag: str | None = None, path: str | None = None):
+    """Rebuild an object from its JSON node; DecodeError when the node is malformed.
+
+    tag is the node type the caller expects (any, when None); path names
+    the node in messages and defaults to its type tag.
+    """
+    kind = _ANY if tag is None else _OF_TAG[tag]
+    row = _row_of(data)
+    if row is None or row.key not in kind.keys:
+        _refuse(path or "input", kind.name, data)
+    try:
+        return row.dec(data, path or row.key[0])
+    except _MALFORMED as exc:
+        raise DecodeError("malformed %r node: %s: %s"
+                          % (data.get("type"), type(exc).__name__, exc)) from None
 
 
-def _enc_check(c: CheckRecord) -> dict:
-    # three encodings of the one record: realization checks have no window,
-    # membership checks name their clearing factor
-    if c.outer_order is None:
-        return {"name": c.name, "passed": c.passed, "note": c.note}
-    window = {
-        "passed": c.passed,
-        "outer_order": c.outer_order,
-        "inner_order": c.inner_order,
-        "coefficients_compared": c.coefficients_compared,
-    }
-    if c.clearing_factor is not None:
-        return {"type": "membership_check", "label": c.name,
-                "clearing_factor": c.clearing_factor, **window}
-    return {"type": "identity_check", "name": c.name, **window, "note": c.note}
+def _row_of(node):
+    """The row of a node by its type tag (and discriminator), else None."""
+    tag = node.get("type") if type(node) is dict else None
+    entry = _BY_TAG.get(tag) if type(tag) is str else None
+    if type(entry) is tuple:
+        value = node.get(entry[0])
+        return entry[1].get(value) if type(value) is str else None
+    return entry
+
+
+def _got(node) -> str:
+    if not isinstance(node, dict):
+        return "a list" if isinstance(node, list) else repr(node)
+    tag = node.get("type")
+    entry = _BY_TAG.get(tag) if type(tag) is str else None
+    if type(entry) is tuple:
+        return "a %r node with %s %r" % (tag, entry[0], node.get(entry[0]))
+    return "a %r node" % (tag,) if "type" in node else "an untagged object"
+
+
+def _refuse(path: str, name: str, node):
+    raise DecodeError("%s must be %s, got %s" % (path, name, _got(node)))
+
+
+# ---------------------------------------------------------------------------
+# the scalar form, written by hand
 
 
 def _enc_scalar(s: Scalar) -> dict:
@@ -212,194 +100,300 @@ def _enc_scalar(s: Scalar) -> dict:
     return {"type": "scalar", "order": s.order, "terms": terms}
 
 
-def _enc_group(g) -> dict:
-    if isinstance(g, GaSub):
-        return {"type": "group", "kind": "ga", "operator": encode(g.operator)}
-    if isinstance(g, GmSub):
-        return {"type": "group", "kind": "gm", "operator": encode(g.operator)}
-    if isinstance(g, GmConst):
-        return {"type": "group", "kind": "gm_const"}
-    if isinstance(g, FiniteCyclic):
-        return {"type": "group", "kind": "cyclic", "r": g.order}
-    if isinstance(g, Generated):
-        return {
-            "type": "group",
-            "kind": "generated",
-            "parts": [
-                {
-                    "group": encode(p.group),
-                    "embedding": [[encode(x) for x in row] for row in p.embedding],
-                    "representation": p.representation,
-                }
-                for p in g.parts
-            ],
-        }
-    raise TypeError("unknown group spec %r" % (g,))
+def _integer_string(text, path: str) -> int:
+    if type(text) is not str or not _INTEGER.fullmatch(text):
+        raise DecodeError("%s must be a decimal integer string, got %r" % (path, text))
+    return int(text)
+
+
+def _dec_scalar(node: dict, path: str) -> Scalar:
+    order = _dec_bounded(node.get("order", 1), path + ".order")
+    vec, den = [0] * order, 1  # zeta^k sits at k mod order; _scalar reduces mod Phi_N
+    for i, term in enumerate(node.get("terms", [])):
+        at = "%s.terms[%d]" % (path, i)
+        pows = term.get("zeta_pow", [])
+        if not (pows == [] or type(pows) is list and len(pows) == 1 and type(pows[0]) is int):
+            raise DecodeError("%s: zeta_pow must be [] or [k] with an integer k, got %r"
+                              % (at, pows))
+        num = _integer_string(term["num"], at + ".num")
+        d = _integer_string(term.get("den", "1"), at + ".den")
+        if not d:
+            raise DecodeError("%s.den must not be 0" % at)
+        lcm = math.lcm(den, d)
+        if lcm != den:
+            vec = [c * (lcm // den) for c in vec]
+            den = lcm
+        vec[pows[0] % order if pows else 0] += num * (den // d)
+    return _scalar(order, vec, den)
 
 
 # ---------------------------------------------------------------------------
-# decoding (for the object kinds the CLI consumes)
-
-# what a missing or ill-typed field raises inside the constructors
-_MALFORMED = (KeyError, IndexError, TypeError, AttributeError, ValueError, ZeroDivisionError)
+# value kinds
 
 
-def decode(data):
-    """Rebuild an object from its JSON node; DecodeError when the node is malformed."""
-    if not isinstance(data, dict):
-        raise DecodeError("expected a JSON object with a type tag, got %s" % type(data).__name__)
-    try:
-        return _decode(data)
-    except _MALFORMED as exc:
-        raise DecodeError(
-            "malformed %r node: %s: %s" % (data.get("type"), type(exc).__name__, exc)
-        ) from None
+class _Kind:
+    """What a field holds: a name for messages, enc(value), dec(node, path), the
+    kind a list or map holds, and the (tag, discriminator) keys a node accepts."""
+
+    __slots__ = ("name", "enc", "dec", "inner", "keys")
+
+    def __init__(self, name, enc, dec, inner=None, keys=()):
+        self.name, self.enc, self.dec, self.inner = name, enc, dec, inner
+        self.keys = frozenset(keys)
 
 
-def _decode(data):
-    tag = data.get("type")
-    if tag == "scalar":
-        return _dec_scalar(data)
-    if tag == "poly":
-        coeffs = [decode(c) for c in data["coeffs"]]
-        if not coeffs:
-            if "czero" not in data:
-                raise DecodeError("zero polynomial needs a czero coefficient sample")
-            return Poly(data["var"], [], decode(data["czero"]))
-        return Poly(data["var"], coeffs, coeffs[0].zero_like())
-    if tag == "ratfunc":
-        return RatFunc(decode(data["num"]), decode(data["den"]))
-    if tag == "ore":
-        coeffs = [decode(c) for c in data["coeffs"]]
-        if not coeffs:
-            raise DecodeError("the zero operator has no JSON form")
-        return OrePoly(coeffs, coeffs[0].zero_like(), _bounded(data.get("e", 1), "e"))
-    if tag == "trunc_laurent":
-        return TruncLaurent(data["var"], _dec_exponents(data), _dec_trunc(data))
-    if tag == "two_var":
-        return TwoVarLaurent(decode(data["q"]), _dec_exponents(data), _dec_trunc(data))
-    if tag == "logext":
-        tail = decode(data["tail"])
-        logs = {decode(e["point"]): decode(e["coeff"]) for e in data.get("logs", [])}
-        return LogExtElem(tail, logs)
-    if tag == "group":
-        return _dec_group(data)
-    if tag == "galois":
-        gens = [
-            (_integer(a, "generator"), _integer(n, "generator"))
-            for a, n in data.get("generators", data.get("elements", []))
-        ]
-        return GaloisDatum.build(
-            _bounded(data["e"], "e"),
-            field_order=_bounded(data["field_order"], "field_order") if "field_order" in data else None,
-            base_order=_bounded(data.get("base_order", 1), "base_order"),
-            generators=gens,
-        )
-    if tag == "part":
-        return DecompositionPart(
-            group=decode(data["group"]),
-            kind=data["kind"],
-            h=decode(data["h"]) if "h" in data else None,
-            r=_integer(data["r"], "r") if "r" in data else None,
-            embedding=tuple(
-                tuple(decode(x) for x in row) for row in data["embedding"]
-            )
-            if "embedding" in data
-            else None,
-            representation=data.get("representation", ""),
-        )
-    if tag == "realization":
-        kind = data["kind"]
-        if kind not in ("gm", "ga"):
-            raise DecodeError("realization kind must be 'gm' or 'ga', got %r" % (kind,))
-        claimed = decode(data["claimed_group"])
-        if not isinstance(claimed, GmSub if kind == "gm" else GaSub):
-            raise DecodeError("realization kind %r contradicts its claimed group %r"
-                              % (kind, data["claimed_group"].get("kind")))
-        model = decode(data["model"])
-        if not isinstance(model, LogExtElem):
-            raise DecodeError("realization model must be a 'logext' node, got %r"
-                              % (data["model"].get("type"),))
-        checks = tuple(
-            CheckRecord(c["name"], c["passed"], note=c.get("note", ""))
-            for c in data.get("checks", [])
-        )
-        return Realization(
-            kind=kind,
-            operator=decode(data["operator"]),
-            basis=tuple(decode(b) for b in data["basis"]),
-            equation_datum=decode(data["equation_datum"]),
-            claimed_group=claimed,
-            model=model,
-            checks=checks,
-            window_note=data.get("window_note", ""),
-        )
-    raise DecodeError("cannot decode type tag %r" % (tag,))
+def _plain(name: str, test, dec=None) -> _Kind:
+    def check(node, path):
+        return node if test(node) else _refuse(path, name, node)
+
+    return _Kind(name, lambda value: value, dec or check)
 
 
-def _integer(value, field: str) -> int:
-    """An integer field from input; booleans, strings and floats are refused."""
-    if type(value) is not int:
-        raise DecodeError("%s must be a JSON integer, got %r" % (field, value))
-    return value
-
-
-# an exponent key as encode writes it: no sign but a minus, no leading zero, no space
-_EXPONENT = re.compile(r"0|-?[1-9][0-9]*")
-
-
-def _dec_trunc(data):
-    trunc = data.get("trunc", "inf")
-    return INF if trunc == "inf" else _integer(trunc, "trunc")
-
-
-def _dec_exponents(data) -> dict:
-    """The coeffs of a series node; each key is an exponent written as str(n)."""
-    out = {}
-    for key, c in data["coeffs"].items():
-        if not _EXPONENT.fullmatch(key):
-            raise DecodeError("series exponent must be a decimal integer, got %r" % (key,))
-        out[int(key)] = decode(c)
-    return out
-
-
-def _bounded(order, field: str) -> int:
+def _dec_bounded(node, path):
     """A cyclotomic order or ramification index from input, refused past the bound."""
-    if _integer(order, field) > _MAX_INPUT_ORDER:
-        raise DecodeError("%s %d is beyond the bound %d" % (field, order, _MAX_INPUT_ORDER))
-    return order
+    if _INT.dec(node, path) > _MAX_INPUT_ORDER:
+        raise DecodeError("%s %d is beyond the bound %d" % (path, node, _MAX_INPUT_ORDER))
+    return node
 
 
-def _dec_scalar(data) -> Scalar:
-    order = _bounded(data.get("order", 1), "order")
-    coeffs = [Fraction(0)] * order  # zeta^k sits at k mod order; Scalar reduces mod Phi_N
-    for term in data.get("terms", []):
-        pows = term.get("zeta_pow", [])
-        if not (pows == [] or isinstance(pows, list) and len(pows) == 1 and type(pows[0]) is int):
-            raise DecodeError("zeta_pow must be [] or [k] with an integer k, got %r" % (pows,))
-        c = Fraction(int(term["num"]), int(term.get("den", "1")))
-        coeffs[pows[0] % order if pows else 0] += c
-    return Scalar(order, coeffs)
+_INT = _plain("a JSON integer", lambda v: type(v) is int)
+_STR = _plain("a string", lambda v: type(v) is str)
+_BOOL = _plain("true or false", lambda v: type(v) is bool)
+_BOUNDED = _plain("a JSON integer", None, _dec_bounded)
+_ORDER = _Kind('"inf" or a JSON integer', lambda x: "inf" if x == INF else int(x),
+               lambda node, path: INF if node == "inf" else _INT.dec(node, path))
 
 
-def _dec_group(data):
-    kind = data["kind"]
-    if kind == "ga":
-        return GaSub(decode(data["operator"]))
-    if kind == "gm":
-        return GmSub(decode(data["operator"]))
-    if kind == "gm_const":
-        return GmConst()
-    if kind == "cyclic":
-        return FiniteCyclic(_integer(data["r"], "r"))
-    if kind == "generated":
-        parts = tuple(
-            GeneratedPart(
-                decode(p["group"]),
-                tuple(tuple(decode(x) for x in row) for row in p["embedding"]),
-                p.get("representation", ""),
-            )
-            for p in data["parts"]
-        )
-        return Generated(parts)
-    raise DecodeError("unknown group kind %r" % (kind,))
+def _list(kind: _Kind) -> _Kind:
+    enc, dec = kind.enc, kind.dec
+
+    def dec_list(node, path):
+        if type(node) is not list:
+            _refuse(path, "a list", node)
+        return tuple(dec(x, "%s[%d]" % (path, i)) for i, x in enumerate(node))
+
+    return _Kind("a list", lambda v: [enc(x) for x in v], dec_list, kind)
+
+
+def _exponents(kind: _Kind) -> _Kind:
+    """A series coefficient map; each key is an exponent written as str(n)."""
+    enc, dec = kind.enc, kind.dec
+
+    def dec_map(node, path):
+        if type(node) is not dict:
+            _refuse(path, "an exponent map", node)
+        coeffs = {}
+        for key, c in node.items():
+            if not _INTEGER.fullmatch(key):
+                raise DecodeError("%s: series exponent must be a decimal integer, got %r"
+                                  % (path, key))
+            coeffs[int(key)] = dec(c, "%s[%s]" % (path, key))
+        return coeffs
+
+    return _Kind("an exponent map", lambda v: {str(n): enc(c) for n, c in sorted(v.items())},
+                 dec_map, kind)
+
+
+def _nullable(kind: _Kind) -> _Kind:
+    enc, dec = kind.enc, kind.dec
+    return _Kind(kind.name + " or null", lambda v: None if v is None else enc(v),
+                 lambda node, path: None if node is None else dec(node, path), kind)
+
+
+def _node(name: str, *keys, enc=encode) -> _Kind:
+    """A tagged node of one of the rows keyed (tag, discriminator value)."""
+
+    def dec(node, path):
+        row = _row_of(node)
+        if row is None:
+            _refuse(path, name, node)
+        value = row.dec(node, path)  # a malformed node is refused as such first
+        return value if row.key in kind.keys else _refuse(path, name, node)
+
+    kind = _Kind(name, enc, dec, keys=keys)
+    return kind
+
+
+def _tagged(tag: str) -> _Kind:
+    return _node("a %r node" % tag, (tag, None))
+
+
+_SCALAR = _node("a 'scalar' node", ("scalar", None), enc=_enc_scalar)
+_K = _node("an element of K", ("ratfunc", "t"))
+_KX = _node("an element of K(x)", ("ratfunc", "x"))
+_POLY_T = _node("a polynomial in t", ("poly", "t"))
+_POLY_X = _node("a polynomial in x", ("poly", "x"))
+_ORE = _node("an operator", ("ore", None))
+_GROUP = _node("a group", *(("group", k) for k in ("ga", "gm", "gm_const", "cyclic", "generated")))
+_CHECK = _node("a check record", ("identity_check", None), ("membership_check", None))
+
+
+# ---------------------------------------------------------------------------
+# rows
+
+# a field's mode: "" read and written; "opt" may be absent on input; "omit"
+# may be absent on input and is not written when None or ""; "out" is
+# computed, written and never read; "in" is read and never written
+
+
+def _f(key: str, kind: _Kind, mode: str = "", attr: str | None = None, get=None) -> tuple:
+    return key, attr or key, kind, mode, get or attrgetter(attr or key)
+
+
+class _Row:
+    """One node shape: its tag (None for an untagged sub-record, which is
+    also the kind of the fields that hold it), the discriminating (key,
+    value) it shares a tag under, the class it encodes, its constructor
+    and its fields in written order."""
+
+    __slots__ = ("key", "sub", "cls", "enc", "dec", "name", "fields")
+
+    def __init__(self, tag, cls, *fields, make=None, sub=None, enc=None, dec=None):
+        self.key, self.sub, self.cls = (tag, sub and sub[1]), sub and sub[0], cls
+        self.name, self.fields = "an object", fields
+        make = make or cls
+        head = dict(([("type", tag)] if tag else []) + ([sub] if sub else []))
+        writes = [(key, get, kind.enc) for key, _a, kind, mode, get in fields if mode != "in"]
+        omitted = {key for key, _a, _k, mode, _g in fields if mode == "omit"}
+        reads = [(key, attr, kind.dec, mode) for key, attr, kind, mode, _g in fields
+                 if mode != "out"]
+
+        def write(obj):
+            out = head.copy()
+            for key, get, enc_value in writes:
+                value = get(obj)
+                if not (key in omitted and (value is None or value.__class__ is str and not value)):
+                    out[key] = enc_value(value)
+            return out
+
+        def read(node, path):
+            if type(node) is not dict:
+                raise DecodeError("%s must be an object, got %s" % (path, _got(node)))
+            kw = {}
+            for key, attr, dec_value, mode in reads:
+                if key in node:
+                    kw[attr] = dec_value(node[key], path + "." + key)
+                elif not mode:
+                    raise DecodeError("%s needs the field %r" % (path, key))
+            return make(**kw)
+
+        self.enc = enc or write
+        self.dec = dec or read
+
+
+def _pairs(key0: str, kind0: _Kind, key1: str, kind1: _Kind) -> _Kind:
+    """A list of (a, b) pairs, each written as the object {key0: a, key1: b}."""
+    row = _Row(None, tuple, _f(key0, kind0, get=itemgetter(0)),
+               _f(key1, kind1, get=itemgetter(1)), make=lambda **kw: tuple(kw.values()))
+    return _list(row)
+
+
+def _czero(p: Poly):
+    # written only for the zero polynomial; otherwise read off the coefficients
+    return None if p.coeffs else p.czero
+
+
+def _galois(e, field_order=None, base_order=1, elements=(), generators=None):
+    # any list of group elements generates the group, so a written table reads back
+    gens = elements if generators is None else generators
+    return GaloisDatum.build(e, field_order=field_order, base_order=base_order, generators=gens)
+
+
+def _enc_check(c: CheckRecord) -> dict:
+    # three encodings of the one record: realization checks have no window,
+    # membership checks name their clearing factor
+    if c.outer_order is None:
+        return _REALIZATION_CHECK.enc(c)
+    return _BY_KEY["identity_check" if c.clearing_factor is None else "membership_check",
+                   None].enc(c)
+
+
+_REALIZATION_CHECK = _Row(None, CheckRecord, _f("name", _STR), _f("passed", _BOOL),
+                          _f("note", _STR, "opt"))
+_WINDOW = (_f("passed", _BOOL), _f("outer_order", _INT), _f("inner_order", _INT),
+           _f("coefficients_compared", _INT))
+_MATRIX_K = _list(_list(_K))
+_GAMMA = _list(_list(_INT))
+
+_ROWS = (
+    _Row("scalar", Scalar, enc=_enc_scalar, dec=_dec_scalar),
+    _Row("poly", Poly, _f("coeffs", _list(_SCALAR)), _f("czero", _SCALAR, "omit", get=_czero),
+         make=partial(Poly, "t"), sub=("var", "t")),
+    _Row("poly", Poly, _f("coeffs", _list(_K)), _f("czero", _K, "omit", get=_czero),
+         make=partial(Poly, "x"), sub=("var", "x")),
+    _Row("ratfunc", RatFunc, _f("num", _POLY_T), _f("den", _POLY_T), sub=("var", "t")),
+    _Row("ratfunc", RatFunc, _f("num", _POLY_X), _f("den", _POLY_X), sub=("var", "x")),
+    _Row("ore", OrePoly, _f("e", _BOUNDED, "opt"), _f("coeffs", _list(_K))),
+    _Row("trunc_laurent", TruncLaurent, _f("var", _STR),
+         _f("valuation", _nullable(_INT), "out", get=lambda s: min(s.coeffs) if s.coeffs else None),
+         _f("trunc", _ORDER, "opt"), _f("coeffs", _exponents(_SCALAR))),
+    _Row("two_var", TwoVarLaurent, _f("q", _SCALAR), _f("trunc", _ORDER, "opt"),
+         _f("coeffs", _exponents(_tagged("trunc_laurent")))),
+    _Row("logext", LogExtElem, _f("tail", _KX),
+         _f("logs", _pairs("point", _K, "coeff", _K), "opt", get=lambda m: m.logs.items()),
+         make=lambda tail, logs=(): LogExtElem(tail, dict(logs))),
+    _Row("group", GaSub, _f("operator", _ORE), sub=("kind", "ga")),
+    _Row("group", GmSub, _f("operator", _ORE), sub=("kind", "gm")),
+    _Row("group", GmConst, sub=("kind", "gm_const")),
+    _Row("group", FiniteCyclic, _f("r", _INT, attr="order"), sub=("kind", "cyclic")),
+    _Row("group", Generated, _f("parts", _list(_Row(
+        None, GeneratedPart, _f("group", _GROUP), _f("embedding", _MATRIX_K),
+        _f("representation", _STR, "opt")))), sub=("kind", "generated")),
+    _Row("galois", GaloisDatum, _f("e", _BOUNDED), _f("field_order", _BOUNDED, "opt"),
+         _f("base_order", _BOUNDED, "opt"), _f("zeta_e", _SCALAR, "out"),
+         _f("elements", _GAMMA, "opt", get=lambda gd: [(g.aut, g.n) for g in gd.elements]),
+         _f("generators", _GAMMA, "in"), make=_galois),
+    _Row("orbit", PointOrbit, _f("representative", _SCALAR), _f("points", _list(_SCALAR)),
+         _f("stabilizer_trivial", _BOOL)),
+    _Row("part", DecompositionPart, _f("kind", _STR), _f("group", _GROUP), _f("h", _K, "omit"),
+         _f("r", _INT, "omit"), _f("embedding", _MATRIX_K, "omit"),
+         _f("representation", _STR, "omit")),
+    _Row("membership_check", CheckRecord, _f("label", _STR, attr="name"),
+         _f("clearing_factor", _STR), *_WINDOW),
+    _Row("identity_check", CheckRecord, _f("name", _STR), *_WINDOW, _f("note", _STR)),
+    _Row("transcript", Transcript, _f("name", _STR), _f("passed", _BOOL), _f("samples", _INT),
+         _f("coefficients_compared", _INT), _f("order", _list(_INT)),
+         _f("failures", _list(_STR))),
+    _Row("assumption", Assumption, _f("kind", _STR), _f("statement", _STR)),
+    _Row("local_block", LocalBlock, _f("point", _SCALAR, attr="q"), _f("kind", _STR),
+         _f("e", _BOUNDED), _f("order", _INT), _f("r", _nullable(_INT)), _f("h", _nullable(_K)),
+         _f("claimed_group", _GROUP),
+         _f("fundamental_matrix", _list(_list(_tagged("two_var")))),
+         _f("equation_matrix", _list(_list(_tagged("two_var")))), _f("checks", _list(_CHECK)),
+         _f("transported_by", _STR)),
+    _Row("certificate", Certificate, _f("schema_version", _STR), _f("group", _GROUP),
+         _f("decomposition", _list(_tagged("part"))), _f("galois", _tagged("galois")),
+         _f("orbits", _list(_tagged("orbit"))),
+         _f("blocks", _pairs("point", _SCALAR, "block", _tagged("local_block"))),
+         _f("transcripts", _list(_tagged("transcript"))), _f("completeness", _list(_CHECK)),
+         _f("assumptions", _list(_tagged("assumption"))), _f("order", _INT),
+         _f("all_exact_checks_passed", _BOOL, "out",
+            get=methodcaller("all_exact_checks_passed"))),
+    _Row("realization", Realization, _f("kind", _STR), _f("operator", _ORE),
+         _f("basis", _list(_K)), _f("equation_datum", _KX), _f("claimed_group", _GROUP),
+         _f("model", _tagged("logext")),
+         _f("checks", _list(_REALIZATION_CHECK), "opt"), _f("window_note", _STR, "opt")),
+    _Row("necessary_report", NecessaryReport, _f("kind", _STR), _f("operator_order", _INT),
+         _f("residues", _pairs("pole", _K, "coeff", _K)), _f("annihilated", _list(_BOOL)),
+         _f("all_annihilated", _BOOL), _f("witness_order", _INT), _f("minimal", _BOOL),
+         _f("poles_dt_constant", _BOOL), _f("note", _STR)),
+    _Row("pf_decomp", PFDecomp, _f("poly_part", _POLY_X), _f("terms", _list(_Row(
+        None, PFTerm, _f("pole", _K), _f("mult", _INT), _f("coeff", _K))))),
+)
+
+# ---------------------------------------------------------------------------
+# the indexes both directions walk
+
+_BY_KEY = {row.key: row for row in _ROWS}
+_BY_TAG: dict = {row.key[0]: row for row in _ROWS if not row.sub}
+for _row in _ROWS:
+    if _row.sub:
+        _BY_TAG.setdefault(_row.key[0], (_row.sub, {}))[1][_row.key[1]] = _row
+_WRITERS = {row.cls: row.enc for row in _ROWS}
+_WRITERS.update({
+    Poly: lambda p: _BY_KEY["poly", p.var].enc(p),
+    RatFunc: lambda f: _BY_KEY["ratfunc", f.var].enc(f),
+    CheckRecord: _enc_check,
+})
+_ANY = _node("a ppv node", *_BY_KEY)
+_OF_TAG = {t: _node("a %r node" % t, *(k for k in _BY_KEY if k[0] == t)) for t, _ in _BY_KEY}

@@ -47,14 +47,14 @@ def _as_coeff(sample, value):
 
 
 def _strip(coeffs, czero, what: str):
-    """(coeffs, czero) with trailing zeros dropped and czero read off if None."""
+    """(coeffs, czero) with trailing zeros dropped, czero read off the first coefficient if None."""
     coeffs = list(coeffs)
-    while coeffs and coeffs[-1].is_zero():
-        coeffs.pop()
     if czero is None:
         if not coeffs:
             raise ValueError("zero %s needs an explicit coefficient sample" % what)
         czero = coeffs[0].zero_like()
+    while coeffs and coeffs[-1].is_zero():
+        coeffs.pop()
     return tuple(coeffs), czero
 
 

@@ -47,8 +47,16 @@ class Realization:
     equation_datum: RatFunc  # a in K(x)
     claimed_group: GroupSpec
     model: LogExtElem
-    checks: tuple[CheckRecord, ...]
+    checks: tuple[CheckRecord, ...] = ()
     window_note: str = ""
+
+    def __post_init__(self):
+        if self.kind not in ("gm", "ga"):
+            raise ValueError("realization kind must be 'gm' or 'ga', got %r" % (self.kind,))
+        claimed = {GmSub: "gm", GaSub: "ga"}.get(type(self.claimed_group), self.claimed_group)
+        if claimed != self.kind:
+            raise ValueError("realization kind %r contradicts its claimed group %r"
+                             % (self.kind, claimed))
 
     def all_checks_passed(self) -> bool:
         return all(c.passed for c in self.checks)
@@ -172,7 +180,6 @@ class NecessaryReport:
     kind: str
     operator_order: int
     residues: tuple  # (pole, gamma) pairs from the logarithmic part
-    targets: tuple  # gamma (ga) or dt(gamma) (gm)
     annihilated: tuple[bool, ...]
     all_annihilated: bool
     witness_order: int
@@ -197,9 +204,7 @@ def necessary_condition_report(a: RatFunc, kind: str, l: OrePoly) -> NecessaryRe
         raise ValueError("kind must be 'gm' or 'ga'")
     log_part = decompose(a).logarithmic_part()
     poles_const = all(beta.dt().is_zero() for beta, _ in log_part)
-    targets = tuple(
-        (gamma.dt() if kind == "gm" else gamma) for _, gamma in log_part
-    )
+    targets = tuple(gamma.dt() if kind == "gm" else gamma for _, gamma in log_part)
     annihilated = tuple(l.apply(tg).is_zero() for tg in targets)
     # the rank of a Wronskian matrix is the dimension of the constant span
     nonzero = [tg for tg in targets if not tg.is_zero()]
@@ -208,7 +213,6 @@ def necessary_condition_report(a: RatFunc, kind: str, l: OrePoly) -> NecessaryRe
         kind=kind,
         operator_order=l.order(),
         residues=tuple(log_part),
-        targets=targets,
         annihilated=annihilated,
         all_annihilated=all(annihilated),
         witness_order=witness_order,

@@ -6,7 +6,10 @@ from ppv import cli, jsonio
 from ppv.cli import main
 from ppv.descent import GaloisDatum, standard_sl2_decomposition
 from ppv.errors import VerificationFailed
-from ppv.rationals import t_var
+from ppv.groups import FiniteCyclic, GaSub
+from ppv.ore import OrePoly
+from ppv.parser import parse_operator
+from ppv.rationals import k_const, t_var
 from ppv.scalars import rational
 from ppv.series import TruncLaurent, TwoVarLaurent
 
@@ -190,6 +193,92 @@ def test_certify_verb(tmp_path, capsys):
     cert = json.loads(out_path.read_text())
     assert cert["all_exact_checks_passed"] is True
     assert len(cert["blocks"]) == 4
+
+
+def _sl2_input() -> dict:
+    group, parts = standard_sl2_decomposition()
+    return {"group": jsonio.encode(group), "decomposition": [jsonio.encode(p) for p in parts]}
+
+
+def _certify_doc(tmp_path, capsys, doc, gd, *flags):
+    group_path, gd_path = tmp_path / "group.json", tmp_path / "gd.json"
+    group_path.write_text(json.dumps(doc))
+    gd_path.write_text(json.dumps(jsonio.encode(gd)))
+    code = main(["certify", "--group", str(group_path), "--galois", str(gd_path), *flags])
+    return code, capsys.readouterr().err
+
+
+def _set(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+_POLY = jsonio.encode(t_var().num)
+_SCALAR = jsonio.encode(rational(3))
+
+
+@pytest.mark.parametrize("path, node, message", [
+    (("decomposition", 0, "h"), _POLY, "decomposition[0].h must be an element of K, got a 'poly'"),
+    (("decomposition", 1, "h"), _SCALAR, "decomposition[1].h must be an element of K, got a 'scalar'"),
+    (("decomposition", 0, "group", "operator"), _SCALAR,
+     "decomposition[0].group.operator must be an operator, got a 'scalar' node"),
+    (("decomposition", 0, "embedding", 0, 0), _POLY,
+     "decomposition[0].embedding[0][0] must be an element of K, got a 'poly' node"),
+    (("group", "parts", 2, "embedding", 1, 0), _POLY,
+     "group.parts[2].embedding[1][0] must be an element of K, got a 'poly' node"),
+], ids=["h_poly", "h_scalar", "operator_scalar", "embedding_poly", "target_embedding_poly"])
+def test_certify_refuses_a_mistyped_child_with_its_path(tmp_path, capsys, path, node, message):
+    # before typed decoding the first two exited 3 (AttributeError) and the others certified
+    doc = _sl2_input()
+    _set(doc, path, node)
+    code, err = _certify_doc(tmp_path, capsys, doc, GaloisDatum.trivial(), "--trunc", "4",
+                             "--samples", "2")
+    assert code == 2 and message in err and "internal error" not in err
+
+
+def test_check_refuses_a_log_point_that_is_not_in_k(tmp_path, capsys):
+    assert main(["realize", "--kind", "ga", "--op", "t*Dt - 1", "--basis", "t", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    doc["realization"]["model"]["logs"][0]["point"] = _POLY
+    path = tmp_path / "real.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", "--membership", "--realization", str(path), "--op", "t*Dt - 1"]) == 2
+    err = capsys.readouterr().err
+    assert "realization.model.logs[0].point must be an element of K, got a 'poly' node" in err
+
+
+def _claim(doc, group):
+    """Part 0 and the target's part 0 both claim group."""
+    node = jsonio.encode(group)
+    doc["decomposition"][0]["group"] = node
+    doc["group"]["parts"][0]["group"] = node
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda doc: _claim(doc, GaSub(parse_operator("Dt - 1"))),
+     "part 0: additive part must claim Ga^L with L of order 1 and L(h) = 0"),
+    (lambda doc: _claim(doc, GaSub(OrePoly.constant(k_const(3)))),
+     "part 0: additive part must claim Ga^L with L of order 1 and L(h) = 0"),
+    (lambda doc: _set(doc, ("group", "parts", 0, "group"), jsonio.encode(FiniteCyclic(5))),
+     "part 0 does not match the target group"),
+], ids=["ga_dt_minus_1", "ga_scalar_3", "target_z5"])
+def test_certify_refuses_groups_it_does_not_verify(tmp_path, capsys, change, message):
+    # each of these once certified with exit 0, "exact checks: all passed"
+    doc = _sl2_input()
+    change(doc)
+    code, err = _certify_doc(tmp_path, capsys, doc, GaloisDatum.ramified(2), "--trunc", "4",
+                             "--samples", "2")
+    assert code == 2 and message in err
+
+
+def test_certify_refuses_a_target_that_is_not_its_single_part(tmp_path, capsys):
+    doc = {"group": jsonio.encode(FiniteCyclic(3)),
+           "decomposition": [jsonio.encode(p) for p in standard_sl2_decomposition()[1][:1]]}
+    code, err = _certify_doc(tmp_path, capsys, doc, GaloisDatum.trivial(), "--trunc", "4")
+    assert code == 2 and "part 0 does not match the target group" in err
+    doc["group"] = doc["decomposition"][0]["group"]
+    assert _certify_doc(tmp_path, capsys, doc, GaloisDatum.trivial(), "--trunc", "4")[0] == 0
 
 
 def test_exit_1_on_failed_verification(monkeypatch, capsys):

@@ -423,8 +423,12 @@ def test_root_subgroup_recipe_produces_3m_parts():
     assert len(parts) == 6
     hs = [str(p.h) for p in parts]
     assert hs == ["1", "t", "-1/t", "1", "t", "-1/t"]
+    # the target names exactly these six parts; SL2's four-part list is refused
+    with pytest.raises(UnsupportedGroup, match="part 1 does not match"):
+        run_criterion(standard_sl2_decomposition()[0], parts, GaloisDatum.trivial(), order=6)
+    group = Generated(tuple(GeneratedPart(p.group, p.embedding, p.representation) for p in parts))
     cert = run_criterion(
-        standard_sl2_decomposition()[0],
+        group,
         parts,
         GaloisDatum.trivial(),
         order=6,

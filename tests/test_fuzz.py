@@ -5,21 +5,37 @@ parser and the decoder enforce (64 and 1024): such input (t^99999999,
 zeta(100000)) would not finish, so it must be refused with an error.
 """
 
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ppv import jsonio
+from ppv.cli import main
+from ppv.descent import GaloisDatum, standard_sl2_decomposition
 from ppv.errors import DecodeError, ParseError, PpvError
+from ppv.groups import FiniteCyclic, GaSub, Generated, GeneratedPart
+from ppv.logext import LogExtElem
 from ppv.parser import parse_basis, parse_expr, parse_k, parse_operator, parse_xrat
+from ppv.rationals import f_const, k_const, t_var, x_var
 from ppv.realization import realize_gm
+from ppv.scalars import Scalar
+from ppv.series import TruncLaurent, TwoVarLaurent
 
 TAGS = ["scalar", "poly", "ratfunc", "ore", "trunc_laurent", "two_var", "logext", "group",
-        "galois", "part", "realization", "identity_check", "bogus"]
+        "galois", "part", "realization", "identity_check", "membership_check", "orbit",
+        "transcript", "assumption", "local_block", "certificate", "necessary_report",
+        "pf_decomp", "bogus"]
 FIELDS = ["order", "terms", "num", "den", "zeta_pow", "var", "coeffs", "czero", "e", "trunc",
           "q", "tail", "logs", "point", "coeff", "kind", "operator", "r", "parts", "group",
           "embedding", "representation", "field_order", "base_order", "generators",
           "elements", "h", "basis", "equation_datum", "claimed_group", "model", "checks",
-          "name", "passed", "note"]
+          "name", "passed", "note", "label", "representative", "points", "block", "blocks",
+          "pole", "mult", "statement", "schema_version"]
 
 leaves = (
     st.none()
@@ -128,3 +144,91 @@ def test_decode_refuses_orders_past_the_bound(n, field):
         doc = {"type": "galois", "e": 2, "field_order": 4, "base_order": 1, field: n}
     with pytest.raises(DecodeError):
         jsonio.decode(doc)
+
+
+# ---------------------------------------------------------------------------
+# substitution probe: one typed node of a golden input replaced by a
+# well-formed node of another type must give exit 0, 1 or 2, never 3
+
+def _replacements():
+    t = t_var(8)
+    w = TruncLaurent("w", {-1: Scalar.zeta(8)}, 3)
+    objs = [Scalar.zeta(8) + 2, t.num, t / (t + 1), x_var(8) / (x_var(8) - f_const(t)),
+            parse_operator("t*Dt - zeta(8)"), GaSub(parse_operator("Dt")), FiniteCyclic(2), w,
+            TwoVarLaurent(Scalar.zeta(8), {0: w}, 2), LogExtElem.log_term(k_const(2, 8), t),
+            GaloisDatum.ramified(2)]
+    return [jsonio.encode(o) for o in objs]
+
+
+REPLACEMENTS = _replacements()
+
+
+def _key(node):
+    return jsonio._row_of(node).key
+
+
+def _typed_paths(doc, path=()):
+    if isinstance(doc, dict) and "type" in doc:
+        yield path
+    for key, child in doc.items() if isinstance(doc, dict) else enumerate(doc) \
+            if isinstance(doc, list) else ():
+        yield from _typed_paths(child, path + (key,))
+
+
+def _substitute(doc, data):
+    paths = list(_typed_paths(doc))
+    path = data.draw(st.sampled_from(paths))
+    at = doc
+    for key in path[:-1]:
+        at = at[key]
+    original = at[path[-1]] if path else doc
+    node = data.draw(st.sampled_from([r for r in REPLACEMENTS if _key(r) != _key(original)]))
+    if not path:
+        return node
+    at[path[-1]] = node
+    return doc
+
+
+def _exit_code(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+def _readme_realization() -> dict:
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["realize", "--kind", "ga", "--op", "t*Dt - 1", "--basis", "t", "--json"]) == 0
+    return json.loads(out.getvalue())
+
+
+def _sl2_two_part_input() -> dict:
+    _, parts = standard_sl2_decomposition()
+    group = Generated(tuple(GeneratedPart(p.group, p.embedding, p.representation)
+                            for p in parts[:2]))
+    return {"group": {"group": jsonio.encode(group),
+                      "decomposition": [jsonio.encode(p) for p in parts[:2]]},
+            "galois": jsonio.encode(GaloisDatum.trivial())}
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_check_never_exits_3_on_a_substituted_node(data):
+    doc = _substitute(_readme_realization(), data)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "real.json"
+        path.write_text(json.dumps(doc))
+        code = _exit_code(["check", "--membership", "--realization", str(path),
+                           "--op", "t*Dt - 1"])
+    assert code in (0, 1, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_certify_never_exits_3_on_a_substituted_node(data):
+    doc = _substitute(_sl2_two_part_input(), data)
+    with tempfile.TemporaryDirectory() as tmp:
+        group_path, gd_path = Path(tmp) / "group.json", Path(tmp) / "gd.json"
+        group_path.write_text(json.dumps(doc["group"]))
+        gd_path.write_text(json.dumps(doc["galois"]))
+        code = _exit_code(["certify", "--group", str(group_path), "--galois", str(gd_path),
+                           "--trunc", "4", "--samples", "2"])
+    assert code in (0, 1, 2)

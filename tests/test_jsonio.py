@@ -218,3 +218,134 @@ def test_cli_exits_2_on_a_series_trunc_that_is_not_an_integer(tmp_path, capsys):
         path.write_text(json.dumps(doc))
         assert main(["check", "--membership", "--realization", str(path), "--op", "Dt"]) == 2
         assert "trunc must be a JSON integer" in capsys.readouterr().err
+
+
+def _integer_string_fields():
+    """(name, node builder) for the integer strings of a scalar term."""
+    def term(**fields):
+        return {"type": "scalar", "order": 4, "terms": [{"num": "3", "den": "2", "zeta_pow": [1],
+                                                        **fields}]}
+    return [("scalar num", lambda v: term(num=v)), ("scalar den", lambda v: term(den=v))]
+
+
+@pytest.mark.parametrize("value", [True, 3, " 3", "3 ", "+3", "03", "-0", "1_000", "3.0", "",
+                                   "٣", None], ids=repr)
+@pytest.mark.parametrize("field,node", _integer_string_fields(),
+                         ids=[f for f, _ in _integer_string_fields()])
+def test_decode_refuses_scalar_integers_not_in_the_encoder_form(field, node, value):
+    want = Fraction(-12, 2) if field == "scalar num" else Fraction(3, -12)
+    assert jsonio.decode(node("-12")) == Scalar.zeta(4) * want
+    with pytest.raises(DecodeError, match="must be a decimal integer string"):
+        jsonio.decode(node(value))
+
+
+def test_decode_refuses_a_zero_denominator():
+    with pytest.raises(DecodeError, match="den must not be 0"):
+        jsonio.decode({"type": "scalar", "order": 1, "terms": [{"num": "1", "den": "0"}]})
+
+
+def _outermost_nodes(doc):
+    if isinstance(doc, dict) and "type" in doc:
+        yield doc
+    elif isinstance(doc, (dict, list)):
+        for child in doc.values() if isinstance(doc, dict) else doc:
+            yield from _outermost_nodes(child)
+
+
+def _row_keys(doc):
+    """The (tag, discriminator) key of every tagged node inside doc."""
+    if isinstance(doc, dict) and "type" in doc:
+        yield jsonio._row_of(doc).key
+    for child in doc.values() if isinstance(doc, dict) else doc if isinstance(doc, list) else ():
+        yield from _row_keys(child)
+
+
+def test_every_row_round_trips_byte_for_byte(tmp_path, capsys):
+    # the golden outputs hold certificates (with transported blocks), blocks of
+    # all three kinds, realizations with their necessary reports and a pf_decomp
+    from test_golden import GOLDEN, _output
+
+    seen, transported = set(), 0
+    for case in sorted(GOLDEN):
+        text = _output(case, tmp_path, capsys)
+        doc = json.loads(text)
+        for node in _outermost_nodes(doc):
+            back = jsonio.encode(jsonio.decode(node))
+            assert json.dumps(back, sort_keys=True) == json.dumps(node, sort_keys=True), case
+            seen.update(_row_keys(node))
+        if case.startswith("certify"):
+            # the file certify writes, byte for byte
+            assert json.dumps(jsonio.encode(jsonio.decode(doc)), indent=2) + "\n" == text
+            transported += sum(b["block"]["transported_by"] != "" for b in doc["blocks"])
+    assert transported > 0
+    missing = set(jsonio._BY_KEY) - seen
+    assert not missing, "rows with no round-trip case: %s" % sorted(missing)
+
+
+def _table_words():
+    """Every tag, discriminator and field key of the node table."""
+    words = {"order", "terms", "num", "den", "zeta_pow"}  # the hand-written scalar form
+
+    def walk(kind):
+        while getattr(kind, "inner", None) is not None:
+            kind = kind.inner
+        if isinstance(kind, jsonio._Row):
+            words.update(w for w in (kind.sub, *kind.key) if w)
+            for key, _attr, field_kind, _mode, _get in kind.fields:
+                words.add(key)
+                walk(field_kind)
+
+    for row in jsonio._ROWS:
+        walk(row)
+    return words
+
+
+def test_docs_name_every_tag_and_field_key():
+    from pathlib import Path
+
+    text = (Path(__file__).parent.parent / "docs" / "formats.md").read_text()
+    assert {"galois", "generators", "coefficients_compared", "ga"} <= _table_words()
+    assert sorted(w for w in _table_words() if '"%s"' % w not in text) == []
+
+
+def test_decode_recomputes_what_encode_computes():
+    cert = run_criterion(FiniteCyclic(2), [DecompositionPart(FiniteCyclic(2), "cyclic", r=2)],
+                         GaloisDatum.ramified(2), order=4, samples=2)
+    doc = jsonio.encode(cert)
+    assert doc["all_exact_checks_passed"] is True
+    assert jsonio.decode({**doc, "all_exact_checks_passed": False}).all_exact_checks_passed()
+    doc["blocks"][0]["block"]["checks"][0]["passed"] = False
+    back = jsonio.decode(doc)
+    assert not back.all_exact_checks_passed()
+    assert jsonio.encode(back)["all_exact_checks_passed"] is False
+    series = jsonio.encode(TruncLaurent("w", {-2: rational(3)}, 5))
+    assert jsonio.encode(jsonio.decode({**series, "valuation": 7}))["valuation"] == -2
+
+
+@pytest.mark.parametrize("node, message", [
+    ({"type": "ratfunc", "var": "t", "num": jsonio.encode(x_var().num),
+      "den": jsonio.encode(x_var().den)},
+     "ratfunc.num must be a polynomial in t, got a 'poly' node with var 'x'"),
+    ({**jsonio.encode(OrePoly.dt_gen()), "coeffs": [jsonio.encode(rational(1))]},
+     "ore.coeffs[0] must be an element of K, got a 'scalar' node"),
+    ({**jsonio.encode(TwoVarLaurent(rational(1), {})), "coeffs": {"0": jsonio.encode(rational(1))}},
+     "two_var.coeffs[0] must be a 'trunc_laurent' node, got a 'scalar' node"),
+    ({"type": "group", "kind": "generated", "parts": [{"group": jsonio.encode(GmConst()),
+                                                      "embedding": [[{"type": "scalar"}]]}]},
+     "group.parts[0].embedding[0][0] must be an element of K, got a 'scalar' node"),
+    ({"type": "group", "kind": "ga", "operator": jsonio.encode(GmConst())},
+     "group.operator must be an operator, got a 'group' node with kind 'gm_const'"),
+    ({"type": "part", "kind": "cyclic", "group": jsonio.encode(rational(2))},
+     "part.group must be a group, got a 'scalar' node"),
+], ids=["ratfunc_num", "ore_coeff", "two_var_coeff", "embedding", "operator", "part_group"])
+def test_decode_refuses_a_mistyped_child_with_its_path(node, message):
+    with pytest.raises(DecodeError) as info:
+        jsonio.decode(node)
+    assert str(info.value) == message
+
+
+def test_decode_checks_the_expected_tag():
+    node = jsonio.encode(FiniteCyclic(2))
+    assert jsonio.decode(node, "group") == FiniteCyclic(2)
+    with pytest.raises(DecodeError, match=r"^decomposition\[3\] must be a 'part' node, got a "):
+        jsonio.decode(node, "part", "decomposition[3]")
