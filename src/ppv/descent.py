@@ -261,12 +261,14 @@ def twisted_transport(zeta_e: Scalar, e: int, n: int, act_coeff, elem: TwoVarLau
     Sends sum a_ij (z - q_src)^j t^i to sum zeta^(n(i-j)) act(a_ij) (z - q_target)^j t^i.
     Exposed separately so the twist formula itself can be exercised (and
     mutated) against independently chosen source and target points.
+    zeta_e is a root of unity and act_coeff a field automorphism, so every
+    stored coefficient maps to a nonzero one.
     """
     twist = [zeta_e**k for k in range(e)]
     out = {}
     for i, inner in elem.coeffs.items():
         new_inner = {j: twist[n * (i - j) % e] * act_coeff(c) for j, c in inner.coeffs.items()}
-        out[i] = type(inner)("w", new_inner, inner.trunc)
+        out[i] = type(inner).from_nonzero("w", new_inner, inner.trunc)
     return TwoVarLaurent(q_target, out, elem.trunc)
 
 

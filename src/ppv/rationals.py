@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import CoefficientFieldMismatch
-from .scalars import Scalar, _power
+from .scalars import Scalar, _power, poly_divmod, poly_mul
 
 PARAM_VARS = ("t",)
 MAIN_VARS = ("x",)
@@ -112,6 +112,20 @@ def _monic(a):
     return a.scale(lead.one_like() / lead)
 
 
+def _field_order(c):
+    """The one order of every Scalar of the K-element c, zeros included, else None.
+
+    When czero and a product p of K-elements have the same field order,
+    czero + p is p byte for byte: the sum promotes nothing and keeps equal
+    zeros.
+    """
+    if not isinstance(c, RatFunc):
+        return None
+    orders = {getattr(x, "order", None)
+              for x in (c.num.czero, *c.num.coeffs, c.den.czero, *c.den.coeffs)}
+    return orders.pop() if len(orders) == 1 else None
+
+
 def _euclid(a, b, divide):
     """The monic last nonzero remainder of a and b; divide returns (q, r).
 
@@ -180,13 +194,26 @@ class Poly:
         self._check(other)
         if self.is_zero() or other.is_zero():
             return self.zero_like()
-        out = [self.czero] * (len(self.coeffs) + len(other.coeffs) - 1)
+        zero = self.czero
+        if isinstance(zero, Scalar) and isinstance(other.czero, Scalar):
+            return self._new(poly_mul(self.coeffs, other.coeffs, zero))
+        # each output starts at its first product; czero goes in first only
+        # where it could change the product's field orders (see _field_order)
+        order = _field_order(zero)
+        out = [None] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a.is_zero():
                 continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return self._new(out)
+            for j, b in enumerate(other.coeffs, i):
+                p = a * b
+                cur = out[j]
+                if cur is not None:
+                    out[j] = cur + p
+                elif order is not None and _field_order(p) == order:
+                    out[j] = p
+                else:
+                    out[j] = zero + p
+        return self._new([zero if c is None else c for c in out])
 
     __rmul__ = __mul__
 
@@ -194,6 +221,9 @@ class Poly:
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
+        if isinstance(self.czero, Scalar) and isinstance(other.czero, Scalar):
+            q, r = poly_divmod(self.coeffs, other.coeffs)
+            return self._new(q), self._new(r)
         rem = list(self.coeffs)
         dn = len(other.coeffs)
         lead_inv = other.leading().one_like() / other.leading()

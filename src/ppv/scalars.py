@@ -212,11 +212,8 @@ class Scalar:
             raise CoefficientFieldMismatch(
                 "cannot embed Q(zeta_%d) into Q(zeta_%d)" % (self.order, order)
             )
-        # zeta_self = zeta_order^step; _scalar reduces modulo Phi_order
-        step = order // self.order
-        out = [0] * ((len(self._nums) - 1) * step + 1)
-        out[::step] = self._nums
-        return _scalar(order, out, self._den)
+        # _scalar reduces modulo Phi_order
+        return _scalar(order, _spread(self._nums, order // self.order), self._den)
 
     @staticmethod
     def pair(a: "Scalar", b: "Scalar") -> tuple["Scalar", "Scalar"]:
@@ -268,22 +265,8 @@ class Scalar:
             num = other.numerator
             return _scalar(self.order, [c * num for c in self._nums],
                            self._den * other.denominator)
-        a, b = (self, other) if self.order == other.order else Scalar.pair(self, other)
-        an, bn = a._nums, b._nums
-        if len(an) == 1:
-            return _scalar(a.order, [an[0] * bn[0]], a._den * b._den)
-        if not any(an[1:]):
-            r = an[0]
-            return _scalar(a.order, [r * y for y in bn], a._den * b._den)
-        if not any(bn[1:]):
-            r = bn[0]
-            return _scalar(a.order, [x * r for x in an], a._den * b._den)
-        out = [0] * (2 * len(an) - 1)
-        for i, x in enumerate(an):
-            if x:
-                for j, y in enumerate(bn, i):
-                    out[j] += x * y
-        return _scalar(a.order, out, a._den * b._den)
+        n = self.order
+        return _product(self, other, n if n == other.order else math.lcm(n, other.order))
 
     __rmul__ = __mul__
 
@@ -394,6 +377,166 @@ class Scalar:
 _set_order = Scalar.order.__set__
 _set_nums = Scalar._nums.__set__
 _set_den = Scalar._den.__set__
+
+
+# ---------------------------------------------------------------------------
+# dense polynomials over Q(zeta_N): the product and the division with
+# remainder of coefficient tuples (ascending, Scalars).  Each output
+# coefficient is summed as one integer vector over one denominator, reduced
+# modulo Phi once and built as one Scalar, never as a chain of Scalar sums.
+#
+# Field orders are those of the coefficient loops these replace, in which
+# each output starts at the zero coefficient czero (a product) or at the
+# dividend's coefficient (a remainder) and adds each contribution a Scalar
+# operation at a time: an output lives in the lcm of the orders of every
+# Scalar that reaches it.  A representation in one field is unique, so the
+# sum is the same Scalar, byte for byte, however it is computed.  Mixed
+# orders promote here, zeta_m -> zeta_n^(n/m), with powers spread and Phi_n
+# reduced once at the end.
+
+
+def _terms(x: Scalar, scale: int) -> list:
+    """(power, scale * numerator) for each nonzero numerator of x."""
+    return [(k, c * scale) for k, c in enumerate(x._nums) if c]
+
+
+def _spread(nums, step: int):
+    """The powers of zeta_m as powers of zeta_(m*step): entry k moves to k*step."""
+    if step == 1:
+        return nums
+    out = [0] * ((len(nums) - 1) * step + 1)
+    out[::step] = nums
+    return out
+
+
+def _product(x: Scalar, y: Scalar, n: int) -> Scalar:
+    """x * y in Q(zeta_n), for n a multiple of both orders."""
+    xn, yn = x._nums, y._nums
+    den = x._den * y._den
+    if len(xn) == 1 and len(yn) == 1:
+        return _scalar(n, [xn[0] * yn[0]], den)
+    xn, yn = _spread(xn, n // x.order), _spread(yn, n // y.order)
+    if not any(xn[1:]):
+        r = xn[0]
+        return _scalar(n, [r * c for c in yn], den)
+    if not any(yn[1:]):
+        r = yn[0]
+        return _scalar(n, [c * r for c in xn], den)
+    out = [0] * (len(xn) + len(yn) - 1)
+    for i, c in enumerate(xn):
+        if c:
+            for j, d in enumerate(yn, i):
+                out[j] += c * d
+    return _scalar(n, out, den)
+
+
+def poly_mul(a: tuple, b: tuple, czero: Scalar) -> list:
+    """The coefficients of the product of sum a_i X^i and sum b_j X^j.
+
+    Output k is czero + a_i * b_j + ... over i + j = k, with zero a_i
+    skipped: it lives in the lcm of czero's order and the orders of each
+    a_i and b_j that it sums, and an output with nothing to sum is czero.
+    a and b are nonempty.
+    """
+    la, lb = len(a), len(b)
+    order = czero.order
+    lcm = math.lcm
+    if la == 1:
+        x = a[0]
+        return [_product(x, y, lcm(order, x.order, y.order)) for y in b]
+    if lb == 1:
+        y = b[0]
+        return [_product(x, y, lcm(order, x.order, y.order)) if any(x._nums) else czero
+                for x in a]
+    den_a = lcm(*[x._den for x in a])
+    den_b = lcm(*[y._den for y in b])
+    den = den_a * den_b
+    ta = [_terms(x, den_a // x._den) for x in a]
+    tb = [_terms(y, den_b // y._den) for y in b]
+    if all(x.order == order for x in a) and all(y.order == order for y in b):
+        # one field: every output, even one with nothing to sum, is in it
+        width = 2 * euler_phi(order) - 1
+        flat = [0] * ((la + lb - 1) * width)
+        for i, xs in enumerate(ta):
+            if xs:
+                for j, ys in enumerate(tb, i):
+                    base = j * width
+                    for e, c in xs:
+                        for f, d in ys:
+                            flat[base + e + f] += c * d
+        return [_scalar(order, flat[k:k + width], den) for k in range(0, len(flat), width)]
+    out = []
+    for k in range(la + lb - 1):
+        pairs = [(a[i].order, ta[i], b[k - i].order, tb[k - i])
+                 for i in range(max(0, k - lb + 1), min(k, la - 1) + 1) if ta[i]]
+        if not pairs:
+            out.append(czero)
+            continue
+        n = lcm(order, *[p[0] for p in pairs], *[p[2] for p in pairs])
+        vec = [0] * (2 * n - 1)
+        for oa, xs, ob, ys in pairs:
+            sa, sb = n // oa, n // ob
+            for e, c in xs:
+                e *= sa
+                for f, d in ys:
+                    vec[e + f * sb] += c * d
+        out.append(_scalar(n, vec, den))
+    return out
+
+
+def poly_divmod(s: tuple, d: tuple) -> tuple[list, list]:
+    """Quotient and remainder coefficients of sum s_i X^i by sum d_i X^i.
+
+    This is long division from the top, each quotient coefficient the
+    running remainder's top coefficient times 1/lead: remainder position
+    j is s_j minus c_k * d_(j-k) for each nonzero quotient coefficient c_k
+    before it, and lives in the lcm of the orders of s_j and of every c_k
+    and d_(j-k) it subtracts; c_k lives in the lcm of its top position's
+    order and the leading coefficient's.  d is nonempty with d[-1] != 0.
+    """
+    ls, ld = len(s), len(d)
+    nq = max(ls - ld + 1, 0)
+    lead = d[-1]
+    inv = None if lead.is_one() else lead.inv()
+    den_d = math.lcm(*[y._den for y in d])
+    td = [_terms(y, den_d // y._den) for y in d]
+    quot = [None] * nq
+    tq = [None] * nq  # numerator terms of each quotient coefficient
+    rem = []
+    for j in range(ls - 1, -1, -1):
+        k = j - ld + 1  # the quotient coefficient read off position j, if k >= 0
+        pairs = [kk for kk in range(max(k + 1, 0), min(j, nq - 1) + 1) if tq[kk]]
+        sj = s[j]
+        n = math.lcm(sj.order, *[quot[kk].order for kk in pairs],
+                     *[d[j - kk].order for kk in pairs])
+        if k >= 0:
+            n = math.lcm(n, lead.order)
+        elif not pairs:
+            rem.append(sj)
+            continue
+        # the running remainder at j, in Q(zeta_n), over the denominator den
+        den = math.lcm(sj._den, den_d * math.lcm(*[quot[kk]._den for kk in pairs]))
+        vec = [0] * (2 * n - 1)
+        step, scale = n // sj.order, den // sj._den
+        for e, c in enumerate(sj._nums):
+            vec[e * step] = c * scale
+        for kk in pairs:
+            c_k, i = quot[kk], j - kk
+            sq, sd = n // c_k.order, n // d[i].order
+            scale = den // (c_k._den * den_d)
+            for e, c in tq[kk]:
+                e *= sq
+                c *= scale
+                for f, g in td[i]:
+                    vec[e + f * sd] -= c * g
+        r = _scalar(n, vec, den)
+        if k < 0:
+            rem.append(r)
+            continue
+        c_k = quot[k] = r if inv is None else _product(r, inv, n)
+        tq[k] = _terms(c_k, 1)
+    rem.reverse()
+    return quot, rem
 
 
 def rational(q) -> Scalar:

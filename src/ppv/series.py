@@ -176,6 +176,19 @@ class TruncLaurent:
         object.__setattr__(self, "coeffs", clean)
         object.__setattr__(self, "trunc", trunc)
 
+    @classmethod
+    def from_nonzero(cls, var: str, coeffs: dict, trunc=INF) -> "TruncLaurent":
+        """The series whose coefficients the caller knows are nonzero.
+
+        Orders at or past trunc are dropped as in the constructor, but no
+        coefficient is tested for zero.
+        """
+        out = object.__new__(cls)
+        object.__setattr__(out, "var", var)
+        object.__setattr__(out, "coeffs", {n: c for n, c in coeffs.items() if n < trunc})
+        object.__setattr__(out, "trunc", trunc)
+        return out
+
     def __setattr__(self, *a):
         raise AttributeError("TruncLaurent is immutable")
 
@@ -258,7 +271,7 @@ class TruncLaurent:
     def deriv(self) -> "TruncLaurent":
         """d/dvar, term by term; one order of validity is lost."""
         out = {n - 1: c * n for n, c in self.coeffs.items() if n != 0}
-        return TruncLaurent(self.var, out, self.trunc - 1)
+        return TruncLaurent.from_nonzero(self.var, out, self.trunc - 1)
 
     def dx(self) -> "TruncLaurent":
         # k((t)) consists of d/dx-constants; the unknown tail dies too
@@ -421,7 +434,7 @@ class TwoVarLaurent:
                                 del cur[k]
                                 continue
                         cur[k] = c
-        return TwoVarLaurent(self.q, {n: TruncLaurent(var, cur, inner)
+        return TwoVarLaurent(self.q, {n: TruncLaurent.from_nonzero(var, cur, inner)
                                       for n, (var, cur, inner) in sums.items()}, trunc)
 
     def scale(self, c) -> "TwoVarLaurent":

@@ -1,7 +1,10 @@
+import contextlib
+import json
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ppv import jsonio
 from ppv.errors import CoefficientFieldMismatch
@@ -16,7 +19,7 @@ from ppv.rationals import (
     t_var,
     x_var,
 )
-from ppv.scalars import Scalar, rational
+from ppv.scalars import Scalar, euler_phi, rational
 
 
 def test_poly_divmod_exact():
@@ -333,3 +336,150 @@ def test_no_certificate_where_the_image_fails():
         # the reduction falls back to the exact gcd and is still right
         for label, got, want in _reference_results(RatFunc(f, g), RatFunc(g, f)):
             assert jsonio.encode(got) == jsonio.encode(want), label
+
+
+# The integer-vector kernel for products and division over Q(zeta_N),
+# against the coefficient loops it replaced, kept here as references.  Each
+# loop output starts at czero (a product) or at the dividend's coefficient
+# and adds one Scalar at a time, so it lands in the lcm of the orders of
+# everything that reached it; the kernel must write every coefficient in
+# that same field.
+
+
+def _reference_mul(p, q):
+    if not isinstance(q, Poly):
+        q = Poly.constant(p.var, p.czero.one_like() * q)
+    if p.is_zero() or q.is_zero():
+        return p.zero_like()
+    out = [p.czero] * (len(p.coeffs) + len(q.coeffs) - 1)
+    for i, a in enumerate(p.coeffs):
+        if a.is_zero():
+            continue
+        for j, b in enumerate(q.coeffs):
+            out[i + j] = out[i + j] + a * b
+    return p._new(out)
+
+
+def _reference_divmod(p, d):
+    rem = list(p.coeffs)
+    dn = len(d.coeffs)
+    lead_inv = d.leading().one_like() / d.leading()
+    q = [p.czero] * max(len(rem) - dn + 1, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c = rem[k + dn - 1] * lead_inv
+        q[k] = c
+        if not c.is_zero():
+            for i, b in enumerate(d.coeffs):
+                rem[k + i] = rem[k + i] - c * b
+    return p._new(q), p._new(rem[: dn - 1])
+
+
+@contextlib.contextmanager
+def _reference_loops():
+    """Run Poly products and division on the reference loops at every level."""
+    saved = Poly.__mul__, Poly.divmod
+    Poly.__mul__ = Poly.__rmul__ = _reference_mul
+    Poly.divmod = _reference_divmod
+    try:
+        yield
+    finally:
+        Poly.__mul__ = Poly.__rmul__ = saved[0]
+        Poly.divmod = saved[1]
+
+
+def _exact(value) -> str:
+    """The JSON of value, with every czero beneath it: the JSON drops the
+    czero of a nonzero polynomial, but later arithmetic reads its order."""
+
+    def czeros(v):
+        if isinstance(v, Poly):
+            return [jsonio.encode(v.czero), [czeros(c) for c in v.coeffs]]
+        if isinstance(v, RatFunc):
+            return [czeros(v.num), czeros(v.den)]
+        return None
+
+    return json.dumps([jsonio.encode(value), czeros(value)])
+
+
+_ORDERS = (1, 3, 4, 8, 12)
+_small = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3))
+
+
+@st.composite
+def _scalars(draw, orders=_ORDERS):
+    """A zero, a rational or a general element of Q(zeta_N), N drawn from orders."""
+    order = draw(st.sampled_from(orders))
+    kind = draw(st.sampled_from(("zero", "rational", "general")))
+    if kind == "zero":
+        return Scalar(order, [])
+    if kind == "rational":
+        return Scalar(order, [draw(_small)])
+    return Scalar(order, draw(st.lists(_small, min_size=euler_phi(order),
+                                       max_size=euler_phi(order))))
+
+
+def _t_polys(orders=_ORDERS, max_size=5):
+    return st.builds(lambda cs, zero: Poly("t", cs, zero.zero_like()),
+                     st.lists(_scalars(orders), max_size=max_size), _scalars(orders))
+
+
+# (1 + t) * (1 - t) cancels in Q(zeta_8) although no factor lives there;
+# interior zeros of several orders; czero in a field none of the factors uses
+_CANCELLING = (Poly("t", [Scalar.from_rational(1, 8), rational(1)], Scalar(3, [])),
+               Poly("t", [rational(1), Scalar.from_rational(-1, 4)], Scalar(1, [])))
+_INTERIOR = (Poly("t", [Scalar(12, [1, 1]), Scalar(8, []), Scalar(4, []), rational(2)],
+                  Scalar(1, [])),
+             Poly("t", [rational(3), Scalar(3, []), Scalar(8, [0, 1])], Scalar(12, [])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_t_polys(), _t_polys())
+@example(*_CANCELLING)
+@example(*_INTERIOR)
+@example(_INTERIOR[0], Poly("t", [Scalar(4, [1])], Scalar(3, [])))
+def test_t_level_product_matches_the_coefficient_loop(p, q):
+    with _reference_loops():
+        want = _exact(p * q)
+    assert _exact(p * q) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(_t_polys(max_size=6), _t_polys(), st.booleans())
+@example(*_INTERIOR, False)
+@example(*_CANCELLING, False)
+def test_t_level_division_matches_the_coefficient_loop(p, d, monic):
+    if d.is_zero():
+        return
+    if monic:
+        d = d.monic()
+    with _reference_loops():
+        want = [_exact(x) for x in p.divmod(d)]
+    assert [_exact(x) for x in p.divmod(d)] == want
+
+
+@st.composite
+def _k_elements(draw, orders):
+    """num/den in K with every Scalar drawn from orders, the zero coefficient too."""
+    zero = draw(_scalars(orders)).zero_like()
+    num = Poly("t", draw(st.lists(_scalars(orders), max_size=3)), zero)
+    den = Poly("t", draw(st.lists(_scalars(orders), max_size=2))
+               + [draw(_scalars(orders).filter(bool))], zero)
+    return RatFunc(num, den)
+
+
+@st.composite
+def _x_polys(draw):
+    """A polynomial in x over K: every Scalar in one field, or in several."""
+    orders = draw(st.sampled_from([(1,), (8,), (3,), (1, 8), (1, 3, 4), _ORDERS]))
+    zero = draw(_k_elements(draw(st.sampled_from([orders, _ORDERS])))).zero_like()
+    return Poly("x", draw(st.lists(_k_elements(orders), max_size=3)), zero)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_x_polys(), _x_polys())
+# czero + p promotes p from Q to Q(zeta_8), so czero cannot be skipped
+@example(Poly("x", [k_const(1)], k_const(0, 8)), Poly("x", [k_const(2), k_const(1)]))
+def test_x_level_product_matches_the_coefficient_loop(p, q):
+    with _reference_loops():
+        want = _exact(p * q)
+    assert _exact(p * q) == want
