@@ -498,43 +498,40 @@ def poly_divmod(s: tuple, d: tuple) -> tuple[list, list]:
     nq = max(ls - ld + 1, 0)
     lead = d[-1]
     inv = None if lead.is_one() else lead.inv()
-    den_d = math.lcm(*[y._den for y in d])
-    td = [_terms(y, den_d // y._den) for y in d]
+    lcm = math.lcm
+    den_d = lcm(*[y._den for y in d])
+    td = [(y.order, _terms(y, den_d // y._den)) for y in d]
     quot = [None] * nq
-    tq = [None] * nq  # numerator terms of each quotient coefficient
+    tq = [None] * nq  # (order, denominator, numerator terms) of each nonzero c_k
     rem = []
     for j in range(ls - 1, -1, -1):
         k = j - ld + 1  # the quotient coefficient read off position j, if k >= 0
-        pairs = [kk for kk in range(max(k + 1, 0), min(j, nq - 1) + 1) if tq[kk]]
         sj = s[j]
-        n = math.lcm(sj.order, *[quot[kk].order for kk in pairs],
-                     *[d[j - kk].order for kk in pairs])
-        if k >= 0:
-            n = math.lcm(n, lead.order)
-        elif not pairs:
-            rem.append(sj)
-            continue
-        # the running remainder at j, in Q(zeta_n), over the denominator den
-        den = math.lcm(sj._den, den_d * math.lcm(*[quot[kk]._den for kk in pairs]))
-        vec = [0] * (2 * n - 1)
-        step, scale = n // sj.order, den // sj._den
-        for e, c in enumerate(sj._nums):
-            vec[e * step] = c * scale
-        for kk in pairs:
-            c_k, i = quot[kk], j - kk
-            sq, sd = n // c_k.order, n // d[i].order
-            scale = den // (c_k._den * den_d)
-            for e, c in tq[kk]:
-                e *= sq
-                c *= scale
-                for f, g in td[i]:
-                    vec[e + f * sd] -= c * g
-        r = _scalar(n, vec, den)
+        n = sj.order if k < 0 else lcm(sj.order, lead.order)
+        pairs = [(tq[kk], td[j - kk]) for kk in range(max(k + 1, 0), min(j, nq - 1) + 1)
+                 if tq[kk]]
+        if pairs:
+            # the running remainder at j, in Q(zeta_n), over the denominator den
+            n = lcm(n, *[c[0] for c, _ in pairs], *[y[0] for _, y in pairs])
+            den = lcm(sj._den, den_d * lcm(*[c[1] for c, _ in pairs]))
+            vec = _spread([c * (den // sj._den) for c in sj._nums], n // sj.order)
+            vec += [0] * (2 * n - 1 - len(vec))
+            for (oc, dc, cs), (od, ds) in pairs:
+                sc, sd, scale = n // oc, n // od, den // (dc * den_d)
+                for e, c in cs:
+                    e *= sc
+                    c *= scale
+                    for f, g in ds:
+                        vec[e + f * sd] -= c * g
+            r = _scalar(n, vec, den)
+        else:
+            r = sj.promote(n)
         if k < 0:
             rem.append(r)
             continue
         c_k = quot[k] = r if inv is None else _product(r, inv, n)
-        tq[k] = _terms(c_k, 1)
+        if any(c_k._nums):
+            tq[k] = (n, c_k._den, _terms(c_k, 1))
     rem.reverse()
     return quot, rem
 
