@@ -10,6 +10,20 @@ decides how the two derivations act:
 
 so x is dt-constant and t is dx-constant, as required of commuting
 derivations on K(x).
+
+Field orders.  Each Scalar is written in its own field Q(zeta_N), and N
+reaches the JSON, so every result's field is part of its output.  A result
+lives in the lcm of the orders of everything it reads.  For a Scalar sum or
+product these are the two operands.  Coefficient k of a product p * q reads
+p.czero and each a_i * b_j with i + j = k and a_i != 0.  A remainder
+coefficient of p.divmod(d) reads its coefficient of p and each c * d_i that
+long division subtracts from it, for every nonzero quotient coefficient c.
+A quotient coefficient reads its running remainder and d's leading
+coefficient.  Over scalars, scalars.poly_mul and scalars.poly_divmod sum
+each output as one integer vector in exactly that field.  Over K, a product
+starts each output at its first term and adds czero to it first, as the
+loop did, unless all the Scalars of czero and of that term share one
+order: then the sum would change no byte.
 """
 
 from __future__ import annotations
@@ -448,10 +462,11 @@ class RatFunc:
     factor shared by b and d (or by a and d) divides the new numerator and
     denominator too.  The full reduction is taken unchanged rather than
     dividing the parts first: the JSON keeps each coefficient's field
-    order, which follows the operand order of every product, so only the
-    full reduction keeps the output byte for byte what it was.  A
-    certificate skips a gcd only when it would be 1, and a gcd of 1 divides
-    nothing, so the certificates change no output.
+    order, which follows the operands of every product and division (the
+    rule in the module docstring), so only the full reduction keeps the
+    output byte for byte what it was.  A certificate skips a gcd only when
+    it would be 1, and a gcd of 1 divides nothing, so the certificates
+    change no output.
     """
 
     __slots__ = ("num", "den")

@@ -7,7 +7,9 @@ one field have equal fields.  Phi_N is monic with integer coefficients,
 so reduction stays in integers, and the inverse is the extended Euclidean
 algorithm modulo Phi_N on integer vectors.  N = 1 gives plain rationals.
 Scalars are the constants of every ring in this package: both
-derivations vanish on them.
+derivations vanish on them.  The kernel of dense polynomials over Q(zeta_N)
+lives here too, beside the representation: poly_mul and poly_divmod build
+each output coefficient of a product or a division from one integer vector.
 """
 
 from __future__ import annotations
@@ -383,16 +385,11 @@ _set_den = Scalar._den.__set__
 # dense polynomials over Q(zeta_N): the product and the division with
 # remainder of coefficient tuples (ascending, Scalars).  Each output
 # coefficient is summed as one integer vector over one denominator, reduced
-# modulo Phi once and built as one Scalar, never as a chain of Scalar sums.
-#
-# Field orders are those of the coefficient loops these replace, in which
-# each output starts at the zero coefficient czero (a product) or at the
-# dividend's coefficient (a remainder) and adds each contribution a Scalar
-# operation at a time: an output lives in the lcm of the orders of every
-# Scalar that reaches it.  A representation in one field is unique, so the
-# sum is the same Scalar, byte for byte, however it is computed.  Mixed
-# orders promote here, zeta_m -> zeta_n^(n/m), with powers spread and Phi_n
-# reduced once at the end.
+# modulo Phi once and built as one Scalar, in the field that the
+# coefficient-by-coefficient loop reached (the rule is in the rationals
+# module docstring).  A value has one representation in one field, so the
+# output is that loop's Scalar byte for byte.  Mixed orders promote here:
+# zeta_m = zeta_n^(n/m), so the powers of an order-m operand spread by n/m.
 
 
 def _terms(x: Scalar, scale: int) -> list:
@@ -400,10 +397,8 @@ def _terms(x: Scalar, scale: int) -> list:
     return [(k, c * scale) for k, c in enumerate(x._nums) if c]
 
 
-def _spread(nums, step: int):
+def _spread(nums, step: int) -> list:
     """The powers of zeta_m as powers of zeta_(m*step): entry k moves to k*step."""
-    if step == 1:
-        return nums
     out = [0] * ((len(nums) - 1) * step + 1)
     out[::step] = nums
     return out
@@ -415,7 +410,10 @@ def _product(x: Scalar, y: Scalar, n: int) -> Scalar:
     den = x._den * y._den
     if len(xn) == 1 and len(yn) == 1:
         return _scalar(n, [xn[0] * yn[0]], den)
-    xn, yn = _spread(xn, n // x.order), _spread(yn, n // y.order)
+    if x.order != n:
+        xn = _spread(xn, n // x.order)
+    if y.order != n:
+        yn = _spread(yn, n // y.order)
     if not any(xn[1:]):
         r = xn[0]
         return _scalar(n, [r * c for c in yn], den)
@@ -487,12 +485,13 @@ def poly_mul(a: tuple, b: tuple, czero: Scalar) -> list:
 def poly_divmod(s: tuple, d: tuple) -> tuple[list, list]:
     """Quotient and remainder coefficients of sum s_i X^i by sum d_i X^i.
 
-    This is long division from the top, each quotient coefficient the
-    running remainder's top coefficient times 1/lead: remainder position
+    This is long division from the top.  The running remainder at position
     j is s_j minus c_k * d_(j-k) for each nonzero quotient coefficient c_k
-    before it, and lives in the lcm of the orders of s_j and of every c_k
-    and d_(j-k) it subtracts; c_k lives in the lcm of its top position's
-    order and the leading coefficient's.  d is nonempty with d[-1] != 0.
+    above it, one integer vector in the lcm of the orders of s_j and of
+    every c_k and d_(j-k) it subtracts.  At a top position it gives the
+    quotient coefficient, times 1/lead in the lcm with the leading
+    coefficient's order (one more Scalar unless lead is 1).  d is nonempty
+    with d[-1] != 0.
     """
     ls, ld = len(s), len(d)
     nq = max(ls - ld + 1, 0)
