@@ -483,3 +483,17 @@ def test_x_level_product_matches_the_coefficient_loop(p, q):
     with _reference_loops():
         want = _exact(p * q)
     assert _exact(p * q) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(_x_polys(), _x_polys(), st.booleans())
+# 1/lead = 1 in Q(zeta_8), the top of the remainder in Q: the product promotes it
+@example(Poly("x", [k_const(1), k_const(2)]), Poly("x", [k_const(3, 8), k_const(1, 8)]), False)
+def test_x_level_division_matches_the_coefficient_loop(p, d, monic):
+    if d.is_zero():
+        return
+    if monic:
+        d = d.monic()
+    with _reference_loops():
+        want = [_exact(x) for x in p.divmod(d)]
+    assert [_exact(x) for x in p.divmod(d)] == want
