@@ -10,6 +10,7 @@ from ppv import jsonio
 from ppv.errors import CoefficientFieldMismatch
 from ppv.rationals import (
     _T0,
+    _as_coeff,
     Poly,
     RatFunc,
     _coprime,
@@ -348,7 +349,7 @@ def test_no_certificate_where_the_image_fails():
 
 def _reference_mul(p, q):
     if not isinstance(q, Poly):
-        q = Poly.constant(p.var, p.czero.one_like() * q)
+        q = Poly.constant(p.var, _as_coeff(p.czero.one_like(), q))
     if p.is_zero() or q.is_zero():
         return p.zero_like()
     out = [p.czero] * (len(p.coeffs) + len(q.coeffs) - 1)
