@@ -261,9 +261,11 @@ def twisted_transport(zeta_e: Scalar, e: int, n: int, act_coeff, elem: TwoVarLau
     Sends sum a_ij (z - q_src)^j t^i to sum zeta^(n(i-j)) act(a_ij) (z - q_target)^j t^i.
     Exposed separately so the twist formula itself can be exercised (and
     mutated) against independently chosen source and target points.
-    zeta_e is a root of unity and act_coeff a field automorphism, so every
+    zeta_e must be nonzero and act_coeff a field automorphism, so every
     stored coefficient maps to a nonzero one.
     """
+    if zeta_e.is_zero():
+        raise ValueError("the twist root must be nonzero")
     twist = [zeta_e**k for k in range(e)]
     out = {}
     for i, inner in elem.coeffs.items():
@@ -343,7 +345,7 @@ def twist_mutation_detected(gd: GaloisDatum, g: GammaElement, bad_zeta: Scalar,
     Runs the raw transport formula with bad_zeta between the true source
     and target points of g and reports whether at least one sample fails
     to commute with dt0; the transcript passes when the corruption is
-    detected.
+    detected.  bad_zeta must be nonzero (see twisted_transport).
     """
     tr = _sampled_commutation(
         "corrupted twist root detected by dt0-commutation", gd, g,

@@ -23,8 +23,7 @@ coefficient.  Over scalars, scalars.poly_mul and scalars.poly_divmod sum
 each output as one integer vector in exactly that field.  Over K, a product
 starts each output at its first term and adds czero to it first, as the
 loop did, unless all the Scalars of czero and of that term share one
-order: then the sum would change no byte.  Division over K skips, for the
-same reason, the product by 1/lead = 1 where it would promote nothing.
+order: then the sum would change no byte.
 """
 
 from __future__ import annotations
@@ -130,9 +129,8 @@ def _monic(a):
 def _field_order(c):
     """The one order of every Scalar of the K-element c, zeros included, else None.
 
-    When a and b have the same field order, a zero a gives a + b = b and a
-    one b gives a * b = a byte for byte: the operation promotes nothing and
-    keeps equal zeros.
+    When a and b have the same field order, a zero a gives a + b = b byte
+    for byte: the sum promotes nothing and keeps equal zeros.
     """
     if not isinstance(c, RatFunc):
         return None
@@ -242,13 +240,9 @@ class Poly:
         rem = list(self.coeffs)
         dn = len(other.coeffs)
         lead_inv = other.leading().one_like() / other.leading()
-        # times 1 changes no byte where both factors have one field order
-        order = _field_order(lead_inv) if lead_inv.is_one() else None
         q = [self.czero] * max(len(rem) - dn + 1, 0)
         for k in range(len(q) - 1, -1, -1):
-            c = rem[k + dn - 1]
-            if order is None or _field_order(c) != order:
-                c = c * lead_inv
+            c = rem[k + dn - 1] * lead_inv
             q[k] = c
             if not c.is_zero():
                 # the top position cancels, and nothing reads it again

@@ -451,30 +451,19 @@ def poly_mul(a: tuple, b: tuple, czero: Scalar) -> list:
     den = den_a * den_b
     ta = [_terms(x, den_a // x._den) for x in a]
     tb = [_terms(y, den_b // y._den) for y in b]
-    if all(x.order == order for x in a) and all(y.order == order for y in b):
-        # one field: every output, even one with nothing to sum, is in it
-        width = 2 * euler_phi(order) - 1
-        flat = [0] * ((la + lb - 1) * width)
-        for i, xs in enumerate(ta):
-            if xs:
-                for j, ys in enumerate(tb, i):
-                    base = j * width
-                    for e, c in xs:
-                        for f, d in ys:
-                            flat[base + e + f] += c * d
-        return [_scalar(order, flat[k:k + width], den) for k in range(0, len(flat), width)]
+    oa, ob = [x.order for x in a], [y.order for y in b]
+    one_field = oa.count(order) == la and ob.count(order) == lb
     out = []
     for k in range(la + lb - 1):
-        pairs = [(a[i].order, ta[i], b[k - i].order, tb[k - i])
-                 for i in range(max(0, k - lb + 1), min(k, la - 1) + 1) if ta[i]]
-        if not pairs:
+        idx = [i for i in range(max(0, k - lb + 1), min(k, la - 1) + 1) if ta[i]]
+        if not idx:
             out.append(czero)
             continue
-        n = lcm(order, *[p[0] for p in pairs], *[p[2] for p in pairs])
+        n = order if one_field else lcm(order, *[oa[i] for i in idx], *[ob[k - i] for i in idx])
         vec = [0] * (2 * n - 1)
-        for oa, xs, ob, ys in pairs:
-            sa, sb = n // oa, n // ob
-            for e, c in xs:
+        for i in idx:
+            sa, sb, ys = n // oa[i], n // ob[k - i], tb[k - i]
+            for e, c in ta[i]:
                 e *= sa
                 for f, d in ys:
                     vec[e + f * sb] += c * d

@@ -269,6 +269,12 @@ def test_mutation_detection(gd2, sigma):
     assert twist_mutation_detected(gd4, sig4, gd4.zeta_e**2, samples=10, order=10, seed=5).passed
 
 
+def test_mutation_oracle_refuses_a_zero_twist_root(gd2, sigma):
+    # a zero root would store zero coefficients in the transported series
+    with pytest.raises(ValueError, match="twist root must be nonzero"):
+        twist_mutation_detected(gd2, sigma, rational(0), samples=2, order=6, seed=5)
+
+
 def test_corrupted_datum_degenerates_orbits(gd2):
     bad = replace(gd2, zeta_e=rational(1))
     with pytest.raises(VerificationFailed):
