@@ -131,11 +131,6 @@ class GaloisDatum:
     def order(self) -> int:
         return len(self.elements)
 
-    def expected_order(self) -> int:
-        from .scalars import euler_phi
-
-        return euler_phi(self.field_order) // euler_phi(self.base_order) * self.e
-
     # -- actions -----------------------------------------------------------
 
     def act_scalar(self, g: GammaElement, s: Scalar) -> Scalar:

@@ -150,9 +150,9 @@ def _plain(name: str, test, dec=None) -> _Kind:
 
 
 def _dec_bounded(node, path):
-    """A cyclotomic order or ramification index from input, refused past the bound."""
-    if _INT.dec(node, path) > _MAX_INPUT_ORDER:
-        raise DecodeError("%s %d is beyond the bound %d" % (path, node, _MAX_INPUT_ORDER))
+    """A cyclotomic order or ramification index from input, refused outside 1.._MAX_INPUT_ORDER."""
+    if not 1 <= _INT.dec(node, path) <= _MAX_INPUT_ORDER:
+        raise DecodeError("%s %d is outside 1..%d" % (path, node, _MAX_INPUT_ORDER))
     return node
 
 

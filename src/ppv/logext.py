@@ -39,12 +39,6 @@ class LogExtElem:
     def __setattr__(self, *a):
         raise AttributeError("LogExtElem is immutable")
 
-    @classmethod
-    def log_term(cls, beta: RatFunc, coeff: RatFunc) -> "LogExtElem":
-        """coeff * log(x - beta)."""
-        zero_tail = f_const(coeff.zero_like())
-        return cls(zero_tail, {beta: coeff})
-
     def zero_like(self) -> "LogExtElem":
         return LogExtElem(self.tail.zero_like())
 

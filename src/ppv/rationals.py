@@ -12,18 +12,20 @@ so x is dt-constant and t is dx-constant, as required of commuting
 derivations on K(x).
 
 Field orders.  Each Scalar is written in its own field Q(zeta_N), and N
-reaches the JSON, so every result's field is part of its output.  A result
-lives in the lcm of the orders of everything it reads.  For a Scalar sum or
-product these are the two operands.  Coefficient k of a product p * q reads
-p.czero and each a_i * b_j with i + j = k and a_i != 0.  A remainder
-coefficient of p.divmod(d) reads its coefficient of p and each c * d_i that
-long division subtracts from it, for every nonzero quotient coefficient c.
-A quotient coefficient reads its running remainder and d's leading
-coefficient.  Over scalars, scalars.poly_mul and scalars.poly_divmod sum
-each output as one integer vector in exactly that field.  Over K, a product
-starts each output at its first term and adds czero to it first, as the
-loop did, unless all the Scalars of czero and of that term share one
-order: then the sum would change no byte.
+reaches the JSON, so every result's field is part of its output.  The
+coefficient-by-coefficient loops of Poly.__mul__ and Poly.divmod state the
+rule: a product's coefficient k is czero + a_i * b_j + ... over i + j = k
+with zero a_i skipped, a division subtracts c * d_i from the running
+remainder for each nonzero quotient coefficient c, and each Scalar sum or
+product lands in the lcm of its operands' orders.  Every faster path is
+taken only where it cannot change a field: when every Scalar the loop reads
+has one order (_orders: the coefficients with the zeros beneath them, and a
+product's czero), arithmetic stays in that field, and a field has one
+representation per value.  Then a product over scalars or a division goes
+to scalars.poly_mul or scalars.poly_divmod, and a product over K starts
+each output at its first term instead of at czero.  A product over scalars
+with a one-coefficient factor goes to poly_mul in any fields: it takes each
+output's lcm itself.
 """
 
 from __future__ import annotations
@@ -126,17 +128,17 @@ def _monic(a):
     return a.scale(lead.one_like() / lead)
 
 
-def _field_order(c):
-    """The one order of every Scalar of the K-element c, zeros included, else None.
-
-    When a and b have the same field order, a zero a gives a + b = b byte
-    for byte: the sum promotes nothing and keeps equal zeros.
-    """
-    if not isinstance(c, RatFunc):
-        return None
-    orders = {getattr(x, "order", None)
-              for x in (c.num.czero, *c.num.coeffs, c.den.czero, *c.den.coeffs)}
-    return orders.pop() if len(orders) == 1 else None
+def _orders(*values) -> set:
+    """The order of every Scalar beneath the values (Scalars, Polys, RatFuncs), zeros included."""
+    out = set()
+    for v in values:
+        if isinstance(v, Scalar):
+            out.add(v.order)
+        elif isinstance(v, Poly):
+            out |= _orders(v.czero, *v.coeffs)
+        elif isinstance(v, RatFunc):
+            out |= _orders(v.num, v.den)
+    return out
 
 
 def _euclid(a, b, divide):
@@ -208,24 +210,21 @@ class Poly:
         if self.is_zero() or other.is_zero():
             return self.zero_like()
         zero = self.czero
-        if isinstance(zero, Scalar) and isinstance(other.czero, Scalar):
+        scalars = isinstance(zero, Scalar) and isinstance(other.czero, Scalar)
+        if scalars and (len(self.coeffs) == 1 or len(other.coeffs) == 1):
             return self._new(poly_mul(self.coeffs, other.coeffs, zero))
-        # each output starts at its first product; czero goes in first only
-        # where it could change the product's field orders (see _field_order)
-        order = _field_order(zero)
-        out = [None] * (len(self.coeffs) + len(other.coeffs) - 1)
+        one_field = len(_orders(zero, *self.coeffs, *other.coeffs)) == 1
+        if scalars and one_field:
+            return self._new(poly_mul(self.coeffs, other.coeffs, zero))
+        # the loop; in one field czero + p is p, so each output starts at its first product
+        start = None if one_field else zero
+        out = [start] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a.is_zero():
                 continue
             for j, b in enumerate(other.coeffs, i):
-                p = a * b
                 cur = out[j]
-                if cur is not None:
-                    out[j] = cur + p
-                elif order is not None and _field_order(p) == order:
-                    out[j] = p
-                else:
-                    out[j] = zero + p
+                out[j] = a * b if cur is None else cur + a * b
         return self._new([zero if c is None else c for c in out])
 
     __rmul__ = __mul__
@@ -234,7 +233,9 @@ class Poly:
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        if isinstance(self.czero, Scalar) and isinstance(other.czero, Scalar):
+        # the division reads no czero
+        if (isinstance(self.czero, Scalar) and isinstance(other.czero, Scalar)
+                and len(_orders(*self.coeffs, *other.coeffs)) == 1):
             q, r = poly_divmod(self.coeffs, other.coeffs)
             return self._new(q), self._new(r)
         rem = list(self.coeffs)
@@ -369,14 +370,6 @@ def _mod_coprime(f: list, g: list, p: int) -> bool:
     return len(f) == 1
 
 
-def _scalar_orders(c, out: set):
-    if isinstance(c, Scalar):
-        out.add(c.order)
-    elif isinstance(c, RatFunc):
-        for s in c.num.coeffs + c.den.coeffs:
-            _scalar_orders(s, out)
-
-
 def _coeff_image(c, p: int, roots: dict):
     """c in F_p, or None when a denominator vanishes there or c has another type."""
     if isinstance(c, Scalar):
@@ -414,9 +407,7 @@ def _coprime(f: "Poly", g: "Poly") -> bool:
     """
     if f.degree() == 0 or g.degree() == 0:
         return True
-    orders = set()
-    for c in f.coeffs + g.coeffs:
-        _scalar_orders(c, orders)
+    orders = _orders(f, g)
     order = math.lcm(*orders)
     p, w = _prime_field(order)
     roots = {n: pow(w, order // n, p) for n in orders}

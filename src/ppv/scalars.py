@@ -385,11 +385,11 @@ _set_den = Scalar._den.__set__
 # dense polynomials over Q(zeta_N): the product and the division with
 # remainder of coefficient tuples (ascending, Scalars).  Each output
 # coefficient is summed as one integer vector over one denominator, reduced
-# modulo Phi once and built as one Scalar, in the field that the
-# coefficient-by-coefficient loop reached (the rule is in the rationals
-# module docstring).  A value has one representation in one field, so the
-# output is that loop's Scalar byte for byte.  Mixed orders promote here:
-# zeta_m = zeta_n^(n/m), so the powers of an order-m operand spread by n/m.
+# modulo Phi_n once and built as one Scalar.  Apart from a product with a
+# one-coefficient factor, every coefficient lies in one field Q(zeta_n): the
+# caller sends operands of mixed orders to the coefficient-by-coefficient
+# loop (rationals module docstring), and arithmetic in one field stays in
+# it, so the output is that loop's Scalar byte for byte.
 
 
 def _terms(x: Scalar, scale: int) -> list:
@@ -431,10 +431,10 @@ def _product(x: Scalar, y: Scalar, n: int) -> Scalar:
 def poly_mul(a: tuple, b: tuple, czero: Scalar) -> list:
     """The coefficients of the product of sum a_i X^i and sum b_j X^j.
 
-    Output k is czero + a_i * b_j + ... over i + j = k, with zero a_i
-    skipped: it lives in the lcm of czero's order and the orders of each
-    a_i and b_j that it sums, and an output with nothing to sum is czero.
-    a and b are nonempty.
+    With a one-coefficient factor, output k is czero + a_i * b_j in the lcm
+    of the three orders, and czero where the other factor's coefficient is
+    zero.  Otherwise every a_i, b_j and czero lie in one field.  a and b
+    are nonempty.
     """
     la, lb = len(a), len(b)
     order = czero.order
@@ -451,23 +451,16 @@ def poly_mul(a: tuple, b: tuple, czero: Scalar) -> list:
     den = den_a * den_b
     ta = [_terms(x, den_a // x._den) for x in a]
     tb = [_terms(y, den_b // y._den) for y in b]
-    oa, ob = [x.order for x in a], [y.order for y in b]
-    one_field = oa.count(order) == la and ob.count(order) == lb
+    size = 2 * euler_phi(order) - 1
     out = []
     for k in range(la + lb - 1):
-        idx = [i for i in range(max(0, k - lb + 1), min(k, la - 1) + 1) if ta[i]]
-        if not idx:
-            out.append(czero)
-            continue
-        n = order if one_field else lcm(order, *[oa[i] for i in idx], *[ob[k - i] for i in idx])
-        vec = [0] * (2 * n - 1)
-        for i in idx:
-            sa, sb, ys = n // oa[i], n // ob[k - i], tb[k - i]
+        vec = [0] * size
+        for i in range(max(0, k - lb + 1), min(k, la - 1) + 1):
+            ys = tb[k - i]
             for e, c in ta[i]:
-                e *= sa
                 for f, d in ys:
-                    vec[e + f * sb] += c * d
-        out.append(_scalar(n, vec, den))
+                    vec[e + f] += c * d
+        out.append(_scalar(order, vec, den))
     return out
 
 
@@ -476,50 +469,46 @@ def poly_divmod(s: tuple, d: tuple) -> tuple[list, list]:
 
     This is long division from the top.  The running remainder at position
     j is s_j minus c_k * d_(j-k) for each nonzero quotient coefficient c_k
-    above it, one integer vector in the lcm of the orders of s_j and of
-    every c_k and d_(j-k) it subtracts.  At a top position it gives the
-    quotient coefficient, times 1/lead in the lcm with the leading
-    coefficient's order (one more Scalar unless lead is 1).  d is nonempty
-    with d[-1] != 0.
+    above it, one integer vector.  At a top position it gives the quotient
+    coefficient, times 1/lead (one more Scalar unless lead is 1).  Every
+    s_i and d_i lies in the field of the leading coefficient lead = d[-1],
+    which is nonzero.
     """
     ls, ld = len(s), len(d)
     nq = max(ls - ld + 1, 0)
     lead = d[-1]
+    order = lead.order
     inv = None if lead.is_one() else lead.inv()
-    lcm = math.lcm
-    den_d = lcm(*[y._den for y in d])
-    td = [(y.order, _terms(y, den_d // y._den)) for y in d]
+    den_d = math.lcm(*[y._den for y in d])
+    td = [_terms(y, den_d // y._den) for y in d]
+    size = 2 * euler_phi(order) - 1
     quot = [None] * nq
-    tq = [None] * nq  # (order, denominator, numerator terms) of each nonzero c_k
+    tq = [None] * nq  # (denominator, numerator terms) of each nonzero c_k
     rem = []
     for j in range(ls - 1, -1, -1):
         k = j - ld + 1  # the quotient coefficient read off position j, if k >= 0
-        sj = s[j]
-        n = sj.order if k < 0 else lcm(sj.order, lead.order)
+        r = sj = s[j]
         pairs = [(tq[kk], td[j - kk]) for kk in range(max(k + 1, 0), min(j, nq - 1) + 1)
                  if tq[kk]]
         if pairs:
-            # the running remainder at j, in Q(zeta_n), over the denominator den
-            n = lcm(n, *[c[0] for c, _ in pairs], *[y[0] for _, y in pairs])
-            den = lcm(sj._den, den_d * lcm(*[c[1] for c, _ in pairs]))
-            vec = _spread([c * (den // sj._den) for c in sj._nums], n // sj.order)
-            vec += [0] * (2 * n - 1 - len(vec))
-            for (oc, dc, cs), (od, ds) in pairs:
-                sc, sd, scale = n // oc, n // od, den // (dc * den_d)
+            # the running remainder at j over the denominator den
+            den = math.lcm(sj._den, den_d * math.lcm(*[c[0] for c, _ in pairs]))
+            scale = den // sj._den
+            vec = [c * scale for c in sj._nums]
+            vec += [0] * (size - len(vec))
+            for (dc, cs), ds in pairs:
+                scale = den // (dc * den_d)
                 for e, c in cs:
-                    e *= sc
                     c *= scale
                     for f, g in ds:
-                        vec[e + f * sd] -= c * g
-            r = _scalar(n, vec, den)
-        else:
-            r = sj.promote(n)
+                        vec[e + f] -= c * g
+            r = _scalar(order, vec, den)
         if k < 0:
             rem.append(r)
             continue
-        c_k = quot[k] = r if inv is None else _product(r, inv, n)
+        c_k = quot[k] = r if inv is None else _product(r, inv, order)
         if any(c_k._nums):
-            tq[k] = (n, c_k._den, _terms(c_k, 1))
+            tq[k] = (c_k._den, _terms(c_k, 1))
     rem.reverse()
     return quot, rem
 

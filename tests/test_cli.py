@@ -237,6 +237,17 @@ def test_certify_refuses_a_mistyped_child_with_its_path(tmp_path, capsys, path, 
     assert code == 2 and message in err and "internal error" not in err
 
 
+@pytest.mark.parametrize("e", [0, -2])
+def test_certify_refuses_an_operator_e_below_1(tmp_path, capsys, e):
+    # e = 0 exited 3 (ZeroDivisionError) and -2 blamed the target group
+    doc = _sl2_input()
+    _set(doc, ("decomposition", 0, "group", "operator", "e"), e)
+    code, err = _certify_doc(tmp_path, capsys, doc, GaloisDatum.trivial(), "--trunc", "4",
+                             "--samples", "2")
+    assert code == 2 and "internal error" not in err
+    assert "decomposition[0].group.operator.e %d is outside 1..1024" % e in err
+
+
 def test_check_refuses_a_log_point_that_is_not_in_k(tmp_path, capsys):
     assert main(["realize", "--kind", "ga", "--op", "t*Dt - 1", "--basis", "t", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)

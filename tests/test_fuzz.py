@@ -12,7 +12,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ppv import jsonio
 from ppv.cli import main
@@ -135,15 +135,24 @@ def test_parser_refuses_zeta_orders_past_the_bound(n):
         parse_expr("zeta(%d) + 1" % n)
 
 
-@settings(max_examples=50, deadline=None)
-@given(n=past_orders, field=st.sampled_from(["order", "e", "field_order", "base_order"]))
-def test_decode_refuses_orders_past_the_bound(n, field):
+def _bounded_doc(field, n):
+    """A node whose field (a galois field, a scalar's order, an operator's e) is n."""
     if field == "order":
-        doc = {"type": "scalar", "order": n, "terms": [{"num": "1", "den": "1", "zeta_pow": [1]}]}
-    else:
-        doc = {"type": "galois", "e": 2, "field_order": 4, "base_order": 1, field: n}
-    with pytest.raises(DecodeError):
-        jsonio.decode(doc)
+        return {"type": "scalar", "order": n, "terms": [{"num": "1", "den": "1", "zeta_pow": [1]}]}
+    if field == "ore":
+        return {"type": "ore", "e": n, "coeffs": [jsonio.encode(k_const(1))]}
+    return {"type": "galois", "e": 2, "field_order": 4, "base_order": 1, field: n}
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=past_orders | st.integers(-10**12, 0),
+       field=st.sampled_from(["order", "e", "field_order", "base_order", "ore"]))
+@example(n=0, field="ore")
+@example(n=-1, field="e")
+def test_decode_refuses_orders_past_the_bound(n, field):
+    jsonio.decode(_bounded_doc(field, 2))  # inside 1..1024 the node decodes
+    with pytest.raises(DecodeError, match=r"%d is outside 1\.\.1024" % n):
+        jsonio.decode(_bounded_doc(field, n))
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +164,8 @@ def _replacements():
     w = TruncLaurent("w", {-1: Scalar.zeta(8)}, 3)
     objs = [Scalar.zeta(8) + 2, t.num, t / (t + 1), x_var(8) / (x_var(8) - f_const(t)),
             parse_operator("t*Dt - zeta(8)"), GaSub(parse_operator("Dt")), FiniteCyclic(2), w,
-            TwoVarLaurent(Scalar.zeta(8), {0: w}, 2), LogExtElem.log_term(k_const(2, 8), t),
+            TwoVarLaurent(Scalar.zeta(8), {0: w}, 2),
+            LogExtElem(f_const(t.zero_like()), {k_const(2, 8): t}),
             GaloisDatum.ramified(2)]
     return [jsonio.encode(o) for o in objs]
 

@@ -78,7 +78,7 @@ def test_series_round_trip():
 
 def test_logext_round_trip():
     t = t_var()
-    model = LogExtElem.log_term(k_const(2), t) + LogExtElem(1 / (x_var() - 1))
+    model = LogExtElem(f_const(t.zero_like()), {k_const(2): t}) + LogExtElem(1 / (x_var() - 1))
     assert round_trip(model) == model
 
 

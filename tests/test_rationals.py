@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ppv import jsonio
+from ppv import jsonio, rationals
 from ppv.errors import CoefficientFieldMismatch
 from ppv.rationals import (
     _T0,
@@ -498,3 +498,43 @@ def test_x_level_division_matches_the_coefficient_loop(p, d, monic):
     with _reference_loops():
         want = [_exact(x) for x in p.divmod(d)]
     assert [_exact(x) for x in p.divmod(d)] == want
+
+
+# Dispatch: the kernel serves operands whose Scalars all share one order;
+# mixed orders take the coefficient loop.  The properties above catch mixed
+# operands sent to the one-field kernel; these catch one-field operands sent
+# to the slower loop.
+
+
+def _kernel_calls(monkeypatch) -> dict:
+    """Count the calls Poly makes to scalars.poly_mul and scalars.poly_divmod."""
+    calls = {"poly_mul": 0, "poly_divmod": 0}
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(rationals, name)):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(rationals, name, counted)
+    return calls
+
+
+_P8 = Poly("t", [Scalar(8, [1, 2]), Scalar(8, [0, 0, 3]), Scalar(8, [Fraction(1, 2)])],
+           Scalar(8, []))
+_D8 = Poly("t", [Scalar(8, [0, 1]), Scalar(8, [5, 0, 0, -1])], Scalar(8, []))
+_D1 = Poly("t", [rational(3), rational(-2)], rational(0))
+
+
+def test_one_field_products_and_divisions_reach_the_kernel(monkeypatch):
+    calls = _kernel_calls(monkeypatch)
+    _P8 * _D8
+    assert calls == {"poly_mul": 1, "poly_divmod": 0}
+    _P8.divmod(_D8)
+    assert calls == {"poly_mul": 1, "poly_divmod": 1}
+
+
+@pytest.mark.parametrize("p, d", [(_P8, _D1), (_D1, _D8)], ids=["zeta8_by_q", "q_by_zeta8"])
+def test_mixed_fields_take_the_coefficient_loop(monkeypatch, p, d):
+    calls = _kernel_calls(monkeypatch)
+    assert _exact(p * d) == _exact(_reference_mul(p, d))
+    assert [_exact(x) for x in p.divmod(d)] == [_exact(x) for x in _reference_divmod(p, d)]
+    assert calls == {"poly_mul": 0, "poly_divmod": 0}

@@ -27,7 +27,7 @@ def test_realize_gm_basic():
     x = x_var()
     assert real.equation_datum == 1 / (x - 1) + f_const(t) / (x - 2)
     # the model is log(x-2): only the moving residue survives dt
-    assert real.model == LogExtElem.log_term(k_const(2), one)
+    assert real.model == LogExtElem(f_const(one.zero_like()), {k_const(2): one})
     assert group_eq(real.claimed_group, GmSub(dt))
     assert real.all_checks_passed()
 
@@ -52,7 +52,7 @@ def test_realize_ga_basic():
     real = realize_ga(l, [t])
     x = x_var()
     assert real.equation_datum == f_const(t) / (x - 1)
-    assert real.model == LogExtElem.log_term(k_const(1), t)
+    assert real.model == LogExtElem(f_const(t.zero_like()), {k_const(1): t})
     assert real.all_checks_passed()
 
 
@@ -69,7 +69,7 @@ def test_realize_ga_rejects_non_solution():
 
 
 def test_membership_examples():
-    model = LogExtElem.log_term(k_const(2), one)  # log(x-2)
+    model = LogExtElem(f_const(one.zero_like()), {k_const(2): one})  # log(x-2)
     assert check_membership_gm(model, dt)
     assert not check_membership_gm(model, OrePoly.constant(one))
     zero_model = LogExtElem(f_const(0))
@@ -79,7 +79,7 @@ def test_membership_examples():
 
 def test_membership_ga_examples():
     l = OrePoly([-one, t])
-    model = LogExtElem.log_term(k_const(1), t)  # t log(x-1)
+    model = LogExtElem(f_const(t.zero_like()), {k_const(1): t})  # t log(x-1)
     assert check_membership_ga(model, l)
     assert not check_membership_ga(model, dt)
     in_field = LogExtElem(1 / (x_var() - 3))
@@ -89,7 +89,7 @@ def test_membership_ga_examples():
 
 def test_membership_monotone_under_right_multiples():
     l = OrePoly([-one, t])
-    model = LogExtElem.log_term(k_const(1), t)
+    model = LogExtElem(f_const(t.zero_like()), {k_const(1): t})
     for q in (dt, OrePoly([one, one]), OrePoly([t, one / t])):
         bigger = q * l
         assert check_membership_ga(model, bigger)
