@@ -225,9 +225,13 @@ def _roots_of_squarefree(s: Poly) -> list:
             consts.append(c.as_coefficient())
         cands = _cyclotomic_roots(consts)
         if not cands:
+            # the last field searched is that of all the coefficients
+            field = math.lcm(*(c.order for c in consts))
             raise SplitFieldError(
                 "no further roots of the supported shape (rational, or rational "
-                "times a root of unity) in a factor of degree %d" % s.degree()
+                "times a root of unity) in a factor of degree %d; the search ran "
+                "over %s, the field of its coefficients"
+                % (s.degree(), "Q" if field == 1 else "Q(zeta_%d)" % field)
             )
         for r in cands:
             rk = _as_k(s, r)

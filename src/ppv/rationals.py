@@ -25,7 +25,10 @@ representation per value.  Then a product over scalars or a division goes
 to scalars.poly_mul or scalars.poly_divmod, and a product over K starts
 each output at its first term instead of at czero.  A product over scalars
 with a one-coefficient factor goes to poly_mul in any fields: it takes each
-output's lcm itself.
+output's lcm itself.  Two constants of K (denominator 1, numerator of degree
+<= 0) whose Scalars, czeros included, all share one order are summed,
+multiplied or inverted as one Scalar; any other pair of constants takes the
+general RatFunc path.
 """
 
 from __future__ import annotations
@@ -139,6 +142,22 @@ def _orders(*values) -> set:
         elif isinstance(v, RatFunc):
             out |= _orders(v.num, v.den)
     return out
+
+
+def _constant_order(f: "RatFunc"):
+    """The order of every Scalar of f when f is a constant of K and they share one, else None.
+
+    A constant of K has denominator 1 (monic of degree 0), a numerator of
+    degree <= 0 and Scalar czeros.
+    """
+    num, den = f.num, f.den
+    zero = num.czero
+    if len(den.coeffs) != 1 or len(num.coeffs) > 1 or type(zero) is not Scalar:
+        return None
+    n = zero.order
+    if den.czero.order != n or den.coeffs[0].order != n or (num.coeffs and num.coeffs[0].order != n):
+        return None
+    return n
 
 
 def _euclid(a, b, divide):
@@ -458,6 +477,13 @@ class RatFunc:
     output byte for byte what it was.  A certificate skips a gcd only when
     it would be 1, and a gcd of 1 divides nothing, so the certificates
     change no output.
+
+    Constants of K skip all of this when every Scalar of both operands
+    (coefficients and czeros of numerators and denominators) has one
+    order: a sum or product is one Scalar sum or product, an inverse one
+    Scalar inverse, written over the same constant 1 (_constant_order).
+    The field cannot change there, so the result is the one the general
+    path builds.  Constants in mixed orders take the general path.
     """
 
     __slots__ = ("num", "den")
@@ -536,10 +562,17 @@ class RatFunc:
             return RatFunc.constant(self.var, _as_coeff(self.czero, other))
         return None
 
+    def _as_constant(self, c) -> "RatFunc":
+        """The constant c of K in the field of self, itself a one-field constant of K."""
+        return RatFunc(Poly(self.var, [c], self.czero), self.den, reduced=True)
+
     def __add__(self, other):
         b = self._coerce(other)
         if b is None:
             return NotImplemented
+        n = _constant_order(self)
+        if n is not None and _constant_order(b) == n:
+            return self._as_constant(self.num.coeff(0) + b.num.coeff(0))
         num = self.num * b.den + b.num * self.den
         coprime = num.is_zero() or _coprime(self.den, b.den)
         return RatFunc(*_lowest_terms(num, self.den * b.den, coprime), reduced=True)
@@ -562,6 +595,9 @@ class RatFunc:
         b = self._coerce(other)
         if b is None:
             return NotImplemented
+        n = _constant_order(self)
+        if n is not None and _constant_order(b) == n:
+            return self._as_constant(self.num.coeff(0) * b.num.coeff(0))
         num = self.num * b.num
         coprime = num.is_zero() or (_coprime(self.num, b.den) and _coprime(b.num, self.den))
         return RatFunc(*_lowest_terms(num, self.den * b.den, coprime), reduced=True)
@@ -571,6 +607,9 @@ class RatFunc:
     def inv(self) -> "RatFunc":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero rational function")
+        if _constant_order(self) is not None:
+            c = self.num.coeffs[0]
+            return self if c.is_one() else self._as_constant(c.inv())
         return RatFunc(*_lowest_terms(self.den, self.num, True), reduced=True)
 
     def __truediv__(self, other):
@@ -585,6 +624,10 @@ class RatFunc:
     __pow__ = _power
 
     def __eq__(self, other):
+        # an element of K meeting one of K(x): Python then asks the K(x) side,
+        # which reads this one as a constant, so == agrees both ways
+        if isinstance(other, RatFunc) and self.var in PARAM_VARS and other.var in MAIN_VARS:
+            return NotImplemented
         b = self._coerce(other)
         if b is None:
             return NotImplemented

@@ -53,6 +53,18 @@ def test_decompose(capsys):
     assert "antiderivative" in out
 
 
+@pytest.mark.parametrize("expr, field", [("1/(x^2+1)", "over Q,"),
+                                         ("1/(x^2+zeta(3))", "over Q(zeta_3),")],
+                         ids=["q", "q_zeta3"])
+def test_decompose_names_the_field_it_searched(capsys, expr, field):
+    code = main(["decompose", expr])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "no further roots" in err and field in err and "internal error" not in err
+    # over Q(zeta_4) the same denominator splits
+    assert run(capsys, "decompose", "zeta(4)/(x^2+1)")[0] == 0
+
+
 def test_decompose_json(capsys):
     code, out = run(capsys, "decompose", "(x+1)/(x*(x-1))", "--json")
     assert code == 0

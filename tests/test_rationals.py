@@ -126,6 +126,16 @@ def test_constants_hash_as_their_coefficient():
     assert len({t, t.num}) == 1
 
 
+def test_equality_across_the_tower_is_symmetric():
+    t = t_var()
+    for k, f in ((k_const(3), f_const(3)), (t, f_const(t)), (k_const(1, 8), f_const(1))):
+        assert f == k and k == f
+        assert not (f != k) and not (k != f)
+        assert {f: "f"}[k] == "f" and {k: "k"}[f] == "k"
+    assert k_const(3) != f_const(4) and f_const(4) != k_const(3)
+    assert t != f_const(3) and not (t == f_const(3))
+
+
 def _sympy_expr(c, t):
     """A Q-scalar or an element of Q(t) as a sympy expression in the symbol t."""
     import sympy
@@ -506,9 +516,9 @@ def test_x_level_division_matches_the_coefficient_loop(p, d, monic):
 # to the slower loop.
 
 
-def _kernel_calls(monkeypatch) -> dict:
-    """Count the calls Poly makes to scalars.poly_mul and scalars.poly_divmod."""
-    calls = {"poly_mul": 0, "poly_divmod": 0}
+def _calls(monkeypatch, *names) -> dict:
+    """Count the calls made to the named functions of rationals."""
+    calls = dict.fromkeys(names, 0)
     for name in calls:
         def counted(*args, _name=name, _real=getattr(rationals, name)):
             calls[_name] += 1
@@ -525,7 +535,7 @@ _D1 = Poly("t", [rational(3), rational(-2)], rational(0))
 
 
 def test_one_field_products_and_divisions_reach_the_kernel(monkeypatch):
-    calls = _kernel_calls(monkeypatch)
+    calls = _calls(monkeypatch, "poly_mul", "poly_divmod")
     _P8 * _D8
     assert calls == {"poly_mul": 1, "poly_divmod": 0}
     _P8.divmod(_D8)
@@ -534,7 +544,89 @@ def test_one_field_products_and_divisions_reach_the_kernel(monkeypatch):
 
 @pytest.mark.parametrize("p, d", [(_P8, _D1), (_D1, _D8)], ids=["zeta8_by_q", "q_by_zeta8"])
 def test_mixed_fields_take_the_coefficient_loop(monkeypatch, p, d):
-    calls = _kernel_calls(monkeypatch)
+    calls = _calls(monkeypatch, "poly_mul", "poly_divmod")
     assert _exact(p * d) == _exact(_reference_mul(p, d))
     assert [_exact(x) for x in p.divmod(d)] == [_exact(x) for x in _reference_divmod(p, d)]
     assert calls == {"poly_mul": 0, "poly_divmod": 0}
+
+
+# Constants of K.  Two constants whose Scalars all share one order take one
+# Scalar sum, product or inverse; any other pair takes the general path,
+# kept here as the reference.
+
+
+def _general_sum(a, b):
+    num = a.num * b.den + b.num * a.den
+    coprime = num.is_zero() or _coprime(a.den, b.den)
+    return RatFunc(*rationals._lowest_terms(num, a.den * b.den, coprime), reduced=True)
+
+
+def _general_product(a, b):
+    num = a.num * b.num
+    coprime = num.is_zero() or (_coprime(a.num, b.den) and _coprime(b.num, a.den))
+    return RatFunc(*rationals._lowest_terms(num, a.den * b.den, coprime), reduced=True)
+
+
+def _general_inv(a):
+    return RatFunc(*rationals._lowest_terms(a.den, a.num, True), reduced=True)
+
+
+def _k_constant(value, zero, one, den_zero):
+    """value / 1 with num czero of order zero, denominator 1 of order one, its czero of order den_zero."""
+    return RatFunc(Poly("t", [value], Scalar(zero, [])),
+                   Poly("t", [Scalar(one, [1])], Scalar(den_zero, [])), reduced=True)
+
+
+@st.composite
+def _constant_pairs(draw):
+    """Two constants of K: all in one field, or each Scalar in one of a few fields."""
+    orders = draw(st.sampled_from([(1,), (3,), (4,), (8,), (12,), (1, 8), (1, 3, 4), _ORDERS]))
+
+    def constant():
+        value = draw(st.one_of(_scalars(orders), st.sampled_from(orders).map(lambda n: Scalar(n, [1]))))
+        return _k_constant(value, *(draw(st.sampled_from(orders)) for _ in range(3)))
+
+    return constant(), constant()
+
+
+@settings(max_examples=400, deadline=None)
+@given(_constant_pairs())
+# a czero of the denominator alone is in another field: the general path
+# writes the denominator's 1 in Q(zeta_8)
+@example((_k_constant(rational(2), 1, 1, 8), _k_constant(rational(3), 1, 1, 1)))
+# a numerator czero alone is in another field: it enters the general sum
+@example((_k_constant(rational(2), 1, 1, 1), _k_constant(rational(3), 8, 1, 1)))
+# zero times a constant, one field and mixed
+@example((_k_constant(Scalar(8, []), 8, 8, 8), _k_constant(Scalar.zeta(8), 8, 8, 8)))
+@example((_k_constant(rational(0), 1, 1, 1), _k_constant(Scalar.zeta(8), 8, 8, 8)))
+def test_constants_of_k_match_the_general_path(pair):
+    for a, b in (pair, pair[::-1]):
+        assert _exact(a + b) == _exact(_general_sum(a, b)), "+"
+        assert _exact(a - b) == _exact(_general_sum(a, -b)), "-"
+        assert _exact(a * b) == _exact(_general_product(a, b)), "*"
+        if not b.is_zero():
+            assert _exact(a / b) == _exact(_general_product(a, _general_inv(b))), "/"
+            assert _exact(b.inv()) == _exact(_general_inv(b)), "inv"
+
+
+def test_one_field_constants_take_one_scalar_step(monkeypatch):
+    a, b = k_const(Scalar(8, [1, 2])), k_const(Scalar(8, [0, 0, 3, Fraction(1, 2)]))
+    calls = _calls(monkeypatch, "poly_mul", "_lowest_terms")
+    a + b, a * b, a / b, a - b, a.inv()
+    assert calls == {"poly_mul": 0, "_lowest_terms": 0}
+
+
+@pytest.mark.parametrize("a, b", [(k_const(3), k_const(Scalar.zeta(8))),
+                                  (k_const(Scalar.zeta(8)), k_const(3))],
+                         ids=["q_and_zeta8", "zeta8_and_q"])
+def test_mixed_constants_take_the_general_path(monkeypatch, a, b):
+    want = [_exact(_general_sum(a, b)), _exact(_general_product(a, b)),
+            _exact(_general_product(a, _general_inv(b)))]
+    calls = _calls(monkeypatch, "poly_mul", "_lowest_terms")
+    assert _exact(a + b) == want[0]
+    assert calls["poly_mul"] > 0 and calls["_lowest_terms"] == 1
+    assert _exact(a * b) == want[1]
+    assert calls["_lowest_terms"] == 2
+    # b alone is in one field, so b.inv() takes one Scalar step; the product does not
+    assert _exact(a / b) == want[2]
+    assert calls["_lowest_terms"] == 3
