@@ -257,14 +257,29 @@ def twisted_transport(zeta_e: Scalar, e: int, n: int, act_coeff, elem: TwoVarLau
     Exposed separately so the twist formula itself can be exercised (and
     mutated) against independently chosen source and target points.
     zeta_e must be nonzero and act_coeff a field automorphism, so every
-    stored coefficient maps to a nonzero one.
+    stored coefficient maps to a nonzero one.  A twist of 1 or -1 whose
+    order divides the order of the acted coefficient returns that
+    coefficient or its negation: the product's value in the product's field.
     """
     if zeta_e.is_zero():
         raise ValueError("the twist root must be nonzero")
-    twist = [zeta_e**k for k in range(e)]
+    one = zeta_e.one_like()
+    twist = [one]
+    for _ in range(1, e):
+        twist.append(twist[-1] * zeta_e)
+    minus_one = -one
+    sign = [1 if w.is_one() else -1 if w == minus_one else 0 for w in twist]
     out = {}
     for i, inner in elem.coeffs.items():
-        new_inner = {j: twist[n * (i - j) % e] * act_coeff(c) for j, c in inner.coeffs.items()}
+        new_inner = {}
+        for j, c in inner.coeffs.items():
+            k = n * (i - j) % e
+            a = act_coeff(c)
+            if sign[k] and a.order % zeta_e.order == 0:
+                a = a if sign[k] == 1 else -a
+            else:
+                a = twist[k] * a
+            new_inner[j] = a
         out[i] = type(inner).from_nonzero("w", new_inner, inner.trunc)
     return TwoVarLaurent(q_target, out, elem.trunc)
 

@@ -7,9 +7,22 @@ one field have equal fields.  Phi_N is monic with integer coefficients,
 so reduction stays in integers, and the inverse is the extended Euclidean
 algorithm modulo Phi_N on integer vectors.  N = 1 gives plain rationals.
 Scalars are the constants of every ring in this package: both
-derivations vanish on them.  The kernel of dense polynomials over Q(zeta_N)
-lives here too, beside the representation: poly_mul and poly_divmod build
-each output coefficient of a product or a division from one integer vector.
+derivations vanish on them.
+
++, -, == and * of two Scalars of one order take a same-field lane: no
+coercion, and a rational (one numerator over Q) is built with one gcd.
+For +, - and ==, mixed orders, ints and Fractions are coerced at the front
+of the method and then take the same arithmetic; * scales by an int or a
+Fraction directly and multiplies two orders in their lcm without promoted
+copies.
+
+Only this module reads the integer representation.  The kernel of dense
+polynomials over Q(zeta_N) lives here beside it: poly_mul and poly_divmod
+build each output coefficient of a product or a division from one integer
+vector.  So do the integer maps the series layer calls, scaled (k x / d) and
+combination (a sum of k x y over d): each builds one Scalar from the
+integers of the Scalars it reads, in the lcm field of their orders, the
+field the same expression takes as a chain of Scalar operations.
 """
 
 from __future__ import annotations
@@ -109,8 +122,22 @@ def _scalar(order: int, vec: list, den: int) -> "Scalar":
     """The Scalar (sum vec[k] zeta^k) / den, for integers vec and den != 0.
 
     Every Scalar is built here: vec is reduced modulo Phi_order, padded to
-    phi(order) entries and divided by its common factor with den > 0.
+    phi(order) entries and divided by its common factor with den > 0.  A
+    rational, one numerator over Q, takes one gcd and no phi lookup.
     """
+    if order == 1 and len(vec) == 1:
+        num = vec[0]
+        g = math.gcd(num, den)
+        if den < 0:
+            g = -g
+        if g != 1:
+            num //= g
+            den //= g
+        out = object.__new__(Scalar)
+        _set_order(out, 1)
+        _set_nums(out, (num,))
+        _set_den(out, den)
+        return out
     phi = euler_phi(order)
     if len(vec) > phi:
         _reduce(vec, order)
@@ -223,19 +250,27 @@ class Scalar:
         return a.promote(n), b.promote(n)
 
     def _coerce(self, other):
+        """(self, other) in one field: the general lane of +, -, == and /.
+
+        + - and == skip it for two Scalars of one order; a mixed pair is
+        promoted to the lcm of the orders, and an int or a Fraction is read
+        in self's field.
+        """
         if isinstance(other, Scalar):
             return (self, other) if self.order == other.order else Scalar.pair(self, other)
         if isinstance(other, (int, Fraction)):
             return self, Scalar.from_rational(other, self.order)
         return None
 
-    # arithmetic
+    # arithmetic: two Scalars of one order take the lane below the coercion
 
     def __add__(self, other):
-        pair = self._coerce(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
+        a, b = self, other
+        if b.__class__ is not Scalar or b.order != a.order:
+            pair = a._coerce(b)
+            if pair is None:
+                return NotImplemented
+            a, b = pair
         da, db = a._den, b._den
         if da == db:
             return _scalar(a.order, [x + y for x, y in zip(a._nums, b._nums)], da)
@@ -247,10 +282,12 @@ class Scalar:
         return _scalar(self.order, [-c for c in self._nums], self._den)
 
     def __sub__(self, other):
-        pair = self._coerce(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
+        a, b = self, other
+        if b.__class__ is not Scalar or b.order != a.order:
+            pair = a._coerce(b)
+            if pair is None:
+                return NotImplemented
+            a, b = pair
         da, db = a._den, b._den
         if da == db:
             return _scalar(a.order, [x - y for x, y in zip(a._nums, b._nums)], da)
@@ -260,15 +297,21 @@ class Scalar:
         return -(self - other)
 
     def __mul__(self, other):
-        if not isinstance(other, Scalar):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            # a rational factor scales the integer vector: no coercion, no convolution
-            num = other.numerator
-            return _scalar(self.order, [c * num for c in self._nums],
-                           self._den * other.denominator)
-        n = self.order
-        return _product(self, other, n if n == other.order else math.lcm(n, other.order))
+        cls = other.__class__
+        if cls is Scalar:
+            n = self.order
+            if n == other.order:
+                if n == 1:
+                    return _scalar(1, [self._nums[0] * other._nums[0]], self._den * other._den)
+                return _product(self, other, n)
+            return _product(self, other, math.lcm(n, other.order))
+        # a rational factor scales the integer vector: no coercion, no convolution
+        if cls is int:
+            return _scalar(self.order, [c * other for c in self._nums], self._den)
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        num = other.numerator
+        return _scalar(self.order, [c * num for c in self._nums], self._den * other.denominator)
 
     __rmul__ = __mul__
 
@@ -323,10 +366,12 @@ class Scalar:
     # comparisons
 
     def __eq__(self, other):
-        pair = self._coerce(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
+        a, b = self, other
+        if b.__class__ is not Scalar or b.order != a.order:
+            pair = a._coerce(b)
+            if pair is None:
+                return NotImplemented
+            a, b = pair
         return a._den == b._den and a._nums == b._nums
 
     def __hash__(self):
@@ -404,6 +449,16 @@ def _spread(nums, step: int) -> list:
     return out
 
 
+def _convolve(xn, yn) -> list:
+    """The integer vector of the product of two power-basis vectors, unreduced."""
+    out = [0] * (len(xn) + len(yn) - 1)
+    for i, c in enumerate(xn):
+        if c:
+            for j, d in enumerate(yn, i):
+                out[j] += c * d
+    return out
+
+
 def _product(x: Scalar, y: Scalar, n: int) -> Scalar:
     """x * y in Q(zeta_n), for n a multiple of both orders."""
     xn, yn = x._nums, y._nums
@@ -420,12 +475,58 @@ def _product(x: Scalar, y: Scalar, n: int) -> Scalar:
     if not any(yn[1:]):
         r = yn[0]
         return _scalar(n, [c * r for c in xn], den)
-    out = [0] * (len(xn) + len(yn) - 1)
-    for i, c in enumerate(xn):
-        if c:
-            for j, d in enumerate(yn, i):
-                out[j] += c * d
-    return _scalar(n, out, den)
+    return _scalar(n, _convolve(xn, yn), den)
+
+
+# ---------------------------------------------------------------------------
+# integer maps for the series layer: a coefficient map builds each output as
+# one Scalar from the integers of the Scalars it reads, in the field it would
+# have had as a chain of Scalar operations.
+
+
+def scaled(x: Scalar, k: int, den: int = 1) -> Scalar:
+    """k * x / den in the field of x, for integers k and den != 0."""
+    return _scalar(x.order, [c * k for c in x._nums], x._den * den)
+
+
+def combination(terms, den: int = 1) -> Scalar:
+    """(sum of k * x * y over the terms (k, x, y)) / den as one Scalar.
+
+    Each k and den != 0 are integers, x is a Scalar and y a Scalar or None
+    (read as 1).  The field is the lcm of the orders of every x and y, the
+    field of the same sum written with Scalar products and sums.
+    """
+    order = 1
+    for _, x, y in terms:
+        if x.order != order:
+            order = math.lcm(order, x.order)
+        if y is not None and y.order != order:
+            order = math.lcm(order, y.order)
+    if order == 1:
+        num, d = 0, 1
+        for k, x, y in terms:
+            if y is None:
+                tn, td = k * x._nums[0], x._den
+            else:
+                tn, td = k * x._nums[0] * y._nums[0], x._den * y._den
+            num, d = num * td + tn * d, d * td
+        return _scalar(1, [num], d * den)
+    parts = []
+    for k, x, y in terms:
+        xn, td = x._nums, x._den
+        if x.order != order:
+            xn = _spread(xn, order // x.order)
+        if y is not None:
+            yn = y._nums if y.order == order else _spread(y._nums, order // y.order)
+            xn, td = _convolve(xn, yn), td * y._den
+        parts.append((k, xn, td))
+    d = math.lcm(*[td for _, _, td in parts])
+    vec = [0] * max(len(xn) for _, xn, _ in parts)
+    for k, xn, td in parts:
+        k *= d // td
+        for i, c in enumerate(xn):
+            vec[i] += k * c
+    return _scalar(order, vec, d * den)
 
 
 def poly_mul(a: tuple, b: tuple, czero: Scalar) -> list:

@@ -27,19 +27,17 @@ the parameter direction through a ramified root t = t0^(1/e):
 
 with f_n' = d f_n / dw and z expanded as w + q.  dt0 applies this as a
 coefficient map: the w^j coefficient of dt0(f_n t^n) is
-((n - j) f_(n,j) - q (j + 1) f_(n,j+1)) / e, written in the field of its
-own inputs, valid below the inner truncation of f_n (one order less when
-q != 0) and the outer truncation less e.  dt0(1) restricted to elements
-constant in w is plain d/dt.
+((n - j) f_(n,j) - q (j + 1) f_(n,j+1)) / e, built as one Scalar from the
+integers of the Scalars it reads (scalars.combination) and in the lcm field
+of their orders, valid below the inner truncation of f_n (one order less
+when q != 0) and the outer truncation less e.  dt0(1) restricted to
+elements constant in w is plain d/dt.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from functools import lru_cache
-
 from .errors import CoefficientFieldMismatch, NonInvertibleLeadingTerm, TruncationExhausted
-from .scalars import Scalar
+from .scalars import Scalar, combination, scaled
 from .rationals import RatFunc
 
 INF = float("inf")
@@ -110,12 +108,6 @@ def _convolve(x: "TruncLaurent", y: "TruncLaurent"):
                 cur = out.get(n)
                 out[n] = prod if cur is None else cur + prod
     return out, trunc
-
-
-@lru_cache(maxsize=4096)
-def _ratio(m: int, e: int):
-    """m / e as dt0 scales by it: an int when e = 1, else a Fraction."""
-    return m if e == 1 else Fraction(m, e)
 
 
 def _div(a, b, cap=None):
@@ -270,7 +262,7 @@ class TruncLaurent:
 
     def deriv(self) -> "TruncLaurent":
         """d/dvar, term by term; one order of validity is lost."""
-        out = {n - 1: c * n for n, c in self.coeffs.items() if n != 0}
+        out = {n - 1: scaled(c, n) for n, c in self.coeffs.items() if n != 0}
         return TruncLaurent.from_nonzero(self.var, out, self.trunc - 1)
 
     def dx(self) -> "TruncLaurent":
@@ -281,7 +273,7 @@ class TruncLaurent:
         return self.dt0(1)
 
     def dt0(self, e: int) -> "TruncLaurent":
-        out = {n - e: c * Fraction(n, e) for n, c in self.coeffs.items() if n != 0}
+        out = {n - e: scaled(c, n, e) for n, c in self.coeffs.items() if n != 0}
         return TruncLaurent(self.var, out, self.trunc - e)
 
     # comparisons
@@ -490,12 +482,17 @@ class TwoVarLaurent:
         lost = 0 if q.is_zero() else 1  # w-orders lost: the q term reads f_(n,j+1)
         out = {}
         for n, f in self.coeffs.items():
-            inner = {j: c * _ratio(n - j, e) for j, c in f.coeffs.items() if j != n}
+            cs = f.coeffs
+            inner = {}
+            for j, c in cs.items():
+                if j != n:
+                    y = cs.get(j + 1) if lost and j != -1 else None
+                    inner[j] = (scaled(c, n - j, e) if y is None
+                                else combination(((n - j, c, None), (-j - 1, q, y)), e))
             if lost:
-                for k, c in f.coeffs.items():
-                    if k:
-                        term = q * c * _ratio(-k, e)
-                        inner[k - 1] = inner[k - 1] + term if k - 1 in inner else term
+                for k, c in cs.items():
+                    if k and k - 1 not in inner:
+                        inner[k - 1] = combination(((-k, q, c),), e)
             out[n - e] = TruncLaurent("w", inner, f.trunc - lost)
         return TwoVarLaurent(self.q, out, self.trunc - e)
 
@@ -531,12 +528,13 @@ class TwoVarLaurent:
 
 def random_trunc_laurent(rng, var="w", val_range=(-3, 1), trunc=12, order=1) -> TruncLaurent:
     lo = rng.randint(*val_range)
+    one = Scalar.from_rational(1, order)
     coeffs = {}
     for n in range(lo, trunc):
         if rng.random() < 0.5:
             num = rng.randint(-4, 4)
             if num:
-                coeffs[n] = Scalar(order, [Fraction(num, rng.randint(1, 3))])
+                coeffs[n] = scaled(one, num, rng.randint(1, 3))
     return TruncLaurent(var, coeffs, trunc)
 
 

@@ -19,6 +19,7 @@ from ppv.descent import (
     standard_sl2_decomposition,
     transport_block,
     twist_mutation_detected,
+    twisted_transport,
     unipotent_generator_part,
     verify_equivariance,
     verify_sigma_commutes,
@@ -275,6 +276,33 @@ def test_mutation_oracle_refuses_a_zero_twist_root(gd2, sigma):
     with pytest.raises(ValueError, match="twist root must be nonzero"):
         twist_mutation_detected(gd2, sigma, rational(0), samples=2, order=6, seed=5)
 
+
+
+def _transport_reference(zeta_e, e, n, act, elem, q_target):
+    """Every coefficient times its twist zeta^(n(i-j)), the product in the lcm field."""
+    twist = [zeta_e**k for k in range(e)]
+    return TwoVarLaurent(q_target, {
+        i: TruncLaurent("w", {j: twist[n * (i - j) % e] * act(c) for j, c in inner.coeffs.items()},
+                        inner.trunc)
+        for i, inner in elem.coeffs.items()}, elem.trunc)
+
+
+@pytest.mark.parametrize("e", [1, 2, 3, 4, 6])
+def test_twisted_transport_matches_the_product_reference(e):
+    rng = random.Random(e)
+    q = rational(1)
+    # coefficients over Q and over Q(zeta_12), alone and side by side
+    series = [random_two_var(rng, q, 8, 8), random_two_var(rng, Scalar.from_rational(1, 12), 8, 8)]
+    series.append(TwoVarLaurent(q, {**series[0].coeffs, **{
+        i: f for i, f in series[1].coeffs.items() if i % 2}}, 8))
+    roots = [Scalar.zeta(e), Scalar.zeta(12) ** (12 // e)]
+    for zeta_e in roots:
+        for act in (lambda c: c, lambda c: c.galois(5)):
+            for n in range(e):
+                for elem in series:
+                    got = twisted_transport(zeta_e, e, n, act, elem, q)
+                    want = _transport_reference(zeta_e, e, n, act, elem, q)
+                    assert json.dumps(jsonio.encode(got)) == json.dumps(jsonio.encode(want))
 
 def test_corrupted_datum_degenerates_orbits(gd2):
     bad = replace(gd2, zeta_e=rational(1))

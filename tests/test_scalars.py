@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ppv import jsonio
-from ppv.scalars import Scalar, cyclotomic_coeffs, euler_phi, rational
+from ppv.scalars import Scalar, combination, cyclotomic_coeffs, euler_phi, rational, scaled
 
 
 def test_cyclotomic_polynomials():
@@ -363,3 +363,77 @@ def test_rational_scaling_matches_the_convolution(data):
         want = _convolution_product(x, y)
         assert jsonio.encode(got) == jsonio.encode(want) and got.order == want.order
         _assert_canonical(got)
+
+
+# the same-field lane of +, - and == against the general path: promote both
+# operands to the lcm of their orders (an int or a Fraction to the field of
+# the Scalar), then add or compare the coefficient lists
+
+
+def _general_sum(a, b, sign):
+    if not isinstance(b, Scalar):
+        b = Scalar.from_rational(b, a.order)
+    a, b = Scalar.pair(a, b)
+    return Scalar(a.order, [x + sign * y for x, y in zip(a.coeffs, b.coeffs)])
+
+
+def _general_eq(a, b):
+    if not isinstance(b, Scalar):
+        b = Scalar.from_rational(b, a.order)
+    a, b = Scalar.pair(a, b)
+    return a.coeffs == b.coeffs
+
+
+_LANE_ORDERS = st.sampled_from([1, 2, 3, 4, 8, 12])
+
+
+def _lane_scalar(order: int):
+    """Scalars of one order, the zero among them often."""
+    return st.one_of(st.just([]), st.lists(fracs_with_dens, max_size=euler_phi(order))).map(
+        lambda cs: Scalar(order, cs))
+
+
+def _seen(x: Scalar) -> tuple:
+    return x.order, x.coeffs, repr(x), hash(x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_same_field_lane_matches_the_general_path(data):
+    order = data.draw(_LANE_ORDERS)
+    other = order if data.draw(st.booleans()) else data.draw(_LANE_ORDERS)
+    a, b = data.draw(_lane_scalar(order)), data.draw(_lane_scalar(other))
+    k = data.draw(st.integers(-40, 40))
+    q = data.draw(fracs_with_dens)
+    cases = [(a + b, _general_sum(a, b, 1)), (b + a, _general_sum(b, a, 1)),
+             (a - b, _general_sum(a, b, -1)), (b - a, _general_sum(b, a, -1)),
+             (a * b, _convolution_product(a, b)), (b * a, _convolution_product(b, a)),
+             (a + k, _general_sum(a, k, 1)), (k - a, -_general_sum(a, k, -1)),
+             (a * k, _convolution_product(a, k)), (k * a, _convolution_product(a, k)),
+             (a * q, _convolution_product(a, q)), (q * a, _convolution_product(a, q))]
+    for got, want in cases:
+        assert _seen(got) == _seen(want)
+        _assert_canonical(got)
+    for x, y in ((a, b), (b, a), (a, a), (a, k), (a, q)):
+        assert (x == y) == _general_eq(x, y)
+
+
+# the integer maps of the series layer against the Scalar arithmetic they replace
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_combination_and_scaled_match_scalar_arithmetic(data):
+    terms, want = [], None
+    for _ in range(data.draw(st.integers(1, 3))):
+        k = data.draw(st.integers(-9, 9))
+        x = data.draw(_LANE_ORDERS.flatmap(_lane_scalar))
+        y = data.draw(st.one_of(st.none(), _LANE_ORDERS.flatmap(_lane_scalar)))
+        term = x * k if y is None else x * y * k
+        want = term if want is None else want + term
+        terms.append((k, x, y))
+    den = data.draw(st.integers(1, 6)) * data.draw(st.sampled_from([1, -1]))
+    assert _seen(combination(terms, den)) == _seen(want * Fraction(1, den))
+    k, x = terms[0][:2]
+    assert _seen(scaled(x, k, den)) == _seen(x * Fraction(k, den))
+    assert _seen(scaled(x, k)) == _seen(x * k)

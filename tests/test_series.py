@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ppv import jsonio
+from ppv import jsonio, scalars
 from ppv.errors import CoefficientFieldMismatch, NonInvertibleLeadingTerm, TruncationExhausted
 from ppv.rationals import t_var
 from ppv.scalars import Scalar, rational
@@ -347,6 +347,92 @@ def test_dt0_of_mixed_field_series_equals_reference():
     assert got == _dt0_reference(f, 1)
     assert got.coeffs[-1].coeffs[1] == rational(-3)
 
+
+
+def _dt0_two_pass(s, e):
+    """The map dt0 replaced: (n - j)/e f_(n,j) first, then the q term added in.
+
+    Each output sits in the field its Scalar products and sums give it: the
+    lcm of the orders of the coefficients it reads, and of q's when it reads
+    f_(n,j+1).
+    """
+    q = s.q
+    lost = 0 if q.is_zero() else 1
+    out = {}
+    for n, f in s.coeffs.items():
+        inner = {j: c * Fraction(n - j, e) for j, c in f.coeffs.items() if j != n}
+        if lost:
+            for k, c in f.coeffs.items():
+                if k:
+                    term = q * c * Fraction(-k, e)
+                    inner[k - 1] = inner[k - 1] + term if k - 1 in inner else term
+        out[n - e] = TruncLaurent("w", inner, f.trunc - lost)
+    return TwoVarLaurent(q, out, s.trunc - e)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(sorted(_DT0_POINTS)), st.integers(1, 4))
+def test_dt0_writes_each_output_in_the_field_of_what_it_reads(seed, point, e):
+    q = _DT0_POINTS[point]
+    rng = random.Random(seed)
+    f = random_two_var(rng, q, 8, 8)
+    # each coefficient moves to a field of 1, 2 or 4 times its order, so a
+    # rational value may sit in a larger field and neighbours differ in field
+    f = TwoVarLaurent(q, {n: TruncLaurent("w", {j: c.promote(c.order * rng.choice([1, 2, 4]))
+                                                for j, c in g.coeffs.items()}, g.trunc)
+                          for n, g in f.coeffs.items()}, f.trunc)
+    assert json.dumps(jsonio.encode(f.dt0(e))) == json.dumps(jsonio.encode(_dt0_two_pass(f, e)))
+
+
+def _dt0_positions(f) -> int:
+    """The w-orders dt0 computes at a point q != 0: j != n read off f_(n,j), k - 1 off f_(n,k)."""
+    return sum(len({j for j in g.coeffs if j != n} | {k - 1 for k in g.coeffs if k})
+               for n, g in f.coeffs.items())
+
+
+def test_dt0_builds_one_scalar_per_output_position(monkeypatch):
+    # the two-pass map built 55 Scalars for these 28 positions
+    f = random_two_var(random.Random(3), Scalar.zeta(3) + 1, 8, 8)
+    built = []
+    build = scalars._scalar
+
+    def counted(*args):
+        built.append(args[0])
+        return build(*args)
+
+    monkeypatch.setattr(scalars, "_scalar", counted)
+    got = f.dt0(1)
+    monkeypatch.undo()
+    assert 0 < len(built) <= _dt0_positions(f) == 28
+    assert json.dumps(jsonio.encode(got)) == json.dumps(jsonio.encode(_dt0_two_pass(f, 1)))
+
+
+def _random_two_var_reference(rng, q, outer_trunc, inner_trunc, val_range=(-2, 1)):
+    """The sampler as it was, each coefficient built as Scalar(order, [Fraction])."""
+    lo = rng.randint(*val_range)
+    coeffs = {}
+    for n in range(lo, outer_trunc):
+        if rng.random() < 0.6:
+            inner_lo = rng.randint(*val_range)
+            inner = {}
+            for m in range(inner_lo, inner_trunc):
+                if rng.random() < 0.5:
+                    num = rng.randint(-4, 4)
+                    if num:
+                        inner[m] = Scalar(q.order, [Fraction(num, rng.randint(1, 3))])
+            coeffs[n] = TruncLaurent("w", inner, inner_trunc)
+    return TwoVarLaurent(q, coeffs, outer_trunc)
+
+
+def test_random_two_var_draws_as_the_fraction_reference():
+    points = [rational(1), Scalar.zeta(3) + 1, Scalar.zeta(8)]
+    for seed in range(50):
+        q = points[seed % 3]
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        got, want = random_two_var(rng, q, 8, 8), _random_two_var_reference(ref_rng, q, 8, 8)
+        # the encodings compare each coefficient, its field order and every truncation
+        assert json.dumps(jsonio.encode(got)) == json.dumps(jsonio.encode(want))
+        assert rng.random() == ref_rng.random()
 
 # a coefficient that is not stored is the zero: the window comparison against
 # the zero-sample comparison it replaced, which read a missing coefficient as
