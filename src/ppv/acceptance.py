@@ -108,12 +108,12 @@ def _sigma_equivariance(order: int = 10, samples: int = 100, seed: int = 7):
     sigma = next(g for g in gd.elements if not g.is_identity())
     tr = verify_sigma_commutes(gd, sigma, samples=samples, order=order, seed=seed)
     if not tr.passed:
-        return False, "sigma fails to commute: %s" % (tr.failures,)
+        return False, "sigma fails to commute: %s" % "; ".join(tr.failures)
     orbit = find_free_orbits(gd, 1)[0]
     rep = block_ga_closure(orbit.representative, t_var(), 2, order=order)
     eq = verify_equivariance(gd, transport_orbit(gd, rep, orbit), orbit, order=order)
     if not eq.passed:
-        return False, "equivariance fails: %s" % (eq.failures,)
+        return False, "equivariance fails: %s" % "; ".join(eq.failures)
     mut = twist_mutation_detected(gd, sigma, rational(1), samples=20, order=order, seed=seed)
     if not mut.passed:
         return False, "mutation oracle missed the corrupted twist root"

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import zip_longest
 
 from .checks import CheckRecord, window_check
@@ -69,7 +70,8 @@ class GaloisDatum:
     the generators' automorphisms generate and n in Z/e, listed sorted by
     (aut, n).  The inertia element t -> zeta_e t gives every twist n, and
     sigma_aut scales a twist by aut mod e, so a generator's own twist does
-    not change Gamma.  zeta_e must lie in k: e | N, or e <= 2.
+    not change Gamma.  zeta_e must lie in k: e | N, or e <= 2.  Every action
+    reads zeta_e^k from twists, derived from zeta_e and not a field.
     """
 
     e: int
@@ -131,6 +133,10 @@ class GaloisDatum:
     def order(self) -> int:
         return len(self.elements)
 
+    @cached_property
+    def twists(self) -> tuple[Scalar, ...]:
+        return twist_table(self.zeta_e, self.e)
+
     # -- actions -----------------------------------------------------------
 
     def act_scalar(self, g: GammaElement, s: Scalar) -> Scalar:
@@ -145,13 +151,8 @@ class GaloisDatum:
             raise ValueError("expected an element of the parameter field")
 
         def on_poly(p: Poly) -> Poly:
-            zp = self.zeta_e ** g.n
-            out = []
-            power = zp**0
-            for i in range(p.degree() + 1):
-                out.append(self.act_scalar(g, p.coeff(i)) * power)
-                power = power * zp
-            return Poly("t", out, p.czero)
+            return Poly("t", [self.act_scalar(g, c) * self.twists[g.n * i % self.e]
+                              for i, c in enumerate(p.coeffs)], p.czero)
 
         return RatFunc(on_poly(f.num), on_poly(f.den))
 
@@ -177,6 +178,16 @@ def _zeta_e(e: int, field_order: int) -> Scalar:
         "ramification index %d needs e | N or e <= 2 for the field order N = %d"
         % (e, field_order)
     )
+
+
+def twist_table(zeta_e: Scalar, e: int) -> tuple[Scalar, ...]:
+    """(zeta_e^0, ..., zeta_e^(e-1)); a zero root would zero out coefficients."""
+    if zeta_e.is_zero():
+        raise ValueError("the twist root must be nonzero")
+    out = [zeta_e.one_like()]
+    for _ in range(1, e):
+        out.append(out[-1] * zeta_e)
+    return tuple(out)
 
 
 def _unit(aut: int, field_order: int) -> int:
@@ -207,7 +218,7 @@ def act_on_point(gd: GaloisDatum, g: GammaElement, q: Scalar) -> Scalar:
 
 def _point_under(gd: GaloisDatum, g: GammaElement, q: Scalar) -> Scalar:
     """zeta_e^n * sigma(q): act_on_point at the inverse of g, with no inversion."""
-    return gd.zeta_e**g.n * gd.act_scalar(g, q)
+    return gd.twists[g.n % gd.e] * gd.act_scalar(g, q)
 
 
 def find_free_orbits(gd: GaloisDatum, count: int) -> list[PointOrbit]:
@@ -249,38 +260,22 @@ def find_free_orbits(gd: GaloisDatum, count: int) -> list[PointOrbit]:
 # twisted maps on local series
 
 
-def twisted_transport(zeta_e: Scalar, e: int, n: int, act_coeff, elem: TwoVarLaurent,
+def twisted_transport(twists: tuple, n: int, act_coeff, elem: TwoVarLaurent,
                       q_target: Scalar) -> TwoVarLaurent:
     """The raw twisted substitution, decoupled from the point bookkeeping.
 
-    Sends sum a_ij (z - q_src)^j t^i to sum zeta^(n(i-j)) act(a_ij) (z - q_target)^j t^i.
-    Exposed separately so the twist formula itself can be exercised (and
-    mutated) against independently chosen source and target points.
-    zeta_e must be nonzero and act_coeff a field automorphism, so every
-    stored coefficient maps to a nonzero one.  A twist of 1 or -1 whose
-    order divides the order of the acted coefficient returns that
-    coefficient or its negation: the product's value in the product's field.
+    Sends sum a_ij (z - q_src)^j t^i to sum twists[n(i-j) mod e] act(a_ij) (z - q_target)^j t^i,
+    e = len(twists).  Exposed separately so the twist formula itself can be
+    exercised (and mutated) against independently chosen source and target
+    points.  twists is a twist_table, whose root is nonzero, and act_coeff
+    a field automorphism, so every stored coefficient maps to a nonzero one.
     """
-    if zeta_e.is_zero():
-        raise ValueError("the twist root must be nonzero")
-    one = zeta_e.one_like()
-    twist = [one]
-    for _ in range(1, e):
-        twist.append(twist[-1] * zeta_e)
-    minus_one = -one
-    sign = [1 if w.is_one() else -1 if w == minus_one else 0 for w in twist]
+    e = len(twists)
     out = {}
     for i, inner in elem.coeffs.items():
-        new_inner = {}
-        for j, c in inner.coeffs.items():
-            k = n * (i - j) % e
-            a = act_coeff(c)
-            if sign[k] and a.order % zeta_e.order == 0:
-                a = a if sign[k] == 1 else -a
-            else:
-                a = twist[k] * a
-            new_inner[j] = a
-        out[i] = type(inner).from_nonzero("w", new_inner, inner.trunc)
+        out[i] = type(inner).from_nonzero(
+            "w", {j: twists[n * (i - j) % e] * act_coeff(c) for j, c in inner.coeffs.items()},
+            inner.trunc)
     return TwoVarLaurent(q_target, out, elem.trunc)
 
 
@@ -291,9 +286,7 @@ def sigma_map(gd: GaloisDatum, g: GammaElement, elem: TwoVarLaurent) -> TwoVarLa
     coefficient of (z-q)^j t^i picks up zeta^(n_sigma (i-j)).
     """
     q_target = _point_under(gd, g, elem.q)
-    return twisted_transport(
-        gd.zeta_e, gd.e, g.n, lambda c: gd.act_scalar(g, c), elem, q_target
-    )
+    return twisted_transport(gd.twists, g.n, lambda c: gd.act_scalar(g, c), elem, q_target)
 
 
 def sigma_map_matrix(gd: GaloisDatum, g: GammaElement, m: tuple) -> tuple:
@@ -355,11 +348,12 @@ def twist_mutation_detected(gd: GaloisDatum, g: GammaElement, bad_zeta: Scalar,
     Runs the raw transport formula with bad_zeta between the true source
     and target points of g and reports whether at least one sample fails
     to commute with dt0; the transcript passes when the corruption is
-    detected.  bad_zeta must be nonzero (see twisted_transport).
+    detected.  bad_zeta must be nonzero (see twist_table).
     """
+    bad = twist_table(bad_zeta, gd.e)
     tr = _sampled_commutation(
         "corrupted twist root detected by dt0-commutation", gd, g,
-        lambda u, q: twisted_transport(bad_zeta, gd.e, g.n, lambda c: gd.act_scalar(g, c), u, q),
+        lambda u, q: twisted_transport(bad, g.n, lambda c: gd.act_scalar(g, c), u, q),
         (("dt0", lambda u: u.dt0(gd.e)),),
         samples, order, seed,
     )
@@ -384,7 +378,7 @@ def verify_equivariance(gd: GaloisDatum, blocks: dict, orbit: PointOrbit,
                     compared += rec.coefficients_compared
                     if not rec.passed:
                         failures.append(
-                            "%s at point %r, entry (%d,%d): %s" % (g.label(), q, i, j, rec.note)
+                            "%s at point %s, entry (%d,%d): %s" % (g.label(), q, i, j, rec.note)
                         )
     return Transcript("equivariance of the transported family", not failures,
                       len(gd.elements) * len(orbit.points), compared, (order, order),
@@ -417,23 +411,21 @@ def transport_block(gd: GaloisDatum, g: GammaElement, block: LocalBlock) -> Loca
         fp_membership(el, cl, label + " (transported)", block.order)
         for label, el, cl in witnesses
     )
-    h_new = gd.act_k(g, block.h) if block.h is not None else None
-    group_new = gd.act_group(g, block.claimed_group)
-    moved = replace(
+    bad = [c.name for c in checks if not c.passed]
+    if bad:
+        raise VerificationFailed("transported block at %s fails re-verification: %s"
+                                 % (y[0][0].q, "; ".join(bad)))
+    return replace(
         block,
         q=y[0][0].q,
         fundamental_matrix=y,
         equation_matrix=a,
-        claimed_group=group_new,
+        h=gd.act_k(g, block.h) if block.h is not None else None,
+        claimed_group=gd.act_group(g, block.claimed_group),
         checks=tuple(checks),
-        h=h_new,
         transported_by=g.label(),
         witnesses=witnesses,
     )
-    bad = [c for c in moved.checks if not c.passed]
-    if bad:
-        raise VerificationFailed("transported block fails re-verification: %r" % (bad,))
-    return moved
 
 
 # ---------------------------------------------------------------------------
@@ -505,8 +497,15 @@ class Certificate:
         )
 
 
-def _validate(group: GroupSpec, parts: tuple):
-    """Each part is one a block builder verifies, and the target names exactly the parts."""
+def _validate(group: GroupSpec, parts: tuple, gd: GaloisDatum):
+    """Each part is one a block builder verifies, and the target names exactly the parts.
+
+    When some element of Gamma moves k = Q(zeta_N), every Scalar of a
+    part's h, embedding and additive operator must be written in a field
+    Q(zeta_M) with M | N: sigma is an automorphism of k, and its extension
+    to a larger field is not part of the datum.
+    """
+    moves_field = any(g.aut != 1 for g in gd.elements)
     for i, part in enumerate(parts):
         if part.kind == "ga":
             if part.h is None or part.h.is_zero():
@@ -525,6 +524,8 @@ def _validate(group: GroupSpec, parts: tuple):
         else:
             raise UnsupportedGroup("part %d: unsupported part kind %r: the local repertoire is "
                                    "cyclic, ga, gm_const" % (i, part.kind))
+        if moves_field:
+            _require_in_k(i, part, gd.field_order)
     if isinstance(group, Generated):
         pairs = zip_longest([(p.group, p.embedding) for p in group.parts],
                             [(p.group, p.embedding) for p in parts])
@@ -535,6 +536,19 @@ def _validate(group: GroupSpec, parts: tuple):
         raise UnsupportedGroup("part %d does not match the target group: a generated target lists "
                                "each part's group and embedding in order, any other target is the "
                                "group of its one part" % bad)
+
+
+def _require_in_k(i: int, part: DecompositionPart, field_order: int):
+    op = part.group.operator if isinstance(part.group, GaSub) else None
+    for what, funcs in (("h", () if part.h is None else (part.h,)),
+                        ("its embedding", [f for row in part.embedding or () for f in row]),
+                        ("its operator", () if op is None else op.coeffs)):
+        for f in funcs:
+            for s in (*f.num.coeffs, *f.den.coeffs):
+                if field_order % s.order:
+                    raise UnsupportedGroup("part %d: %s has a coefficient written in Q(zeta_%d), "
+                                           "not in k = Q(zeta_%d): Gamma moves k and acts only on k"
+                                           % (i, what, s.order, field_order))
 
 
 def run_criterion(group: GroupSpec, decomposition, gd: GaloisDatum,
@@ -551,7 +565,7 @@ def run_criterion(group: GroupSpec, decomposition, gd: GaloisDatum,
     parts = tuple(decomposition)
     if not parts:
         raise UnsupportedGroup("an empty decomposition certifies nothing")
-    _validate(group, parts)
+    _validate(group, parts, gd)
     orbits = find_free_orbits(gd, len(parts))
     all_blocks: list[tuple[Scalar, LocalBlock]] = []
     transcripts: list[Transcript] = []
@@ -562,7 +576,8 @@ def run_criterion(group: GroupSpec, decomposition, gd: GaloisDatum,
             tr = verify_sigma_commutes(gd, g, samples=samples, order=order, seed=seed)
             transcripts.append(tr)
             if not tr.passed:
-                raise VerificationFailed("twisted map fails to commute: %s" % (tr.failures,))
+                raise VerificationFailed("twisted map fails to commute: "
+                                         + "; ".join(tr.failures))
 
     for part, orbit in zip(parts, orbits):
         rep_block = make_block(part.kind, orbit.representative, gd.e, order, r=part.r, h=part.h)
@@ -570,7 +585,7 @@ def run_criterion(group: GroupSpec, decomposition, gd: GaloisDatum,
         tr = verify_equivariance(gd, orbit_blocks, orbit, order=order)
         transcripts.append(tr)
         if not tr.passed:
-            raise VerificationFailed("equivariance fails: %s" % (tr.failures,))
+            raise VerificationFailed("equivariance fails: %s" % "; ".join(tr.failures))
         completeness.append(_conjugation_check(gd, part, orbit_blocks, orbit))
         for q in orbit.points:
             all_blocks.append((q, orbit_blocks[q]))
@@ -611,7 +626,7 @@ def _conjugation_check(gd: GaloisDatum, part: DecompositionPart, blocks: dict,
             expected = gd.act_group(g, part.group)
         if not group_eq(blk.claimed_group, expected):
             ok = False
-            notes.append("mismatch at %r under %s" % (q, g.label()))
+            notes.append("mismatch at %s under %s" % (q, g.label()))
     return CheckRecord(
         "claimed groups are the sigma-conjugates of the part",
         ok,

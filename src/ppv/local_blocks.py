@@ -292,7 +292,7 @@ def _assemble(q: Scalar, kind: str, e: int, order: int, y_rows, a_rows, group: G
     checks.append(matrix_identity_check(y_mat, a_mat, order))
     bad = [c.name for c in checks if not c.passed]
     if bad:
-        raise VerificationFailed("block at %r failed exact checks: %s" % (q, "; ".join(bad)))
+        raise VerificationFailed("block at %s failed exact checks: %s" % (q, "; ".join(bad)))
     return LocalBlock(q=q, kind=kind, e=e, fundamental_matrix=y_mat, equation_matrix=a_mat,
                       claimed_group=group, checks=tuple(checks), order=order,
                       witnesses=witnesses, **data)

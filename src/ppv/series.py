@@ -288,7 +288,7 @@ class TruncLaurent:
 
         def compare(n, a, b):
             if a is None or b is None or a != b:
-                raise AssertionError("series differ at order %d: %r vs %r" % (n, a or 0, b or 0))
+                raise AssertionError("series differ at order %d: %s vs %s" % (n, a or 0, b or 0))
             return 1
 
         return _agree(self, other, upto, "order", compare)
@@ -375,7 +375,7 @@ class TwoVarLaurent:
 
     def _check_point(self, other: "TwoVarLaurent"):
         if not (self.q == other.q):
-            raise ValueError("series live at different points: %r vs %r" % (self.q, other.q))
+            raise ValueError("series live at different points: %s vs %s" % (self.q, other.q))
 
     def valuation(self):
         """Proven lower bound for the t-valuation (INF for the exact zero)."""

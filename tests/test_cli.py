@@ -8,7 +8,7 @@ from ppv.descent import GaloisDatum, standard_sl2_decomposition
 from ppv.errors import VerificationFailed
 from ppv.groups import FiniteCyclic, GaSub
 from ppv.ore import OrePoly
-from ppv.parser import parse_operator
+from ppv.parser import parse_k, parse_operator
 from ppv.rationals import k_const, t_var
 from ppv.scalars import rational
 from ppv.series import TruncLaurent, TwoVarLaurent
@@ -302,6 +302,25 @@ def test_certify_refuses_a_target_that_is_not_its_single_part(tmp_path, capsys):
     assert code == 2 and "part 0 does not match the target group" in err
     doc["group"] = doc["decomposition"][0]["group"]
     assert _certify_doc(tmp_path, capsys, doc, GaloisDatum.trivial(), "--trunc", "4")[0] == 0
+
+
+@pytest.mark.parametrize("h, e, field_order, generators, field", [
+    ("zeta(9)", 2, 4, [(3, 0)], 9),
+    ("zeta(5)", 2, 4, [(3, 0)], 5),
+    ("zeta(9)", 3, 3, [(2, 0)], 9),
+    ("zeta(8)", 2, 4, [(3, 0)], 8),
+], ids=["zeta9_exit3", "zeta5_exit1", "zeta9_e3_exit1", "zeta8_exit0"])
+def test_certify_refuses_a_part_outside_k_when_gamma_moves_k(tmp_path, capsys, h, e,
+                                                             field_order, generators, field):
+    # the ids name the exit code each probe had before the refusal; the last one
+    # certified on an arbitrary extension of sigma to the larger field
+    doc = _sl2_input()
+    _set(doc, ("decomposition", 0, "h"), jsonio.encode(parse_k(h)))
+    gd = GaloisDatum.build(e, field_order=field_order, generators=generators)
+    code, err = _certify_doc(tmp_path, capsys, doc, gd, "--trunc", "4", "--samples", "2")
+    assert code == 2 and "internal error" not in err
+    assert "part 0: h has a coefficient written in Q(zeta_%d), not in k = Q(zeta_%d)" % (
+        field, field_order) in err
 
 
 def test_exit_1_on_failed_verification(monkeypatch, capsys):

@@ -18,7 +18,9 @@ from ppv.descent import (
     sigma_map,
     standard_sl2_decomposition,
     transport_block,
+    transport_orbit,
     twist_mutation_detected,
+    twist_table,
     twisted_transport,
     unipotent_generator_part,
     verify_equivariance,
@@ -29,7 +31,8 @@ from ppv.groups import FiniteCyclic, GaSub, Generated, GeneratedPart, closure_of
 from ppv.local_blocks import block_ga_closure
 from ppv.matrices import mat
 from ppv.ore import OrePoly
-from ppv.rationals import k_const, t_var
+from ppv.parser import parse_k
+from ppv.rationals import Poly, RatFunc, k_const, t_var
 from ppv.scalars import Scalar, euler_phi, rational
 from ppv.series import TruncLaurent, TwoVarLaurent, random_two_var
 
@@ -277,6 +280,65 @@ def test_mutation_oracle_refuses_a_zero_twist_root(gd2, sigma):
         twist_mutation_detected(gd2, sigma, rational(0), samples=2, order=6, seed=5)
 
 
+@pytest.mark.parametrize("e", [1, 2])
+def test_the_twist_table_refuses_a_zero_root(e):
+    gd = GaloisDatum.ramified(e)
+    with pytest.raises(ValueError, match="twist root must be nonzero"):
+        twist_mutation_detected(gd, gd.elements[-1], rational(0), samples=2, order=6, seed=5)
+    with pytest.raises(ValueError, match="twist root must be nonzero"):
+        replace(gd, zeta_e=rational(0)).twists
+
+
+def _encoded(values):
+    return [json.dumps(jsonio.encode(v)) for v in values]
+
+
+_TABLE_DATA = {
+    "e1": GaloisDatum.trivial(),
+    "e2": GaloisDatum.ramified(2),
+    "e3": GaloisDatum.ramified(3),
+    "e4": GaloisDatum.ramified(4),
+    "e6": GaloisDatum.ramified(6),
+    "e2_conj": GaloisDatum.build(2, field_order=4, generators=[(3, 0)]),
+    "order6": GaloisDatum.build(3, field_order=3, generators=[(2, 0)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TABLE_DATA))
+def test_the_twist_table_lists_the_powers_of_the_root(name):
+    gd = _TABLE_DATA[name]
+    assert _encoded(gd.twists) == _encoded(gd.zeta_e**k for k in range(gd.e))
+    # a root from the larger field Q(zeta_12) keeps its own field in every entry
+    root = Scalar.zeta(12) ** (12 // gd.e)
+    assert _encoded(twist_table(root, gd.e)) == _encoded(root**k for k in range(gd.e))
+
+
+@pytest.mark.parametrize("name", sorted(_TABLE_DATA))
+def test_actions_through_the_table_equal_the_power_reference(name):
+    gd = _TABLE_DATA[name]
+    n = gd.field_order
+
+    def act_k_reference(g, f):
+        zp = gd.zeta_e ** g.n
+
+        def on_poly(p):
+            return Poly("t", [gd.act_scalar(g, c) * zp**i for i, c in enumerate(p.coeffs)],
+                        p.czero)
+        return RatFunc(on_poly(f.num), on_poly(f.den))
+
+    def point_reference(g, q):
+        inv = gd.inverse(g)
+        return gd.zeta_e ** inv.n * gd.act_scalar(inv, q)
+
+    fs = [parse_k("(t^3 - 2*t + 1/2)/(t^2 + 3)"),
+          parse_k("(zeta(%d)*t^4 + t - 1)/(t - zeta(%d))" % (n, n))]
+    points = [rational(3), Scalar.from_rational(2, n) + Scalar.zeta(n)]
+    for g in gd.elements:
+        assert _encoded(gd.act_k(g, f) for f in fs) == _encoded(act_k_reference(g, f) for f in fs)
+        assert (_encoded(act_on_point(gd, g, q) for q in points)
+                == _encoded(point_reference(g, q) for q in points))
+
+
 
 def _transport_reference(zeta_e, e, n, act, elem, q_target):
     """Every coefficient times its twist zeta^(n(i-j)), the product in the lcm field."""
@@ -300,12 +362,16 @@ def test_twisted_transport_matches_the_product_reference(e):
         for act in (lambda c: c, lambda c: c.galois(5)):
             for n in range(e):
                 for elem in series:
-                    got = twisted_transport(zeta_e, e, n, act, elem, q)
+                    got = twisted_transport(twist_table(zeta_e, e), n, act, elem, q)
                     want = _transport_reference(zeta_e, e, n, act, elem, q)
                     assert json.dumps(jsonio.encode(got)) == json.dumps(jsonio.encode(want))
 
 def test_corrupted_datum_degenerates_orbits(gd2):
+    assert gd2.twists == (rational(1), rational(-1))
+    # the table is derived, not copied: the corrupted datum reads its own
     bad = replace(gd2, zeta_e=rational(1))
+    assert bad.twists == (rational(1), rational(1))
+    assert bad != gd2 and jsonio.encode(gd2) == jsonio.encode(GaloisDatum.ramified(2))
     with pytest.raises(VerificationFailed):
         find_free_orbits(bad, 1)
 
@@ -350,6 +416,43 @@ def test_equivariance_rejects_mismatched_family(gd2, sigma):
     tr = verify_equivariance(gd2, blocks, orbit, order=8)
     assert not tr.passed and tr.coefficients_compared == 23
     assert tr.failures[0].startswith("sigma(aut=1,n=1) at point")
+
+
+def test_failures_name_their_checks_and_print_scalars_in_the_parser_grammar():
+    gd = GaloisDatum.build(2, field_order=4, generators=[(3, 0)])
+    g = next(g for g in gd.elements if g.aut == 3 and g.n == 1)
+    orbit = find_free_orbits(gd, 1)[0]
+    rep = block_ga_closure(orbit.representative, t_var(4), 2, order=6)
+    (y00, y01), row1 = rep.fundamental_matrix
+    corrupted = replace(rep, fundamental_matrix=((y00, y01 + y01), row1))
+    with pytest.raises(VerificationFailed) as err:
+        transport_block(gd, g, corrupted)
+    text = str(err.value)
+    assert "fails re-verification: dx(Y) = A*Y" in text and "zeta(4)" in text
+    assert "Fraction(" not in text and "CheckRecord" not in text
+    # equivariance notes print the point and the differing coefficients with str
+    blocks = transport_orbit(gd, rep, orbit)
+    blocks[orbit.points[1]] = block_ga_closure(orbit.points[1], k_const(1, 4), 2, order=6)
+    tr = verify_equivariance(gd, blocks, orbit, order=6)
+    assert not tr.passed and "series differ" in tr.failures[0]
+    assert not any("Fraction(" in f or "Scalar(" in f for f in tr.failures)
+
+
+def test_a_part_outside_k_is_refused_only_when_gamma_moves_k():
+    moved = GaloisDatum.build(2, field_order=4, generators=[(3, 0)])
+    z5 = k_const(Scalar.zeta(5))
+    op = OrePoly([-z5, z5 * t_var()])  # zeta_5 * (t*Dt - 1) kills h = t
+    part = DecompositionPart(GaSub(op), "ga", h=t_var())
+    written = r"part 0: its %s has a coefficient written in Q\(zeta_5\), not in k = Q\(zeta_4\)"
+    with pytest.raises(UnsupportedGroup, match=written % "operator"):
+        run_criterion(part.group, [part], moved, order=4, samples=2)
+    assert run_criterion(part.group, [part], GaloisDatum.ramified(2), order=4, samples=2)
+    one = k_const(1)
+    nil = mat([[one.zero_like(), z5], [one.zero_like(), one.zero_like()]])
+    part = DecompositionPart(GaSub(OrePoly.dt_gen()), "ga", h=one, embedding=nil)
+    target = Generated((GeneratedPart(part.group, nil),))
+    with pytest.raises(UnsupportedGroup, match=written % "embedding"):
+        run_criterion(target, [part], moved, order=4, samples=2)
 
 
 def test_z2_certificate(gd2):

@@ -680,12 +680,12 @@ def test_dense_product_builds_one_inner_series_per_t_order(monkeypatch):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from(sorted(_DT0_POINTS)))
 def test_unscanned_series_equal_what_the_scanning_constructor_builds(seed, point):
-    from ppv.descent import twisted_transport
+    from ppv.descent import twist_table, twisted_transport
 
     rng = random.Random(seed)
     q = _DT0_POINTS[point]
     a, b = random_two_var(rng, q, 8, 8), random_two_var(rng, q, 8, 8)
-    moved = twisted_transport(Scalar.zeta(6), 6, 1, lambda c: c.galois(5), a, q)
+    moved = twisted_transport(twist_table(Scalar.zeta(6), 6), 1, lambda c: c.galois(5), a, q)
     outputs = [*(a * b).coeffs.values(), *moved.coeffs.values(),
                *(f.deriv() for f in a.coeffs.values())]
     for f in outputs:
