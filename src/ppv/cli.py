@@ -8,7 +8,8 @@ and certify; it is read here and nowhere else, and library functions
 default to DEFAULT_ORDER (10).
 
 Exit codes: 0 success, 1 failed verification, 2 malformed input or
-another library error, 3 internal error.
+another library error, 3 internal error, 141 when stdout is closed
+before the output is written (as for a SIGPIPE death).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from .descent import find_free_orbits, run_criterion
@@ -39,9 +41,14 @@ from .series import DEFAULT_ORDER
 from . import jsonio
 
 
+# an integer as every flag and PPV_TRUNC write it: ASCII digits, an
+# optional sign, spaces around
+_INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*")
+
+
 def _positive(text: str) -> int:
     """An integer argument >= 1; argparse turns the refusal into exit 2."""
-    value = int(text) if text.strip().lstrip("+-").isdecimal() else 0
+    value = int(text) if _INTEGER.fullmatch(text) else 0
     if value < 1:
         raise argparse.ArgumentTypeError("expected an integer >= 1, got %r" % text)
     return value
@@ -54,9 +61,10 @@ def _working_order(flag: int | None) -> int:
     env = os.environ.get("PPV_TRUNC")
     if not env:
         return DEFAULT_ORDER
-    if not (env.strip().isdecimal() and int(env) >= 1):
-        raise PpvError("PPV_TRUNC must be an integer >= 1, got %r" % env)
-    return int(env)
+    try:
+        return _positive(env)
+    except (argparse.ArgumentTypeError, ValueError):  # ValueError: beyond int()'s digit limit
+        raise PpvError("PPV_TRUNC must be an integer >= 1, got %r" % env) from None
 
 
 def _criteria(text: str) -> set[int]:
@@ -307,7 +315,14 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader went away: quiet the interpreter's final flush and exit
+        # as a shell reports a SIGPIPE death, 128 + 13
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except VerificationFailed as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

@@ -121,12 +121,11 @@ def _commutation_check(y: TwoVarLaurent, dt0_y: TwoVarLaurent, e: int, order: in
 def block_cyclic(q: Scalar, r: int, e: int, order: int = DEFAULT_ORDER) -> LocalBlock:
     """Cyclic block of order r: y = (1 - t/(z-q))^(1/r).
 
-    Requires a primitive r-th root of unity in the coefficient field.
+    Requires a primitive root of unity of order r in the coefficient field.
     """
     if not roots_of_unity_available(q.order, r):
-        raise PpvError(
-            "coefficient field Q(zeta_%d) lacks a primitive %d-th root of unity" % (q.order, r)
-        )
+        raise PpvError("coefficient field Q(zeta_%d) lacks a primitive root of unity of order %d"
+                       % (q.order, r))
     # guard orders: derivations cost validity, the identities must still
     # be certified through the working order itself
     build = order + e + 1

@@ -6,15 +6,20 @@
     power  := atom ('^' ('-'? INT))?
     atom   := INT | 'zeta' '(' INT ')' | 't' | 'x' | 'Dt' | '(' expr ')'
 
-Dt is the parameter-direction derivation symbol; products involving it
-are operator composition (non-commutative).  Values promote upward as
-scalar -> K = Q(zeta)(t) -> K(x) -> operator; x may not appear inside
-operator coefficients.  Errors carry line and column.  The companion
-printers in render.py emit strings this grammar re-parses to equal
-values.
+INT is a run of ASCII digits and a word is an ASCII letter followed by
+ASCII letters and digits; any other character but whitespace is
+refused.  Dt is the parameter-direction derivation symbol; products
+involving it are operator composition (non-commutative).  Values
+promote upward as scalar -> K = Q(zeta)(t) -> K(x) -> operator; x may
+not appear inside operator coefficients.  Errors carry line and column.
+The companion printers in render.py emit strings this grammar re-parses
+to equal values.
 """
 
 from __future__ import annotations
+
+import operator
+import re
 
 from .errors import ParseError
 from .ore import OrePoly
@@ -25,70 +30,39 @@ from .scalars import _MAX_INPUT_ORDER, Scalar
 # already costs about 70x more than (t+1)^64
 _MAX_EXPONENT = 64
 
-
-class _Token:
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind, text, line, col):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.col = col
-
-
-_SYMBOLS = "+-*/^()"
+# one alternative per lexeme, tried in order; "bad" is any other character
+_LEXEME = re.compile(r"(?P<nl>\n)|(?P<ws>[^\S\n]+)|(?P<int>[0-9]+)"
+                     r"|(?P<word>[A-Za-z][A-Za-z0-9]*)|(?P<sym>[-+*/^()])|(?P<bad>.)", re.S)
 _KEYWORDS = {"t", "x", "z", "Dt", "zeta"}
 
 
-def _tokenize(src: str) -> list[_Token]:
+def _tokenize(src: str) -> list[tuple]:
+    """The (kind, text, line, column) tokens of src, closed by an eof token.
+
+    A keyword or a symbol is its own kind; an integer has kind "int".
+    """
     out = []
-    line, col = 1, 1
-    i = 0
-    while i < len(src):
-        ch = src[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch in _SYMBOLS:
-            out.append(_Token(ch, ch, line, col))
-            col += 1
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(src) and src[j].isdigit():
-                j += 1
-            out.append(_Token("int", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < len(src) and src[j].isalnum():
-                j += 1
-            word = src[i:j]
-            if word not in _KEYWORDS:
-                raise ParseError("unknown symbol %r" % word, line, col)
-            out.append(_Token(word, word, line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError("unexpected character %r" % ch, line, col)
-    out.append(_Token("eof", "", line, col))
+    line, start = 1, 0  # start: the offset where the current line begins
+    for m in _LEXEME.finditer(src):
+        kind, text = m.lastgroup, m.group()
+        if kind == "nl":
+            line, start = line + 1, m.end()
+        elif kind != "ws":
+            col = m.start() - start + 1
+            if kind == "bad":
+                raise ParseError("unexpected character %r" % text, line, col)
+            if kind == "word" and text not in _KEYWORDS:
+                raise ParseError("unknown symbol %r" % text, line, col)
+            out.append((kind if kind == "int" else text, text, line, col))
+    out.append(("eof", "", line, len(src) - start + 1))
     return out
 
 
-def _int(tok: _Token) -> int:
+def _int(tok) -> int:
     try:
-        return int(tok.text)
+        return int(tok[1])
     except ValueError:  # beyond Python's digit limit for int()
-        raise ParseError("integer literal too long", tok.line, tok.col) from None
+        raise ParseError("integer literal too long", *tok[2:]) from None
 
 
 # value levels for promotion
@@ -105,7 +79,7 @@ def _level(v) -> int:
     raise TypeError
 
 
-def _promote(v, lvl: int, tok: _Token):
+def _promote(v, lvl: int, tok):
     cur = _level(v)
     while cur < lvl:
         if cur == _SCALAR:
@@ -113,141 +87,126 @@ def _promote(v, lvl: int, tok: _Token):
         elif cur == _K:
             v = f_const(v) if lvl < _ORE else OrePoly.constant(v)
         elif cur == _F:
-            raise ParseError("operator coefficients may not involve x", tok.line, tok.col)
+            raise ParseError("operator coefficients may not involve x", *tok[2:])
         cur = _level(v)
     return v
 
 
+# binary operators: (precedence, operation), all left-associative; any
+# other token reads as precedence 0 and ends an expression
+_BINARY = {"+": (1, operator.add), "-": (1, operator.sub),
+           "*": (2, operator.mul), "/": (2, operator.truediv)}
+
+
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
+    def __init__(self, tokens: list[tuple]):
         self.tokens = tokens
         self.pos = 0
 
-    def peek(self) -> _Token:
+    def peek(self) -> tuple:
         return self.tokens[self.pos]
 
-    def next(self) -> _Token:
+    def next(self) -> tuple:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def expect(self, kind: str) -> _Token:
+    def expect(self, kind: str) -> tuple:
         tok = self.peek()
-        if tok.kind != kind:
+        if tok[0] != kind:
             raise ParseError(
-                "expected %s, found %s" % (kind, tok.kind if tok.kind != "eof" else "end of input"),
-                tok.line,
-                tok.col,
+                "expected %s, found %s" % (kind, tok[0] if tok[0] != "eof" else "end of input"),
+                *tok[2:],
             )
         return self.next()
 
     def parse(self):
         value = self.expr()
         tok = self.peek()
-        if tok.kind != "eof":
-            raise ParseError("unexpected %r" % tok.text, tok.line, tok.col)
+        if tok[0] != "eof":
+            raise ParseError("unexpected %r" % tok[1], *tok[2:])
         return value
 
-    def expr(self):
-        value = self.term()
-        while self.peek().kind in ("+", "-"):
-            tok = self.next()
-            rhs = self.term()
-            value = self._binop(tok, value, rhs)
-        return value
-
-    def term(self):
+    def expr(self, floor: int = 1):
+        """Factors joined by binary operators of precedence >= floor, left to right."""
         value = self.factor()
-        while self.peek().kind in ("*", "/"):
+        while _BINARY.get(self.peek()[0], (0,))[0] >= floor:
             tok = self.next()
-            rhs = self.factor()
+            rhs = self.expr(_BINARY[tok[0]][0] + 1)
             value = self._binop(tok, value, rhs)
         return value
 
     def factor(self):
-        if self.peek().kind == "-":
+        if self.peek()[0] == "-":
             self.next()
             return -self.factor()
         return self.power()
 
     def power(self):
         base = self.atom()
-        if self.peek().kind == "^":
+        if self.peek()[0] == "^":
             tok = self.next()
             sign = 1
-            if self.peek().kind == "-":
+            if self.peek()[0] == "-":
                 self.next()
                 sign = -1
             exp_tok = self.expect("int")
             k = sign * _int(exp_tok)
             if abs(k) > _MAX_EXPONENT:
                 raise ParseError("exponent %d is beyond the bound %d" % (k, _MAX_EXPONENT),
-                                 exp_tok.line, exp_tok.col)
+                                 *exp_tok[2:])
             if k < 0 and isinstance(base, OrePoly):
-                raise ParseError("operators have no negative powers", tok.line, tok.col)
+                raise ParseError("operators have no negative powers", *tok[2:])
             if k < 0 and base.is_zero():
-                raise ParseError("division by zero", tok.line, tok.col)
+                raise ParseError("division by zero", *tok[2:])
             return base**k
         return base
 
     def atom(self):
         tok = self.next()
-        if tok.kind == "int":
+        kind = tok[0]
+        if kind == "int":
             return Scalar.from_rational(_int(tok))
-        if tok.kind == "t":
+        if kind == "t":
             return t_var()
-        if tok.kind == "x":
+        if kind == "x":
             return x_var()
-        if tok.kind == "z":
+        if kind == "z":
             raise ParseError(
                 "z-line elements are built by the block and certify commands; "
                 "use x for rational function input",
-                tok.line,
-                tok.col,
+                *tok[2:],
             )
-        if tok.kind == "Dt":
+        if kind == "Dt":
             return OrePoly.dt_gen()
-        if tok.kind == "zeta":
+        if kind == "zeta":
             self.expect("(")
             n_tok = self.expect("int")
             self.expect(")")
             n = _int(n_tok)
             if not 1 <= n <= _MAX_INPUT_ORDER:
-                raise ParseError("zeta order must be in 1..%d" % _MAX_INPUT_ORDER,
-                                 n_tok.line, n_tok.col)
+                raise ParseError("zeta order must be in 1..%d" % _MAX_INPUT_ORDER, *n_tok[2:])
             return Scalar.zeta(n)
-        if tok.kind == "(":
+        if kind == "(":
             value = self.expr()
             self.expect(")")
             return value
         raise ParseError(
-            "expected a value, found %s" % (tok.kind if tok.kind != "eof" else "end of input"),
-            tok.line,
-            tok.col,
+            "expected a value, found %s" % (kind if kind != "eof" else "end of input"), *tok[2:]
         )
 
     @staticmethod
-    def _binop(tok: _Token, a, b):
-        if tok.kind == "/":
+    def _binop(tok: tuple, a, b):
+        if tok[0] == "/":
             if isinstance(b, OrePoly):
-                raise ParseError("cannot divide by an operator", tok.line, tok.col)
+                raise ParseError("cannot divide by an operator", *tok[2:])
             if b.is_zero():
-                raise ParseError("division by zero", tok.line, tok.col)
+                raise ParseError("division by zero", *tok[2:])
             if isinstance(a, OrePoly):
                 # composition with the inverse constant, e.g. (t*Dt)/t
                 return a * _promote(_promote(b, _K, tok).inv(), _ORE, tok)
-            lvl = max(_level(a), _level(b))
-            return _promote(a, lvl, tok) / _promote(b, lvl, tok)
         lvl = max(_level(a), _level(b))
-        a = _promote(a, lvl, tok)
-        b = _promote(b, lvl, tok)
-        if tok.kind == "+":
-            return a + b
-        if tok.kind == "-":
-            return a - b
-        if tok.kind == "*":
-            return a * b
-        raise ParseError("unsupported operator %r" % tok.kind, tok.line, tok.col)
+        return _BINARY[tok[0]][1](_promote(a, lvl, tok), _promote(b, lvl, tok))
 
 
 def parse_expr(src: str):
@@ -260,7 +219,7 @@ def _parse_at(src: str, level: int, what: str):
     value = parse_expr(src)
     if _level(value) > level:
         raise ParseError("expected %s" % what, 1, 1)
-    return _promote(value, level, _Token("eof", "", 1, 1))
+    return _promote(value, level, ("eof", "", 1, 1))
 
 
 def parse_operator(src: str) -> OrePoly:

@@ -101,7 +101,7 @@ def _verify_basis(l: OrePoly, target: OrePoly, basis, needed: int, what: str):
         )
     for b in basis:
         if not target.apply(b).is_zero():
-            raise RealizationError("candidate %r is not annihilated by %s" % (b, what))
+            raise RealizationError("candidate %s is not annihilated by %s" % (b, what))
     if wronskian_det(list(basis), l.e).is_zero():
         raise DependentFamily("candidate solutions are dependent over constants")
 
@@ -131,7 +131,8 @@ def realize_gm(l: OrePoly, basis) -> Realization:
     checks.append(CheckRecord("membership L(f) in K(x)", check_membership_gm(model, l)))
     real = Realization("gm", l, basis, a, GmSub(l), model, tuple(checks))
     if not real.all_checks_passed():
-        raise RealizationError("realization checks failed: %r" % (checks,))
+        raise RealizationError("realization checks failed: %s"
+                               % "; ".join(c.name for c in checks if not c.passed))
     return real
 
 
@@ -151,7 +152,8 @@ def realize_ga(l: OrePoly, basis) -> Realization:
     ]
     real = Realization("ga", l, basis, a, GaSub(l), model, tuple(checks))
     if not real.all_checks_passed():
-        raise RealizationError("realization checks failed: %r" % (checks,))
+        raise RealizationError("realization checks failed: %s"
+                               % "; ".join(c.name for c in checks if not c.passed))
     return real
 
 

@@ -8,15 +8,10 @@ O(..) marker for the truncation; that form is for reading, not parsing.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
 # what a coefficient may print as without parentheses: t, x, Dt, an
 # integer, zeta(N) or zeta(N)^k
 _ATOM = re.compile(r"t|x|Dt|-?\d+|zeta\(\d+\)(\^\d+)?")
-
-
-def _frac_str(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else "%d/%d" % (q.numerator, q.denominator)
 
 
 def _wrap(s: str) -> str:
@@ -40,27 +35,20 @@ def _join(parts: list[str]) -> str:
 
 
 def format_scalar(s) -> str:
-    if s.is_zero():
-        return "0"
-    if s.is_rational():
-        return _frac_str(s.as_fraction())
     parts = []
-    coeffs = s.coeffs  # each read builds phi(N) Fractions
-    for k in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[k]
-        if not c:
-            continue
+    for k, num, den in reversed(tuple(s.terms())):  # highest power first
+        c = str(num) if den == 1 else "%d/%d" % (num, den)
         if k == 0:
-            parts.append(_frac_str(c))
+            parts.append(c)
             continue
         z = "zeta(%d)" % s.order if k == 1 else "zeta(%d)^%d" % (s.order, k)
-        if c == 1:
+        if c == "1":
             parts.append(z)
-        elif c == -1:
+        elif c == "-1":
             parts.append("-" + z)
         else:
-            parts.append("%s*%s" % (_wrap(_frac_str(c)), z))
-    return _join(parts)
+            parts.append("%s*%s" % (_wrap(c), z))
+    return _join(parts) if parts else "0"
 
 
 def _coeff_str(c) -> str:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -93,6 +97,14 @@ def test_realize_and_check(tmp_path, capsys):
 def test_realize_refusal_exit_code(capsys):
     code, _ = run(capsys, "realize", "--kind", "gm", "--op", "t*Dt + 1", "--basis", "1,t")
     assert code == 2  # basis does not solve L o Dt: a PpvError
+
+
+def test_realize_failure_text_is_in_the_grammar(capsys):
+    code = main(["realize", "--kind", "ga", "--op", "t*Dt - zeta(8)", "--basis", "t"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "candidate t is not annihilated by L" in err
+    assert "RatFunc(" not in err and "Scalar(" not in err
 
 
 def test_block_verbs(capsys):
@@ -373,6 +385,7 @@ def test_exit_2_on_malformed_input(tmp_path, capsys):
                  ["block", "--kind", "gmconst", "--q", "1", "--e", "0"],
                  ["block", "--kind", "gmconst", "--q", "1", "--e", "-1"],
                  ["block", "--kind", "gmconst", "--q", "1", "--order", "0"],
+                 ["block", "--kind", "gmconst", "--q", "1", "--order", "\u0663"],
                  ["orbits", "--gd", str(bad), "--count", "0"],
                  ["certify", "--group", str(group), "--galois", str(bad), "--samples", "0"],
                  ["certify", "--group", str(group), "--galois", str(bad), "--trunc", "0"],
@@ -397,6 +410,31 @@ def test_exit_3_on_internal_error(monkeypatch, capsys):
     assert err == "internal error: RuntimeError: unexpected state\n"
 
 
+@pytest.mark.parametrize("expr, col", [("\u00b2", 1), ("\u0663/(x-1)", 1), ("t\u00b2", 2),
+                                       ("\u00e9", 1), ("3\u0663", 2), ("zeta(\uff18)", 6)])
+def test_non_ascii_digits_and_letters_are_refused(capsys, expr, col):
+    assert main(["decompose", expr]) == 2
+    err = capsys.readouterr().err
+    assert "unexpected character" in err and "(line 1, column %d)" % col in err
+
+
+def test_a_closed_stdout_exits_141_quietly():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # nobody reads: the first write fails with EPIPE
+    try:
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys; from ppv.cli import main; sys.exit(main())",
+             "ore", "mul", "Dt", "t"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 141
+    assert done.stderr == ""
+
+
 def test_parse_error_reported(capsys):
     code = main(["ore", "divmod", "t*Dt + ", "Dt"])
     captured = capsys.readouterr()
@@ -417,7 +455,7 @@ def test_trunc_env_var_controls_default_order(monkeypatch, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["order"] == 6
-    for bad in ("0", "-1", "ten"):
+    for bad in ("0", "-1", "ten", "\u0663"):
         monkeypatch.setenv("PPV_TRUNC", bad)
         assert main(["block", "--kind", "gmconst", "--q", "0"]) == 2
         assert "PPV_TRUNC must be an integer >= 1" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -349,3 +350,59 @@ def test_decode_checks_the_expected_tag():
     assert jsonio.decode(node, "group") == FiniteCyclic(2)
     with pytest.raises(DecodeError, match=r"^decomposition\[3\] must be a 'part' node, got a "):
         jsonio.decode(node, "part", "decomposition[3]")
+
+
+def _documented_values():
+    """The JSON values of the json blocks in docs/formats.md, read with each
+    placeholder (<kind>, a trailing ", ..." or "[...]") as null or empty."""
+    from pathlib import Path
+
+    text = (Path(__file__).parent.parent / "docs" / "formats.md").read_text()
+    decoder = json.JSONDecoder()
+    for block in re.findall(r"```json\n(.*?)```", text, re.S):
+        block = re.sub(r"<[^<>]*>", "null", block)
+        block = re.sub(r",\s*\.\.\.", "", block).replace("[...]", "[]").strip()
+        pos = 0
+        while pos < len(block):
+            value, pos = decoder.raw_decode(block, pos)
+            pos += len(block[pos:]) - len(block[pos:].lstrip())
+            yield value
+
+
+def _check_keys(node: dict, row, where: str) -> int:
+    """node lists exactly the keys row writes, in order (a field that is
+    omitted when empty may be left out), and so does each object inside it;
+    returns the number of objects checked."""
+    if row.key == ("scalar", None):  # the hand-written scalar form
+        written = jsonio.encode(Scalar(8, [1, 0, 0, 1]))
+        assert list(node) == list(written), where
+        assert all(list(term) == list(written["terms"][0]) for term in node["terms"]), where
+        return 1 + len(node["terms"])
+    expected = (["type"] if row.key[0] else []) + ([row.sub] if row.sub else [])
+    expected += [key for key, _a, _k, mode, _g in row.fields
+                 if mode != "in" and (mode != "omit" or key in node)]
+    assert list(node) == expected, where
+    kinds = {key: kind for key, _a, kind, _m, _g in row.fields}
+    return 1 + sum(_check_value(value, kinds.get(key), "%s.%s" % (where, key))
+                   for key, value in node.items())
+
+
+def _check_value(value, kind, where: str) -> int:
+    """Check every documented object in value, a field that holds kind (None when unknown)."""
+    inner = getattr(kind, "inner", None)
+    if isinstance(value, list):
+        return sum(_check_value(v, inner, where) for v in value)
+    if not isinstance(value, dict):
+        return 0
+    if "type" in value:
+        row = jsonio._row_of(value)
+        assert row is not None, "%s: no row for %r" % (where, value["type"])
+        return _check_keys(value, row, value["type"])
+    if isinstance(kind, jsonio._Row):  # an untagged sub-record
+        return _check_keys(value, kind, where)
+    return sum(_check_value(v, inner, where) for v in value.values())  # an exponent map
+
+
+def test_docs_field_tables_list_each_row_in_written_order():
+    checked = sum(_check_value(value, None, "docs") for value in _documented_values())
+    assert checked >= 30

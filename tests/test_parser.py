@@ -2,13 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ppv.errors import ParseError
 from ppv.ore import OrePoly
-from ppv.parser import parse_basis, parse_expr, parse_k, parse_operator, parse_xrat
+from ppv.parser import _tokenize, parse_basis, parse_expr, parse_k, parse_operator, parse_xrat
 from ppv.rationals import f_const, k_const, t_var, x_var
-from ppv.render import format_ore, format_ratfunc, format_scalar
-from ppv.scalars import Scalar, rational
+from ppv.render import _join, _wrap, format_ore, format_ratfunc, format_scalar
+from ppv.scalars import Scalar, cyclotomic_coeffs, rational
 
 one = k_const(1)
 t = t_var()
@@ -173,3 +174,126 @@ def test_parse_helpers_climb_the_tower(src, as_op, as_k, as_f):
         assert type(value) is type(expected)
         if var is not None:
             assert value.var == var
+
+
+# ---------------------------------------------------------------------------
+# the regular-expression lexer and the terms() printer against the character
+# loop and the Fraction printer they replaced, kept here as references
+
+
+def _reference_tokenize(src: str) -> list[tuple]:
+    out = []
+    line, col = 1, 1
+    i = 0
+    while i < len(src):
+        ch = src[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch.isspace():
+            col += 1
+            i += 1
+            continue
+        if ch in "+-*/^()":
+            out.append((ch, ch, line, col))
+            col += 1
+            i += 1
+            continue
+        if ch.isdigit():
+            j = i
+            while j < len(src) and src[j].isdigit():
+                j += 1
+            out.append(("int", src[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if ch.isalpha():
+            j = i
+            while j < len(src) and src[j].isalnum():
+                j += 1
+            word = src[i:j]
+            if word not in {"t", "x", "z", "Dt", "zeta"}:
+                raise ParseError("unknown symbol %r" % word, line, col)
+            out.append((word, word, line, col))
+            col += j - i
+            i = j
+            continue
+        raise ParseError("unexpected character %r" % ch, line, col)
+    out.append(("eof", "", line, col))
+    return out
+
+
+def _lexed(tokenize, src: str):
+    try:
+        return tokenize(src)
+    except ParseError as exc:
+        return str(exc), exc.line, exc.column
+
+
+_GRAMMAR_TEXT = st.one_of(
+    st.text(alphabet=st.sampled_from("0123456789tDxzetaub+-*/^() \n\t$_."), max_size=24),
+    st.lists(st.sampled_from(["t", "x", "z", "Dt", "zeta", "Du", "zeta2", "12", "007", "+", "-",
+                              "*", "/", "^", "(", ")", " ", "\n", "\t", "$", "_", "."]),
+             max_size=12).map("".join),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_GRAMMAR_TEXT)
+@example("t*Dt^2 + (1/t)*Dt + 3")
+@example("zeta(8)*x\n  - 1/(x - t)$")
+@example("tDt")
+def test_lexer_matches_the_character_loop(src):
+    assert _lexed(_tokenize, src) == _lexed(_reference_tokenize, src)
+
+
+def _reference_format_scalar(s) -> str:
+    def frac(q):
+        return str(q.numerator) if q.denominator == 1 else "%d/%d" % (q.numerator, q.denominator)
+
+    if s.is_zero():
+        return "0"
+    if s.is_rational():
+        return frac(s.as_fraction())
+    parts = []
+    coeffs = s.coeffs
+    for k in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[k]
+        if not c:
+            continue
+        if k == 0:
+            parts.append(frac(c))
+            continue
+        z = "zeta(%d)" % s.order if k == 1 else "zeta(%d)^%d" % (s.order, k)
+        if c == 1:
+            parts.append(z)
+        elif c == -1:
+            parts.append("-" + z)
+        else:
+            parts.append("%s*%s" % (_wrap(frac(c)), z))
+    return _join(parts)
+
+
+_COEFF = st.one_of(st.just(0), st.just(0), st.sampled_from([1, -1]),
+                   st.fractions(max_denominator=12).filter(lambda q: abs(q.numerator) < 10**6))
+
+
+@st.composite
+def _scalars(draw):
+    n = draw(st.sampled_from([1, 3, 4, 8, 12]))
+    width = len(cyclotomic_coeffs(n)) - 1
+    coeffs = draw(st.lists(_COEFF, min_size=width, max_size=width))
+    if draw(st.booleans()):
+        coeffs[1:] = [0] * (width - 1)  # a rational in Q(zeta_n)
+    return Scalar(n, coeffs)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_scalars())
+@example(Scalar(8, [0, 0, 0, 0]))
+@example(Scalar(12, [Fraction(-3, 4), 0, 0, 0]))
+@example(Scalar(8, [-1, 1, Fraction(-1, 2), Fraction(2, 3)]))
+def test_format_scalar_matches_the_fraction_printer(s):
+    assert format_scalar(s) == _reference_format_scalar(s)

@@ -64,8 +64,21 @@ def test_realize_ga_order_two():
 
 
 def test_realize_ga_rejects_non_solution():
-    with pytest.raises(RealizationError):
+    with pytest.raises(RealizationError) as err:
         realize_ga(OrePoly([-one, t]), [one])  # t Dt - 1 does not kill 1
+    assert str(err.value) == "candidate 1 is not annihilated by L"
+
+
+@pytest.mark.parametrize("kind", ["gm", "ga"])
+def test_failed_realization_checks_are_named(monkeypatch, kind):
+    from ppv import realization
+
+    monkeypatch.setattr(realization, "check_membership_%s" % kind, lambda *a: False)
+    realize = realize_gm if kind == "gm" else realize_ga
+    with pytest.raises(RealizationError) as err:
+        realize(dt, [one, t] if kind == "gm" else [one])
+    membership = "membership L(f) in K(x)" if kind == "gm" else "membership L(y) in K(x)"
+    assert str(err.value) == "realization checks failed: " + membership
 
 
 def test_membership_examples():
