@@ -78,7 +78,11 @@ def _criteria(text: str) -> set[int]:
 
 def _read_json(path):
     with open(path) as fh:
-        return json.loads(fh.read())
+        text = fh.read()
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise DecodeError("%s: JSON nested too deeply to read" % path) from None
 
 
 def _field(doc, key: str):

@@ -53,17 +53,22 @@ def decode(data, tag: str | None = None, path: str | None = None):
     """Rebuild an object from its JSON node; DecodeError when the node is malformed.
 
     tag is the node type the caller expects (any, when None); path names
-    the node in messages and defaults to its type tag.
+    the node in messages and defaults to its type tag.  A child is decoded
+    before its kind is checked, one recursion per level, so a node nested
+    deeper than the interpreter's stack allows is refused as such.
     """
     kind = _ANY if tag is None else _OF_TAG[tag]
     row = _row_of(data)
     if row is None or row.key not in kind.keys:
         _refuse(path or "input", kind.name, data)
+    path = path or row.key[0]
     try:
-        return row.dec(data, path or row.key[0])
+        return row.dec(data, path)
     except _MALFORMED as exc:
         raise DecodeError("malformed %r node: %s: %s"
                           % (data.get("type"), type(exc).__name__, exc)) from None
+    except RecursionError:
+        raise DecodeError("%s is nested too deeply to decode" % path) from None
 
 
 def _row_of(node):

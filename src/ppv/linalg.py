@@ -1,21 +1,83 @@
 """Exact linear algebra over any field element type used here.
 
-Every function reads its result from one Gauss-Jordan pass.
+Every function reads its result from one Gauss-Jordan pass.  Over a
+field of constants (Scalar entries) the pass scales each pivot to one.
+Over K = Q(zeta_N)(t), or K(x), it is fraction-free (E. H. Bareiss,
+Math. Comp. 22, 1968): each row is first multiplied by the lcm of its
+denominators, which keeps the row space, the reduced row echelon form,
+the rank and the nullspace, and the pass then works on the numerators
+with products and exact polynomial divisions only, so no entry is
+reduced by a gcd until the result is read.
 """
 
 from __future__ import annotations
 
+import operator
+from functools import reduce
+
+from .rationals import RatFunc
+
+
+def _exact(a, b):
+    """a / b for a polynomial b that divides a; a nonzero remainder raises ArithmeticError."""
+    q, r = a.divmod(b)
+    if not r.is_zero():
+        raise ArithmeticError("fraction-free elimination: %r does not divide %r" % (b, a))
+    return q
+
+
+def _lcm(a, b):
+    """The monic lcm of two monic polynomials; a gcd only when neither divides the other."""
+    if a == b or b.degree() == 0:
+        return a
+    if b.divmod(a)[1].is_zero():
+        return b
+    if a.divmod(b)[1].is_zero():
+        return a
+    return a * _exact(b, a.gcd(b))
+
+
+def _numerator_rows(rows: list[list]) -> tuple[list[list], list]:
+    """(rows over the numerator ring, the lcm each row was multiplied by)."""
+    out, scales = [], []
+    for row in rows:
+        lcm = row[0].den
+        for x in row[1:]:
+            lcm = _lcm(lcm, x.den)
+        out.append([x.num if x.den == lcm else x.num * _exact(lcm, x.den) for x in row])
+        scales.append(lcm)
+    return out, scales
+
 
 def _gauss_jordan(rows: list[list]):
-    """(reduced rows, pivot columns, pivot product times the swap sign).
+    """(reduced rows, pivot columns, signed pivot value, the row lcms or None).
 
-    Pivots are scaled to one and cleared above and below.  The product
-    is None without pivots; clearing keeps the determinant, so for a
-    square matrix of full rank the signed pivot product is its value.
+    Row r of the reduced form is 1 at pivot column r, 0 at the other
+    pivot columns, and eliminated entries elsewhere; the rows past the
+    rank are zero.  Over the constants, each pivot row is scaled to its
+    pivot one, every other row i has a_ij -= a_ic * a_rj, and the
+    determinant is the signed pivot product.  Over K, with p the pivot
+    and p_prev the one before (1 at first), every row i != r has
+    a_ij <- (p*a_ij - a_ic*a_rj) / p_prev, zero a_ic included, so every
+    entry stays a minor of the numerator rows and every division is
+    exact; the reduced entries are a_ij / p for the last pivot p, and the
+    determinant is the signed last pivot over the product of the row
+    lcms.  Only the columns that are not yet pivots are updated, since
+    nothing reads a pivot column again.  The determinant is None without
+    pivots and meaningful only at full rank.
     """
-    rows = [list(r) for r in rows]
-    pivots, acc, sign = [], None, 1
-    for c in range(len(rows[0]) if rows else 0):
+    if not rows or not rows[0]:
+        return [list(r) for r in rows], [], None, None
+    zero = rows[0][0].zero_like()
+    one = zero.one_like()
+    fraction_free = all(isinstance(x, RatFunc) for row in rows for x in row)
+    if fraction_free:
+        rows, scales = _numerator_rows(rows)
+    else:
+        rows, scales = [list(r) for r in rows], None
+    ncols = len(rows[0])
+    pivots, acc, sign, prev = [], None, 1, None
+    for c in range(ncols):
         r = len(pivots)
         if r == len(rows):
             break
@@ -24,16 +86,38 @@ def _gauss_jordan(rows: list[list]):
             continue
         if pivot != r:
             rows[r], rows[pivot], sign = rows[pivot], rows[r], -sign
-        p = rows[r][c]
-        acc = p if acc is None else acc * p
-        inv = p.one_like() / p
-        rows[r] = [x * inv for x in rows[r]]
-        for i, row in enumerate(rows):
-            if i != r and not row[c].is_zero():
-                f = row[c]
-                rows[i] = [a - f * b for a, b in zip(row, rows[r])]
         pivots.append(c)
-    return rows, pivots, acc if sign > 0 or acc is None else -acc
+        free = [j for j in range(ncols) if j not in pivots]
+        prow, p = rows[r], rows[r][c]
+        if fraction_free:
+            acc = p
+        else:
+            acc = p if acc is None else acc * p
+            inv = p.one_like() / p
+            for j in free:
+                prow[j] = prow[j] * inv
+        for i, row in enumerate(rows):
+            if i == r:
+                continue
+            f = row[c]
+            if fraction_free:
+                for j in free:
+                    x = p * row[j] - f * prow[j]
+                    row[j] = x if prev is None else _exact(x, prev)
+            elif not f.is_zero():
+                for j in free:
+                    row[j] = row[j] - f * prow[j]
+        prev = p
+    if fraction_free:
+        # the eliminated entries, each over the last pivot
+        free = [j for j in range(ncols) if j not in pivots]
+        for row in rows:
+            for j in free:
+                row[j] = zero if row[j].is_zero() else RatFunc(row[j], acc)
+    for r, c in enumerate(pivots):
+        for i, row in enumerate(rows):
+            row[c] = one if i == r else zero
+    return rows, pivots, acc if sign > 0 or acc is None else -acc, scales
 
 
 def rref(rows: list[list]) -> tuple[list[list], list[int]]:
@@ -51,7 +135,7 @@ def nullspace(rows: list[list], zero, one) -> list[list]:
     if not rows:
         return []
     ncols = len(rows[0])
-    red, pivots, _ = _gauss_jordan(rows)
+    red, pivots, _, _ = _gauss_jordan(rows)
     basis = []
     for fc in (c for c in range(ncols) if c not in pivots):
         vec = [zero] * ncols
@@ -66,5 +150,7 @@ def det(matrix: list[list]):
     """Determinant of a square matrix: the signed pivot product, or zero."""
     if not matrix:
         raise ValueError("determinant of empty matrix")
-    _, pivots, acc = _gauss_jordan(matrix)
-    return acc if len(pivots) == len(matrix) else matrix[0][0].zero_like()
+    _, pivots, signed, scales = _gauss_jordan(matrix)
+    if len(pivots) < len(matrix):
+        return matrix[0][0].zero_like()
+    return signed if scales is None else RatFunc(signed, reduce(operator.mul, scales))

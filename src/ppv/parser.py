@@ -210,8 +210,16 @@ class _Parser:
 
 
 def parse_expr(src: str):
-    """Parse into a Scalar, RatFunc, or OrePoly, exactly."""
-    return _Parser(_tokenize(src)).parse()
+    """Parse into a Scalar, RatFunc, or OrePoly, exactly.
+
+    The parser recurses once per nesting level, so input nested deeper
+    than the interpreter's stack allows is refused where it stopped.
+    """
+    parser = _Parser(_tokenize(src))
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise ParseError("expression nested too deeply", *parser.peek()[2:]) from None
 
 
 def _parse_at(src: str, level: int, what: str):

@@ -459,3 +459,51 @@ def test_trunc_env_var_controls_default_order(monkeypatch, capsys):
         monkeypatch.setenv("PPV_TRUNC", bad)
         assert main(["block", "--kind", "gmconst", "--q", "0"]) == 2
         assert "PPV_TRUNC must be an integer >= 1" in capsys.readouterr().err
+
+
+def _replace_first_scalar(node, by):
+    """Put by in place of the first 'scalar' node found depth first; True once done."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        if isinstance(child, dict) and child.get("type") == "scalar":
+            node[key] = by
+            return True
+        if isinstance(child, (dict, list)) and _replace_first_scalar(child, by):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("expr", ["(" * 400 + "x" + ")" * 400, "-" * 5000 + "x",
+                                  "1/(" * 400 + "x" + ")" * 400],
+                         ids=["parentheses", "unary_minus", "quotients"])
+def test_deeply_nested_expressions_exit_2(capsys, expr):
+    code = main(["decompose", "--", expr])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "nested too deeply (line 1, column" in err and "internal error" not in err
+    # shallow nesting still parses
+    assert run(capsys, "decompose", "(" * 50 + "x" + ")" * 50)[0] == 0
+
+
+def test_deeply_nested_json_exits_2(tmp_path, capsys):
+    gd = tmp_path / "gd.json"
+    gd.write_text(json.dumps(jsonio.encode(GaloisDatum.trivial())))
+    group = tmp_path / "group.json"
+    # too deep for the JSON reader itself
+    group.write_text("[" * 100000 + "]" * 100000)
+    code = main(["certify", "--group", str(group), "--galois", str(gd)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "JSON nested too deeply to read" in err and "internal error" not in err
+    # readable, but a chain of polynomials too deep to decode inside a valid group
+    chain = {"type": "scalar", "order": 1, "terms": []}
+    for _ in range(400):
+        chain = {"type": "poly", "var": "t", "coeffs": [chain]}
+    sl2, parts = standard_sl2_decomposition()
+    doc = {"group": jsonio.encode(sl2), "decomposition": [jsonio.encode(p) for p in parts]}
+    assert _replace_first_scalar(doc["group"], chain)
+    group.write_text(json.dumps(doc))
+    code = main(["certify", "--group", str(group), "--galois", str(gd)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "nested too deeply to decode" in err and "internal error" not in err
