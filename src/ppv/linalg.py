@@ -15,38 +15,7 @@ from __future__ import annotations
 import operator
 from functools import reduce
 
-from .rationals import RatFunc
-
-
-def _exact(a, b):
-    """a / b for a polynomial b that divides a; a nonzero remainder raises ArithmeticError."""
-    q, r = a.divmod(b)
-    if not r.is_zero():
-        raise ArithmeticError("fraction-free elimination: %r does not divide %r" % (b, a))
-    return q
-
-
-def _lcm(a, b):
-    """The monic lcm of two monic polynomials; a gcd only when neither divides the other."""
-    if a == b or b.degree() == 0:
-        return a
-    if b.divmod(a)[1].is_zero():
-        return b
-    if a.divmod(b)[1].is_zero():
-        return a
-    return a * _exact(b, a.gcd(b))
-
-
-def _numerator_rows(rows: list[list]) -> tuple[list[list], list]:
-    """(rows over the numerator ring, the lcm each row was multiplied by)."""
-    out, scales = [], []
-    for row in rows:
-        lcm = row[0].den
-        for x in row[1:]:
-            lcm = _lcm(lcm, x.den)
-        out.append([x.num if x.den == lcm else x.num * _exact(lcm, x.den) for x in row])
-        scales.append(lcm)
-    return out, scales
+from .rationals import RatFunc, _cleared, _exact
 
 
 def _gauss_jordan(rows: list[list]):
@@ -72,7 +41,8 @@ def _gauss_jordan(rows: list[list]):
     one = zero.one_like()
     fraction_free = all(isinstance(x, RatFunc) for row in rows for x in row)
     if fraction_free:
-        rows, scales = _numerator_rows(rows)
+        cleared = [_cleared(row) for row in rows]
+        rows, scales = [r for r, _ in cleared], [lcm for _, lcm in cleared]
     else:
         rows, scales = [list(r) for r in rows], None
     ncols = len(rows[0])

@@ -16,8 +16,8 @@ from fractions import Fraction
 
 from .errors import CoefficientFieldMismatch, DependentFamily, ZeroOperatorDivision
 from .linalg import det, nullspace
-from .rationals import (PARAM_VARS, Poly, RatFunc, _add, _coeff, _euclid, _is_zero, _leading,
-                        _monic, _neg, _scale, _strip, _sub, _zero_like, k_const)
+from .rationals import (PARAM_VARS, Poly, RatFunc, _add, _cleared, _coeff, _euclid, _is_zero,
+                        _leading, _monic, _neg, _scale, _strip, _sub, _zero_like, k_const)
 from .scalars import Scalar, _power
 
 
@@ -131,10 +131,24 @@ class OrePoly:
     # action
 
     def apply(self, f):
-        """Apply the operator: sum dt0(e)^i (f) * c_i, the product taken in f's ring."""
+        """Apply the operator: sum dt0(e)^i (f) * c_i, the product taken in f's ring.
+
+        On an element f of K, with coefficients in K, the terms are summed
+        over one common denominator and reduced once, instead of by a gcd
+        per partial sum.
+        """
         derivs = [f]
         for _ in range(self.order()):
             derivs.append(derivs[-1].dt0(self.e))
+        if (not self.is_zero() and isinstance(f, RatFunc) and f.var in PARAM_VARS
+                and isinstance(self.czero, RatFunc) and self.czero.var == f.var):
+            nums, den = _cleared(derivs)
+            cnums, cden = _cleared(self.coeffs)
+            acc = None
+            for n, c in zip(nums, cnums):
+                if not c.is_zero():
+                    acc = n * c if acc is None else acc + n * c
+            return RatFunc(acc, den * cden)
         out = None
         for i, c in enumerate(self.coeffs):
             term = derivs[i] * c
@@ -248,11 +262,7 @@ def solve_in_window(l: OrePoly, basis: list[RatFunc]) -> list[RatFunc]:
     if not basis:
         return []
     terms = [_monomial_term(b) for b in basis]
-    common = basis[0].den.one_like()
-    for c in l.coeffs:
-        if c.den.degree() > 0:
-            common = (common * c.den).divmod(common.gcd(c.den))[0]
-    scaled = [c.num * common.divmod(c.den)[0] for c in l.coeffs]
+    scaled = _cleared(l.coeffs)[0] if l.coeffs else []
     # the basis field's zero, as in l.apply(b): a product keeps its left
     # factor's zero, and so its field order, which reaches the JSON
     e, zero = l.e, basis[0].czero

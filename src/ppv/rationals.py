@@ -29,6 +29,15 @@ output's lcm itself.  Two constants of K (denominator 1, numerator of degree
 <= 0) whose Scalars, czeros included, all share one order are summed,
 multiplied or inverted as one Scalar; any other pair of constants takes the
 general RatFunc path.
+
+Gcds.  Poly.gcd over the constants (Q(zeta_N)[t]) is Euclid's algorithm,
+_euclid.  Over K[x] it clears both operands to numerators over
+Q(zeta_N)[t] and runs the subresultant remainder sequence there
+(_subresultant_gcd), so that no remainder coefficient is reduced by a gcd
+in t; only the monic result is written in lowest terms.  The one helper
+that clears a list of RatFuncs over the lcm of their denominators,
+_cleared, and the one exact division, _exact, serve it, the
+fraction-free elimination of linalg and OrePoly.apply on K.
 """
 
 from __future__ import annotations
@@ -165,12 +174,132 @@ def _euclid(a, b, divide):
 
     Each divisor is made monic first: a unit factor does not change the
     remainder, and normalizing keeps the coefficients reduced when they
-    are themselves fractions.
+    are themselves fractions.  This is Poly.gcd over the constants
+    (polynomials over Q(zeta_N)) and the right gcd of operators; over
+    K[x] Poly.gcd runs _subresultant_gcd instead.
     """
     while not b.is_zero():
         b = b.monic()
         a, b = b, divide(a, b)[1]
     return a.monic()
+
+
+def _exact(a, b):
+    """a / b for a polynomial b that divides a; a nonzero remainder raises ArithmeticError."""
+    q, r = a.divmod(b)
+    if not r.is_zero():
+        raise ArithmeticError("exact division: %r does not divide %r" % (b, a))
+    return q
+
+
+def _lcm(a, b):
+    """The monic lcm of two monic polynomials; a gcd only when neither divides the other."""
+    if a == b or b.degree() == 0:
+        return a
+    if b.divmod(a)[1].is_zero():
+        return b
+    if a.divmod(b)[1].is_zero():
+        return a
+    return a * _exact(b, a.gcd(b))
+
+
+def _cleared(values) -> tuple[list, "Poly"]:
+    """(numerators, lcm) with values[i] = numerators[i] / lcm, lcm the monic lcm of the denominators.
+
+    values is a nonempty sequence of RatFuncs in one variable.
+    """
+    lcm = values[0].den
+    for x in values[1:]:
+        lcm = _lcm(lcm, x.den)
+    return [x.num if x.den == lcm else x.num * _exact(lcm, x.den) for x in values], lcm
+
+
+def _prem(a: list, b: list) -> list:
+    """The pseudo-remainder of a by b: lead(b)^(deg a - deg b + 1) * a mod b.
+
+    a and b are ascending coefficient lists over an integral domain,
+    without trailing zeros, b nonempty; only +, - and * are used.
+    """
+    lead, n = b[-1], len(b) - 1
+    r = list(a)
+    for k in range(len(r) - 1, n - 1, -1):
+        c = r.pop()
+        r = [lead * x for x in r]
+        if not c.is_zero():
+            for i, d in enumerate(b[:-1], k - n):
+                r[i] = r[i] - c * d
+    while r and r[-1].is_zero():
+        r.pop()
+    return r
+
+
+def _subresultants(a: list, b: list):
+    """Yield the subresultant remainder sequence of a and b after them, up to signs.
+
+    a and b are coefficient lists over an integral domain as in _prem, b
+    nonempty and deg a >= deg b.  The sequence of Collins and of Brown and
+    Traub (G. E. Collins, J. ACM 14, 1967; W. S. Brown and J. F. Traub,
+    J. ACM 18, 1971): with delta = deg a - deg b, the next remainder r is
+    prem(a, b) / (g h^delta), an exact division; then (a, b) becomes
+    (b, r), g = lead(a) and h = g^delta / h^(delta - 1), with g = h = 1
+    at first.  It stops after a constant remainder: the next one is zero.
+    """
+    g = h = None  # 1
+    while True:
+        delta = len(a) - len(b)
+        r = _prem(a, b)
+        if not r:
+            return
+        if g is not None:
+            div = g * h**delta
+            r = [_exact(c, div) for c in r]
+        yield r
+        if len(r) == 1:
+            return
+        a, b = b, r
+        g = a[-1]
+        if delta == 1:
+            h = g
+        elif h is None:
+            h = g**delta
+        elif delta > 1:
+            h = _exact(g**delta, h ** (delta - 1))
+
+
+def _subresultant_gcd(a: "Poly", b: "Poly") -> "Poly":
+    """The monic gcd of a and b over K[x], K the fractions of a ring D.
+
+    Each operand is cleared to numerators over D (for K = Q(zeta_N)(t),
+    D = Q(zeta_N)[t]) and _subresultants runs over D, so no fraction and
+    no gcd over D arises in the sequence.  Its last remainder S is an
+    associate of the gcd in K[x], made monic at the end: each coefficient
+    is RatFunc(S_i, lead(S)), whose constructor reduces by a gcd over D
+    only where its coprimality certificate fails.  The remainders are
+    _euclid's up to unit factors, and each takes the zero coefficient
+    Euclid's would take (that of the remainder two steps back), so the
+    result is written as Euclid writes it whenever every Scalar shares
+    one field order.
+    """
+    a._check(b)
+    za, zb = a.czero, b.czero
+    if a.degree() < b.degree():
+        a, b, za, zb = b, a, zb, za
+    if a.is_zero():
+        return a
+    big = _cleared(a.coeffs)[0]
+    if b.is_zero():
+        return _monic_from(a.var, big, za)
+    last, zlast, zother = _cleared(b.coeffs)[0], zb, za
+    for r in _subresultants(big, last):
+        last, zlast, zother = r, zother, zlast
+    return _monic_from(a.var, last, zlast)
+
+
+def _monic_from(var: str, coeffs: list, czero) -> "Poly":
+    """The Poly in var with coefficients coeffs[i] / coeffs[-1], each a reduced RatFunc."""
+    lead = coeffs[-1]
+    one = RatFunc.constant(lead.var, lead.leading().one_like())
+    return Poly(var, [RatFunc(c, lead) for c in coeffs[:-1]] + [one], czero)
 
 
 class Poly:
@@ -271,6 +400,9 @@ class Poly:
         return self._new(q), self._new(rem[: dn - 1])
 
     def gcd(self, other: "Poly") -> "Poly":
+        """The monic gcd: subresultants over K[x], Euclid over the constants."""
+        if isinstance(self.czero, RatFunc):
+            return _subresultant_gcd(self, other)
         return _euclid(self, other, Poly.divmod)
 
     def deriv(self) -> "Poly":
@@ -467,8 +599,9 @@ class RatFunc:
     always.  Each of those coprimality decisions is a prime-field
     certificate (_coprime), never an exact gcd, and so is the test an
     unreduced pair gets in the constructor.  When a certificate fails, the
-    reducing gcd of the whole numerator and denominator runs: the only
-    exact gcd here.  A failed Henrici test goes to it straight, since a
+    reducing gcd of the whole numerator and denominator runs (Poly.gcd:
+    Euclid over Q(zeta_N)[t], the subresultant sequence over K[x]): the
+    only exact gcd here.  A failed Henrici test goes to it straight, since a
     factor shared by b and d (or by a and d) divides the new numerator and
     denominator too.  The full reduction is taken unchanged rather than
     dividing the parts first: the JSON keeps each coefficient's field

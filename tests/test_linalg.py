@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ppv
-from ppv import jsonio, linalg
+from ppv import jsonio
 from ppv.errors import DependentFamily
 from ppv.linalg import det, nullspace, rank, rref
 from ppv.ore import wronskian_operator
@@ -247,13 +247,6 @@ def test_mixed_fields_match_the_reference_in_value(case):
     assert mine[1] == ref[1]
     for got, want in zip(mine[:1] + mine[2:], ref[:1] + ref[2:]):
         assert got == want
-
-
-def test_a_nonzero_remainder_raises():
-    t = t_var()
-    assert linalg._exact((t * t - k_const(1)).num, (t + k_const(1)).num) == (t - k_const(1)).num
-    with pytest.raises(ArithmeticError, match="does not divide"):
-        linalg._exact((t * t + k_const(1)).num, (t + k_const(1)).num)
 
 
 def test_wronskian_operator_reduces_only_what_it_reads(monkeypatch):

@@ -214,6 +214,97 @@ def test_round_trip_gcd_count(monkeypatch):
     assert len(calls) <= 100
 
 
+def test_tpole_round_trip_gcd_count(monkeypatch):
+    """A double pole at x = 2t + 1 beside two rational poles: 19 Poly.gcd calls.
+
+    The gcds over K[x] (Yun's steps, and the sums of reassemble whose
+    Henrici test fails) run a subresultant sequence over Q[t] and reduce
+    only the monic gcd's coefficients.  Euclid over K[x] reduced every
+    coefficient of every remainder by a gcd in t: 31 calls.
+    """
+    g = parse_xrat("(3*x^3 - 2*x + 1)/((x - (2*t + 1))^2*(x - 3)*(x + 1/2))")
+    calls = []
+    gcd = Poly.gcd
+
+    def counted(a, b):
+        calls.append(None)
+        return gcd(a, b)
+
+    monkeypatch.setattr(Poly, "gcd", counted)
+    assert reassemble(decompose(g)) == g
+    assert len(calls) == 19
+
+
+# sympy.apart over Q(t) as an independent oracle: planted poles, rational or
+# a*t + b, of multiplicity 1 to 3.  A t-dependent pole never shares its
+# multiplicity with another pole, where Yun's step would merge the two into
+# one factor with non-constant coefficients (defect f, a SplitFieldError).
+
+
+def _sympy_k(c, t):
+    import sympy
+
+    def poly(p):
+        return sum((sympy.Rational(*a.as_fraction().as_integer_ratio()) * t**k
+                    for k, a in enumerate(p.coeffs)), sympy.Integer(0))
+
+    return poly(c.num) / poly(c.den)
+
+
+def _planted_xrat(rng):
+    """(g, its sympy expression) with planted poles and a numerator over Q[t]."""
+    sympy = pytest.importorskip("sympy")
+    ts, xs = sympy.symbols("t x")
+    t, x = t_var(), x_var()
+    mults = [1, 2, 3]
+    rng.shuffle(mults)
+    poles = []
+    for m in mults[:rng.randint(0, 2)]:  # each t-pole alone in its multiplicity
+        a, b = rng.choice((1, 2, -1, -2)), rng.randint(-3, 3)
+        poles.append((f_const(k_const(a) * t + b), a * ts + b, m))
+    rest = mults[len(poles):]
+    for r in rng.sample([Fraction(-3), Fraction(-1, 2), Fraction(0), Fraction(1), Fraction(5, 2)],
+                        rng.randint(1 if not poles else 0, 2)):
+        poles.append((f_const(k_const(r)), sympy.Rational(r.numerator, r.denominator),
+                      rng.choice(rest)))
+    den, sden = f_const(1), sympy.Integer(1)
+    for p, sp, m in poles:
+        den, sden = den * (x - p) ** m, sden * (xs - sp) ** m
+    num, snum = f_const(0), sympy.Integer(0)
+    for k in range(sum(m for _, _, m in poles) + rng.randint(-1, 1)):
+        a, b = rng.randint(-3, 3), rng.randint(-2, 2)
+        num, snum = num + f_const(k_const(a) + k_const(b) * t) * x**k, snum + (a + b * ts) * xs**k
+    return num / den, snum / sden
+
+
+def test_decompose_matches_sympy_apart():
+    sympy = pytest.importorskip("sympy")
+    ts, xs = sympy.symbols("t x")
+    rng = random.Random(25)
+    for _ in range(16):
+        g, expr = _planted_xrat(rng)
+        d = decompose(g)
+        assert reassemble(d) == g
+        want, poly_part = {}, sympy.Integer(0)
+        for term in sympy.Add.make_args(sympy.apart(expr, xs)):
+            num, den = sympy.fraction(sympy.factor(term))
+            if not den.has(xs):
+                poly_part += term
+                continue
+            den = sympy.Poly(den, xs)
+            m, lead = den.degree(), den.LC()
+            pole = sympy.cancel(-den.coeff_monomial(xs ** (m - 1)) / (m * lead))
+            assert sympy.expand(den.as_expr() - lead * (xs - pole) ** m) == 0
+            key = (sympy.cancel(pole), m)
+            want[key] = sympy.cancel(want.get(key, 0) + num / lead)
+        got = {(sympy.cancel(_sympy_k(t.pole, ts)), t.mult): sympy.cancel(_sympy_k(t.coeff, ts))
+               for t in d.terms}
+        assert got == want, str(g)
+        mine = sum((_sympy_k(c, ts) * xs**k for k, c in enumerate(d.poly_part.coeffs)),
+                   sympy.Integer(0))
+        assert sympy.cancel(mine - poly_part) == 0
+
+
 # Rational roots.  The oracle is the divisor search that the p-adic search
 # replaced: every p/q with p | a0 and q | lead, tried in a fixed order.
 

@@ -187,6 +187,12 @@ def test_poly_gcd_over_q_of_t_matches_sympy():
         common = rand(rng.randint(0, 2))
         p, q = (common * rand(rng.randint(0, 2))).num, (common * rand(rng.randint(0, 2))).num
         _sympy_gcd_check(p, q, "QQ(t)")
+    # degree-2 common factors whose coefficients depend on t, cofactors of degree 0 to 3
+    for _ in range(8):
+        common = x**2 + f_const(coeff() + t) * x + f_const(coeff() * t - 1)
+        p = (common * sum((f_const(coeff()) * x**k for k in range(rng.randint(0, 3) + 1)), x)).num
+        q = (common * (f_const(coeff() + 1) * x + f_const(t * t + rng.randint(0, 2)))).num
+        _sympy_gcd_check(p, q, "QQ(t)")
 
 
 # Reduction of sums, products and quotients.  The reference is the full
@@ -630,3 +636,194 @@ def test_mixed_constants_take_the_general_path(monkeypatch, a, b):
     # b alone is in one field, so b.inv() takes one Scalar step; the product does not
     assert _exact(a / b) == want[2]
     assert calls["_lowest_terms"] == 3
+
+
+# The gcd over K[x] runs the subresultant sequence over Q(zeta_N)[t].  The
+# reference is Euclid over K[x], the field algorithm it replaced: one
+# RatFunc operation, and so one reduction, per coefficient of each step.
+
+
+def _reference_gcd(a, b):
+    while not b.is_zero():
+        b = b.monic()
+        a, b = b, a.divmod(b)[1]
+    return a.monic()
+
+
+def _gcd_scalar(draw, order):
+    """A nonzero element r * zeta^j of Q(zeta_order)."""
+    q = Fraction(draw(st.sampled_from((1, -1, 2, -2, 3, -3))), draw(st.integers(1, 3)))
+    return Scalar.from_rational(q, order) * Scalar.zeta(order) ** draw(st.integers(0, order - 1))
+
+
+def _gcd_coeff(draw, orders, zero_ok=True):
+    """An element of K of t-degree <= 2, maybe over t + a or t^2 + a; zero now and then."""
+    order = draw(st.sampled_from(orders))
+    t = t_var(order)
+    if zero_ok and draw(st.integers(0, 4)) == 0:
+        return k_const(0, order)
+    y = k_const(0, order)
+    for k in range(draw(st.integers(0, 2)) + 1):
+        y = y + k_const(_gcd_scalar(draw, order)) * t**k
+    den = draw(st.integers(0, 2))
+    if den:
+        y = y / (t**den + k_const(draw(st.integers(1, 3)), order))
+    return y
+
+
+def _gcd_poly(draw, orders, degree):
+    """A polynomial in x over K of the given degree."""
+    coeffs = [_gcd_coeff(draw, orders) for _ in range(degree)]
+    return Poly("x", coeffs + [_gcd_coeff(draw, orders, zero_ok=False)],
+                k_const(0, draw(st.sampled_from(orders))))
+
+
+@st.composite
+def _gcd_pairs(draw, orders):
+    """(a, b) = (c * p, c * q) with a common factor c of degree 1 to 3, cofactors of degree 0 to 3."""
+    common = _gcd_poly(draw, orders, draw(st.integers(1, 3)))
+    p, q = (_gcd_poly(draw, orders, draw(st.integers(0, 3))) for _ in "pq")
+    # a product keeps its left factor's czero; each operand gets its own
+    return tuple(Poly("x", (common * f).coeffs, k_const(0, draw(st.sampled_from(orders))))
+                 for f in (p, q))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_ORDERS).flatmap(lambda n: _gcd_pairs((n,))))
+def test_one_field_gcd_matches_euclid_byte_for_byte(pair):
+    a, b = pair
+    assert _exact(a.gcd(b)) == _exact(_reference_gcd(a, b))
+    assert _exact(b.gcd(a)) == _exact(_reference_gcd(b, a))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_gcd_pairs((1, 2, 8)))
+def test_mixed_field_gcd_matches_euclid_in_value(pair):
+    a, b = pair
+    got, want = a.gcd(b), _reference_gcd(a, b)
+    assert got == want
+    assert got.leading().is_one()
+    # the zero coefficient follows Euclid's remainders in every field
+    assert jsonio.encode(got.czero) == jsonio.encode(want.czero)
+
+
+def _gcd_edge_cases():
+    t, x = t_var(), x_var()
+    t8, x8 = t_var(8), x_var(8)
+    c = (x - f_const(t)) * (x + f_const(1 / (t + 1)))
+    yield "constant", (x**2 + f_const(t)).num, f_const(t / (t + 2)).num
+    yield "constant_first", f_const(t * t + 1).num, (x + 3).num
+    yield "divides", (c * (x + f_const(t * t))).num, c.num
+    yield "divided", c.num, (c * (x - 1)).num
+    yield "equal_degrees", (c * (x + f_const(t))).num, (c * (f_const(t) * x - 1)).num
+    yield "coprime_equal_degrees", (x**2 + f_const(t)).num, (f_const(t) * x**2 + 1).num
+    yield "equal", c.num, c.num
+    yield "zero_first", c.num.zero_like(), c.num
+    yield "zero_second", c.num, c.num.zero_like()
+    yield "both_zero", c.num.zero_like(), c.num.zero_like()
+    # a gcd of degree 2 after a first step of delta 2, and after a later one
+    yield "delta_two", (c * (x**3 + f_const(t))).num, (c * (f_const(t + 1) * x + 2)).num
+    b = x**4 + f_const(t) * x + 1
+    yield "delta_two_later", (c * ((x + f_const(t)) * b + f_const(t) * x**2 + 1)).num, (c * b).num
+    # remainders of degrees 7, 6, 4, 3, 2: steps of delta 1, 2, 1, 1, so h
+    # after the delta 2 step divides the two steps after it
+    r3 = c * (f_const(t) * x + 1)
+    r2 = (x + 1) * r3 + c
+    r1 = (x**2 + f_const(t)) * r2 + r3
+    yield "delta_two_then_one", ((x + f_const(t)) * r1 + r2).num, r1.num
+    # the operands' zero coefficients in other fields than their coefficients
+    z8 = Poly("x", c.num.coeffs, k_const(0, 8))
+    yield "czero_8_first", z8, (c * (x + f_const(t))).num
+    yield "czero_8_second", (c * (x + f_const(t))).num, z8
+    # one remainder, which takes the first operand's czero
+    yield "czero_8_remainder", Poly("x", (c * (x + f_const(t))).num.coeffs, k_const(0, 8)), (c * (x - 1)).num
+    yield "zeta8", ((x8 - f_const(k_const(Scalar.zeta(8)) * t8)) ** 2).num, (x8**2 - f_const(t8 * t8)).num
+
+
+@pytest.mark.parametrize("a, b", [pytest.param(a, b, id=name) for name, a, b in _gcd_edge_cases()])
+def test_gcd_edge_cases_match_euclid(a, b):
+    got, want = a.gcd(b), _reference_gcd(a, b)
+    if len(rationals._orders(a, b)) == 1:
+        assert _exact(got) == _exact(want)
+    else:
+        assert got == want
+        assert jsonio.encode(got.czero) == jsonio.encode(want.czero)
+    if not got.is_zero():
+        assert got.leading().is_one()
+        assert a.divmod(got)[1].is_zero() and b.divmod(got)[1].is_zero()
+
+
+def test_the_gcd_over_k_runs_no_reduction_inside_its_sequence(monkeypatch):
+    # only the monic read-out builds RatFuncs; Euclid reduced each
+    # coefficient of each remainder
+    t, x = t_var(), x_var()
+    c = (x - f_const(t)) * (x + f_const(t * t + 1))
+    a = (c * (f_const(t + 3) * x**3 + f_const(t) * x + 1)).num
+    b = (c * (f_const(t * t) * x**2 - f_const(t - 1))).num
+    calls = _calls(monkeypatch, "_lowest_terms")
+    got = a.gcd(b)
+    assert got == c.num
+    assert calls["_lowest_terms"] == c.num.degree()
+    calls["_lowest_terms"] = 0
+    assert _reference_gcd(a, b) == got
+    assert calls["_lowest_terms"] > 20
+
+
+def test_a_nonzero_remainder_inside_the_sequence_raises(monkeypatch):
+    # each remainder after the first is divided exactly by g h^delta; a
+    # remainder that g h^delta does not divide is refused, not rounded
+    t, x = t_var(), x_var()
+    a = (f_const(t) * x**4 + x + 1).num
+    b = (f_const(t + 1) * x**3 + f_const(t) * x + 2).num
+    steps = []
+    real = rationals._prem
+
+    def broken(p, q):
+        r = real(p, q)
+        steps.append(len(r))
+        return r if len(steps) == 1 else [r[0] + Poly.constant("t", rational(1))] + r[1:]
+
+    monkeypatch.setattr(rationals, "_prem", broken)
+    with pytest.raises(ArithmeticError, match="does not divide"):
+        a.gcd(b)
+    assert len(steps) == 2
+
+
+def test_exact_division_refuses_a_remainder():
+    t = t_var()
+    assert rationals._exact((t * t - k_const(1)).num, (t + k_const(1)).num) == (t - k_const(1)).num
+    with pytest.raises(ArithmeticError, match="does not divide"):
+        rationals._exact((t * t + k_const(1)).num, (t + k_const(1)).num)
+
+
+def test_subresultants_match_sympy():
+    # over Q[t] the sequence is sympy's subresultant PRS, each remainder up
+    # to its sign; a wrong h after a step of delta >= 2 changes the t-content
+    # of the remainders after it, even where the monic gcd stays right
+    sympy = pytest.importorskip("sympy")
+    v, ts = sympy.symbols("v t")
+    rng = random.Random(25)
+    t, x = t_var(), x_var()
+
+    def rand(deg):
+        return sum((f_const(k_const(rng.randint(-3, 3)) * t ** rng.randint(0, 2)) * x**k
+                   for k in range(deg)), f_const(t + rng.randint(0, 2)) * x**deg)
+
+    pairs = [(a, b) for name, a, b in _gcd_edge_cases() if name.startswith("delta")]
+    for _ in range(10):
+        common = rand(rng.randint(0, 2))
+        pairs.append(((common * rand(rng.randint(2, 4))).num, (common * rand(rng.randint(0, 2))).num))
+
+    def to_sympy(coeffs):
+        expr = sum((_sympy_poly_expr(c, ts, ts) * v**k for k, c in enumerate(coeffs)), sympy.Integer(0))
+        return sympy.Poly(expr, v, domain="QQ[t]")
+
+    for a, b in pairs:
+        if a.degree() < b.degree():
+            a, b = b, a
+        big, small = rationals._cleared(a.coeffs)[0], rationals._cleared(b.coeffs)[0]
+        mine = [to_sympy(r) for r in rationals._subresultants(big, small)]
+        theirs = to_sympy(big).subresultants(to_sympy(small))[2:]
+        assert len(mine) == len(theirs)
+        for got, want in zip(mine, theirs):
+            assert got in (want, -want)
