@@ -16,6 +16,7 @@ import operator
 from functools import reduce
 
 from .rationals import RatFunc, _cleared, _exact
+from .scalars import Scalar
 
 
 def _gauss_jordan(rows: list[list]):
@@ -47,6 +48,7 @@ def _gauss_jordan(rows: list[list]):
         rows, scales = [list(r) for r in rows], None
     ncols = len(rows[0])
     pivots, acc, sign, prev = [], None, 1, None
+    free = list(range(ncols))  # the columns that are not pivots yet
     for c in range(ncols):
         r = len(pivots)
         if r == len(rows):
@@ -57,15 +59,19 @@ def _gauss_jordan(rows: list[list]):
         if pivot != r:
             rows[r], rows[pivot], sign = rows[pivot], rows[r], -sign
         pivots.append(c)
-        free = [j for j in range(ncols) if j not in pivots]
+        free.remove(c)
         prow, p = rows[r], rows[r][c]
         if fraction_free:
             acc = p
         else:
             acc = p if acc is None else acc * p
             inv = p.one_like() / p
+            scalar = isinstance(inv, Scalar)
             for j in free:
-                prow[j] = prow[j] * inv
+                x = prow[j]
+                # a zero Scalar times inv is itself when inv's order divides its own
+                if not (scalar and type(x) is Scalar and x.is_zero() and x.order % inv.order == 0):
+                    prow[j] = x * inv
         for i, row in enumerate(rows):
             if i == r:
                 continue
@@ -80,7 +86,6 @@ def _gauss_jordan(rows: list[list]):
         prev = p
     if fraction_free:
         # the eliminated entries, each over the last pivot
-        free = [j for j in range(ncols) if j not in pivots]
         for row in rows:
             for j in free:
                 row[j] = zero if row[j].is_zero() else RatFunc(row[j], acc)

@@ -6,6 +6,19 @@ twist e, in which case the derivation acting on coefficients and on
 arguments is dt0(e) instead of dt; operators with different twists do
 not mix.
 
+Composition and right division read the right factor B through Leibniz's
+rule, Dt^s o b = sum_k C(s, k) dt0^k(b) Dt^(s-k) (M. Bronstein and
+M. Petkovsek, Theor. Comput. Sci. 157, 1996): the table dt0^k(b_j) of
+B's coefficients is derived once, row by row as far as a caller needs
+(_Derivatives), and A o B, or each step r - c*Dt^s o B of a division,
+sums its table entries per output coefficient over one denominator and
+reduces that sum once (_leibniz); gcrd, Euclid over right_divmod,
+inherits this.  The path is taken when every Scalar beneath both
+operands, czeros included, has one field order (the _orders test of
+Poly.__mul__), where a value has one representation; mixed orders keep
+the skew loop, Dt^(i+1) o B built from Dt^i o B one commutation at a
+time, whose sums fix the field orders that reach the JSON.
+
 Operators act on K, K(x) and log extensions by one rule, L(f) = sum
 dt0(e)^i(f) * c_i through the argument's own *; local series raise TypeError.
 """
@@ -13,11 +26,13 @@ dt0(e)^i(f) * c_i through the argument's own *; local series raise TypeError.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 from .errors import CoefficientFieldMismatch, DependentFamily, ZeroOperatorDivision
 from .linalg import det, nullspace
 from .rationals import (PARAM_VARS, Poly, RatFunc, _add, _cleared, _coeff, _euclid, _is_zero,
-                        _leading, _monic, _neg, _scale, _strip, _sub, _zero_like, k_const)
+                        _leading, _monic, _neg, _orders, _scale, _strip, _sub, _zero_like,
+                        k_const)
 from .scalars import Scalar, _power
 
 
@@ -93,27 +108,22 @@ class OrePoly:
     __pow__ = _power
 
     def __mul__(self, other):
-        """Operator composition self o other."""
+        """Operator composition self o other.
+
+        In one field order, by Leibniz's rule from the table of other's
+        derivatives, one reduction per output coefficient; in mixed
+        orders, by the skew loop (module docstring).
+        """
         if not isinstance(other, OrePoly):
             return NotImplemented
         self._check(other)
         if self.is_zero() or other.is_zero():
             return self.zero_like()
-        # Dt^i o other, built up by one application of the skew rule at a time
-        powers = [other]
-        for _ in range(self.order()):
-            prev = powers[-1]
-            shifted = [self.czero] + list(prev.coeffs)
-            derived = [c.dt0(self.e) for c in prev.coeffs]
-            n = max(len(shifted), len(derived))
-            shifted += [self.czero] * (n - len(shifted))
-            derived += [self.czero] * (n - len(derived))
-            powers.append(self._new([a + b for a, b in zip(shifted, derived)]))
-        out = self.zero_like()
-        for i, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                out = out + powers[i].scale(c)
-        return out
+        if not _one_field(self, other):
+            return _skew_product(self, other)
+        terms = [(i, c) for i, c in enumerate(self.coeffs) if not c.is_zero()]
+        n = self.order() + other.order() + 1
+        return self._new(_leibniz(terms, _Derivatives(other), n, (), self.czero))
 
     def __eq__(self, other):
         if not isinstance(other, OrePoly):
@@ -156,22 +166,123 @@ class OrePoly:
         return f * self.czero if out is None else out
 
 
+def _one_field(a: OrePoly, b: OrePoly) -> bool:
+    """True when a and b have coefficients in K and every Scalar beneath them has one order."""
+    return (isinstance(a.czero, RatFunc)
+            and len(_orders(a.czero, b.czero, *a.coeffs, *b.coeffs)) == 1)
+
+
+def _skew_product(a: OrePoly, b: OrePoly) -> OrePoly:
+    """a o b for nonzero a and b: Dt^i o b built up by one application of the skew rule at a time."""
+    powers = [b]
+    for _ in range(a.order()):
+        prev = powers[-1]
+        shifted = [a.czero, *prev.coeffs]
+        derived = [c.dt0(a.e) for c in prev.coeffs] + [a.czero]
+        powers.append(a._new([x + y for x, y in zip(shifted, derived)]))
+    out = a.zero_like()
+    for i, c in enumerate(a.coeffs):
+        if not c.is_zero():
+            out = out + powers[i].scale(c)
+    return out
+
+
+class _Derivatives:
+    """The table dt0(e)^k(b_j) of a right factor B's coefficients, extended row by row on demand.
+
+    Row 0 is B's coefficients and row k + 1 derives row k entry by entry,
+    so each derivative is taken once however many products or division
+    steps read it; a zero entry stays zero without a derivative.
+    """
+
+    __slots__ = ("rows", "e")
+
+    def __init__(self, b: OrePoly):
+        self.rows = [b.coeffs]
+        self.e = b.e
+
+    def row(self, k: int) -> tuple:
+        rows = self.rows
+        while len(rows) <= k:
+            rows.append(tuple(d if d.is_zero() else d.dt0(self.e) for d in rows[-1]))
+        return rows[k]
+
+
+def _leibniz(terms, table: _Derivatives, n: int, base, zero) -> list:
+    """Coefficients 0..n-1 of base + sum of c*Dt^s o B over the (s, c) in terms.
+
+    B is the table's right factor, of order m, and base a coefficient list
+    (empty for none).  By Leibniz's rule coefficient l gathers
+    C(s, k) * c * dt0^k(b_j) over j = l - s + k, 0 <= j <= m.  The cs are
+    cleared once over their lcm, and the table entries of coefficient l,
+    with base[l], over theirs; so the coefficient is one numerator over
+    one denominator, and one RatFunc: one reduction.  A coefficient that
+    gathers no nonzero entry is base[l], or zero past base.
+    """
+    cnums, cden = _cleared([c for _, c in terms])
+    m = len(table.rows[0]) - 1
+    out = []
+    for l in range(n):
+        old = base[l] if l < len(base) else zero
+        entries = [] if old.is_zero() else [old]
+        weights = []
+        for (s, _), cn in zip(terms, cnums):
+            for k in range(max(0, s - l), min(s, m + s - l) + 1):
+                d = table.row(k)[l - s + k]
+                if not d.is_zero():
+                    entries.append(d)
+                    w = comb(s, k)
+                    weights.append(cn if w == 1 else cn * w)
+        if not weights:
+            out.append(old)
+            continue
+        nums, lcm = _cleared(entries)
+        acc = None
+        if not old.is_zero():
+            acc, nums = nums[0] * cden, nums[1:]
+        for w, num in zip(weights, nums):
+            acc = w * num if acc is None else acc + w * num
+        out.append(RatFunc(acc, cden * lcm))
+    return out
+
+
 def right_divmod(a: OrePoly, b: OrePoly) -> tuple[OrePoly, OrePoly]:
-    """Quotient and remainder with a = q o b + r and order(r) < order(b)."""
+    """Quotient and remainder with a = q o b + r and order(r) < order(b).
+
+    Each step takes c = lead(r) / lead(b), puts c*Dt^s in q and subtracts
+    (c Dt^s) o b from r, whose leading coefficient cancels.  In one field
+    order the step reads b's table of derivatives, built once for the
+    whole division, and reduces each new coefficient of r once (_leibniz);
+    in mixed orders it composes c*Dt^s with b by the skew loop.
+    """
     if b.is_zero():
         raise ZeroOperatorDivision("right division by the zero operator")
     a._check(b)
     lead_inv = b.leading().one_like() / b.leading()
-    q = a.zero_like()
-    r = a
-    while not r.is_zero() and r.order() >= b.order():
-        s = r.order() - b.order()
-        c = r.leading() * lead_inv
-        # q gains c*Dt^s; subtract (c Dt^s) o b from r
-        mono = a._new([a.czero] * s + [c])
-        q = q + mono
-        r = r - mono * b
-    return q, r
+    if not _one_field(a, b):
+        q = a.zero_like()
+        r = a
+        while not r.is_zero() and r.order() >= b.order():
+            s = r.order() - b.order()
+            c = r.leading() * lead_inv
+            # q gains c*Dt^s; subtract (c Dt^s) o b from r
+            mono = a._new([a.czero] * s + [c])
+            q = q + mono
+            r = r - _skew_product(mono, b)
+        return q, r
+    table = _Derivatives(b)
+    m = b.order()
+    q = [a.czero] * max(a.order() - m + 1, 0)
+    r = list(a.coeffs)
+    while len(r) > m:
+        s = len(r) - 1 - m
+        c = r[-1] * lead_inv
+        q[s] = c
+        # the top coefficient cancels exactly
+        r = _leibniz([(s, -c)], table, len(r) - 1, r, a.czero)
+        while r and r[-1].is_zero():
+            r.pop()
+    return a._new(q), a._new(r)
 
 
 def right_divides(b: OrePoly, a: OrePoly) -> bool:

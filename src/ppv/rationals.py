@@ -22,8 +22,10 @@ taken only where it cannot change a field: when every Scalar the loop reads
 has one order (_orders: the coefficients with the zeros beneath them, and a
 product's czero), arithmetic stays in that field, and a field has one
 representation per value.  Then a product over scalars or a division goes
-to scalars.poly_mul or scalars.poly_divmod, and a product over K starts
-each output at its first term instead of at czero.  A product over scalars
+to scalars.poly_mul or scalars.poly_divmod, a product over K starts
+each output at its first term instead of at czero, and a composition or
+right division of operators in ore reads Leibniz's rule off a table of
+derivatives and reduces each output coefficient once.  A product over scalars
 with a one-coefficient factor goes to poly_mul in any fields: it takes each
 output's lcm itself.  Two constants of K (denominator 1, numerator of degree
 <= 0) whose Scalars, czeros included, all share one order are summed,
@@ -37,7 +39,8 @@ Q(zeta_N)[t] and runs the subresultant remainder sequence there
 in t; only the monic result is written in lowest terms.  The one helper
 that clears a list of RatFuncs over the lcm of their denominators,
 _cleared, and the one exact division, _exact, serve it, the
-fraction-free elimination of linalg and OrePoly.apply on K.
+fraction-free elimination of linalg, OrePoly.apply on K and the Leibniz
+composition of ore.
 """
 
 from __future__ import annotations
@@ -774,12 +777,29 @@ class RatFunc:
         return hash((self.num, self.den))
 
     def deriv(self) -> "RatFunc":
-        """Derivative with respect to the function's own variable."""
-        num = self.num.deriv() * self.den - self.num * self.den.deriv()
-        return RatFunc(num, self.den * self.den)
+        """Derivative with respect to the function's own variable, in lowest terms.
+
+        With n/d reduced, g = gcd(d, d'), s = d/g and u = d'/g, the
+        derivative (n's - nu)/(ds) needs no further reduction: a factor p
+        of d of multiplicity m divides d' exactly m - 1 times (the
+        derivation is d/dx or d/dt, in characteristic 0), so p divides s
+        but neither u nor n, hence not n's - nu.  Only g is computed, and
+        not even g when _coprime(d, d') certifies g = 1.
+        """
+        n, d = self.num, self.den
+        dd = d.deriv()
+        if _coprime(d, dd):
+            s, u = d, dd
+        else:
+            g = d.gcd(dd)
+            s, u = _exact(d, g), _exact(dd, g)
+        return RatFunc(*_lowest_terms(n.deriv() * s - n * u, d * s, True), reduced=True)
 
     def _coeff_deriv(self, fn) -> "RatFunc":
-        # quotient rule with fn applied to the coefficients of num and den
+        # quotient rule with fn applied to the coefficients of num and den,
+        # reduced by the full gcd: deriv's shortcut fails here, since a
+        # factor of d with dt-constant coefficients (x - c) divides dt(d)
+        # as often as d itself, and then (n's - nu)/(ds) need not be reduced
         num = self.num.map_coeffs(fn) * self.den - self.num * self.den.map_coeffs(fn)
         return RatFunc(num, self.den * self.den)
 

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ppv import jsonio
+from ppv import jsonio, ore
 from ppv.errors import CoefficientFieldMismatch, DependentFamily
 from ppv.ore import (
     OrePoly,
@@ -390,3 +390,133 @@ def test_solve_in_window_applies_no_operator(monkeypatch):
     one, t = k_const(1), t_var()
     l = OrePoly([one.zero_like(), one / t, one])  # Dt^2 + (1/t) Dt
     assert [str(s) for s in solve_in_window(l, monomial_window(4))] == ["1"]
+
+
+# Composition and right division in one field order read Leibniz's rule off
+# the right factor's table of derivatives.  The reference is the skew loop
+# they replaced, which mixed field orders still run: Dt^(i+1) o b built from
+# Dt^i o b one commutation at a time, and a division that composes each
+# quotient term with b afresh.
+
+
+def _skew_reference(a, b):
+    """a o b by the skew loop."""
+    if a.is_zero() or b.is_zero():
+        return a.zero_like()
+    powers = [b]
+    for _ in range(a.order()):
+        prev = powers[-1]
+        shifted = [a.czero] + list(prev.coeffs)
+        derived = [c.dt0(a.e) for c in prev.coeffs] + [a.czero]
+        powers.append(a._new([x + y for x, y in zip(shifted, derived)]))
+    out = a.zero_like()
+    for i, c in enumerate(a.coeffs):
+        if not c.is_zero():
+            out = out + powers[i].scale(c)
+    return out
+
+
+def _divmod_reference(a, b):
+    lead_inv = b.leading().one_like() / b.leading()
+    q, r = a.zero_like(), a
+    while not r.is_zero() and r.order() >= b.order():
+        s = r.order() - b.order()
+        mono = a._new([a.czero] * s + [r.leading() * lead_inv])
+        q, r = q + mono, r - _skew_reference(mono, b)
+    return q, r
+
+
+def _op_exact(l) -> str:
+    """The JSON of an operator with the czero of it and of every polynomial beneath:
+    the JSON drops czeros, but later arithmetic reads their field orders."""
+
+    def czeros(v):
+        if isinstance(v, Poly):
+            return [jsonio.encode(v.czero), [czeros(c) for c in v.coeffs]]
+        if isinstance(v, RatFunc):
+            return [czeros(v.num), czeros(v.den)]
+        return None
+
+    return json.dumps([jsonio.encode(l), czeros(l.czero), [czeros(c) for c in l.coeffs]])
+
+
+def _one_field_operator(data, order, e, max_order, nonzero=True):
+    """An operator of order <= max_order over Q(zeta_order)(t); zero coefficients now and then."""
+    cs = [k_const(0, order) if data.draw(st.integers(0, 3)) == 0 else _k_element(data, order)
+          for _ in range(data.draw(st.integers(int(nonzero), max_order + 1)))]
+    if nonzero and cs[-1].is_zero():
+        cs[-1] = k_const(1, order)
+    return OrePoly(cs, k_const(0, order), e)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((1, 3, 4, 8, 12)), st.sampled_from((1, 2)), st.data())
+def test_one_field_composition_and_division_match_the_skew_loop(order, e, data):
+    a = _one_field_operator(data, order, e, 3, nonzero=False)
+    b = _one_field_operator(data, order, e, 2)
+    assert _op_exact(a * b) == _op_exact(_skew_reference(a, b))
+    q, r = right_divmod(a, b)
+    want = _divmod_reference(a, b)
+    assert [_op_exact(q), _op_exact(r)] == [_op_exact(x) for x in want]
+    assert q * b + r == a
+    c = _one_field_operator(data, order, e, 1)
+    assert (a * b) * c == a * (b * c)
+
+
+@pytest.mark.parametrize("a, b", [
+    ("zeta(8)*t*Dt^2 + 3*Dt + 1/(t + 2)", "Dt + zeta(8)"),
+    ("(2*t + zeta(8)^3)*Dt^3 + (t - 1)*Dt + 1/(t + 1)", "(t + 2)*Dt^2 + (-t + 2*zeta(8)^5)/(t + 2)"),
+    ("t*Dt^2 + 1/(t + 1)", "(t + zeta(8))*Dt + 1"),
+])
+def test_mixed_orders_keep_the_skew_loop(monkeypatch, a, b):
+    a, b = parse_operator(a), parse_operator(b)
+
+    def refuse(*args):
+        raise AssertionError("mixed field orders reached the Leibniz path")
+
+    monkeypatch.setattr(ore, "_leibniz", refuse)
+    assert _op_exact(a * b) == _op_exact(_skew_reference(a, b))
+    assert _op_exact(b * a) == _op_exact(_skew_reference(b, a))
+    q, r = right_divmod(a, b)
+    assert [_op_exact(q), _op_exact(r)] == [_op_exact(x) for x in _divmod_reference(a, b)]
+
+
+def _counting(monkeypatch, cls, name):
+    calls = [0]
+    real = getattr(cls, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def test_right_division_derives_the_divisor_once(monkeypatch):
+    """Order 4 by order 2 over Q(t): three steps, Dt^s o b for s = 2, 1, 0.
+
+    The table takes b's three coefficients to their second derivatives, 6
+    dt0 calls.  The skew loop derived every coefficient of each Dt^i o b
+    afresh at every step, 7 + 3 = 10.
+    """
+    a = parse_operator("(t + 1)*Dt^4 + t^2*Dt^3 - Dt^2 + 2*t*Dt + 1/(t + 2)")
+    b = parse_operator("t*Dt^2 + t^2*Dt + 1/(t + 1)")
+    calls = _counting(monkeypatch, RatFunc, "dt0")
+    q, r = right_divmod(a, b)
+    assert calls[0] == 6
+    assert q.order() == 2 and r.order() == 1
+
+
+def test_gcrd_reduces_fewer_coefficients(monkeypatch):
+    """A gcrd of two order-3 operators over Q[t] with a planted monic order-1
+    right factor, as the operators benchmark draws them.  Each remainder
+    coefficient is one reduction, not one per partial sum: the skew loop
+    took 6 gcds here."""
+    f = "Dt + (2*t - 1)"
+    a = parse_operator("(Dt^2 + (t + 2)*Dt + (-t + 1))*(%s)" % f)
+    b = parse_operator("(Dt^2 + (-2*t + 1)*Dt + (t - 2))*(%s)" % f)
+    calls = _counting(monkeypatch, Poly, "gcd")
+    g = gcrd(a, b)
+    assert calls[0] < 6
+    assert g == parse_operator(f)

@@ -83,6 +83,22 @@ def test_dt_on_x_level_uses_quotient_rule():
     assert g.dt() == f_const(1) / ((x - f_const(t)) * (x - f_const(t)))
 
 
+def test_dt_on_k_of_x_cancels_a_factor_with_constant_coefficients():
+    """dt(1/(x - 1) + t/(x - 2)) = 1/(x - 2).
+
+    The sum is ((1 + t)x - (2 + t)) / ((x - 1)(x - 2)), whose denominator
+    has dt-constant coefficients: dt of it is zero, so x - 1 divides dt(d)
+    as often as d.  Cancelling only gcd(d, dt(d)), the shortcut of the
+    own-variable derivative, would leave (x - 1)/((x - 1)(x - 2)); this
+    sum is realize_gm's equation datum for Dt and the basis 1, t, and its
+    check "model identity dx(f) = dt(a)" compares with this dt exactly.
+    """
+    t, x = f_const(t_var()), x_var()
+    a = 1 / (x - 1) + t / (x - 2)
+    assert a.dt() == 1 / (x - 2)
+    assert a.dt().den == (x - 2).num
+
+
 def test_dt0_scaling():
     t = t_var()
     assert t.dt0(1) == k_const(1)
@@ -827,3 +843,40 @@ def test_subresultants_match_sympy():
         assert len(mine) == len(theirs)
         for got, want in zip(mine, theirs):
             assert got in (want, -want)
+
+
+# RatFunc.deriv cancels gcd(d, d') only; the reference is the quotient rule
+# it replaced, n'd - nd' over d^2 reduced by the full gcd.
+
+
+def _deriv_reference(f):
+    return RatFunc(f.num.deriv() * f.den - f.num * f.den.deriv(), f.den * f.den)
+
+
+@st.composite
+def _repeated_poles(draw, orders, var="t"):
+    """An element of K (var t) or of K(x) (var x) over a linear factor of multiplicity
+    1 to 3 and maybe a quadratic one, squared in K only; in K(x) the linear factor's
+    root depends on t.  The bounds keep the reference's gcds in K[x] of degree <= 10."""
+    order = draw(st.sampled_from(orders))
+    gen, lift = (t_var(order), lambda c: c) if var == "t" else (x_var(order), f_const)
+    root = _gcd_coeff(draw, orders, zero_ok=False) if var == "x" else k_const(
+        _gcd_scalar(draw, order))
+    y = lift(_gcd_coeff(draw, orders)) / (gen + lift(root)) ** draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        quadratic = gen**2 + lift(k_const(_gcd_scalar(draw, order)))
+        y = y * gen ** draw(st.integers(0, 1)) / quadratic ** draw(st.integers(1, 2 if var == "t" else 1))
+    return y
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_ORDERS).flatmap(
+    lambda n: st.sampled_from("tx").flatmap(lambda v: _repeated_poles((n,), v))))
+def test_one_field_derivative_matches_the_quotient_rule_byte_for_byte(f):
+    assert _exact(f.deriv()) == _exact(_deriv_reference(f))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from("tx").flatmap(lambda v: _repeated_poles((1, 2, 8), v)))
+def test_mixed_field_derivative_matches_the_quotient_rule_in_value(f):
+    assert f.deriv() == _deriv_reference(f)
