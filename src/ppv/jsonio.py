@@ -161,10 +161,18 @@ def _dec_bounded(node, path):
     return node
 
 
+def _dec_positive(node, path):
+    """A multiplicity from input, refused below 1."""
+    if _INT.dec(node, path) < 1:
+        raise DecodeError("%s %d is below 1" % (path, node))
+    return node
+
+
 _INT = _plain("a JSON integer", lambda v: type(v) is int)
 _STR = _plain("a string", lambda v: type(v) is str)
 _BOOL = _plain("true or false", lambda v: type(v) is bool)
 _BOUNDED = _plain("a JSON integer", None, _dec_bounded)
+_POSITIVE = _plain("a JSON integer", None, _dec_positive)
 _ORDER = _Kind('"inf" or a JSON integer', lambda x: "inf" if x == INF else int(x),
                lambda node, path: INF if node == "inf" else _INT.dec(node, path))
 
@@ -383,7 +391,7 @@ _ROWS = (
          _f("all_annihilated", _BOOL), _f("witness_order", _INT), _f("minimal", _BOOL),
          _f("poles_dt_constant", _BOOL), _f("note", _STR)),
     _Row("pf_decomp", PFDecomp, _f("poly_part", _POLY_X), _f("terms", _list(_Row(
-        None, PFTerm, _f("pole", _K), _f("mult", _INT), _f("coeff", _K))))),
+        None, PFTerm, _f("pole", _K), _f("mult", _POSITIVE), _f("coeff", _K))))),
 )
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,14 @@ reconstruction.  A candidate is kept only when it is an exact root.  The
 cost grows with the degree and with that prime, not with the number of
 divisors of f(0) and lead(f).  Roots zeta^j * r come from the rational roots of the norms of
 f(zeta^j u), which are often not square-free.
+
+reassemble sums the terms over their known common denominator, the
+product of (x - pole)^M over the poles with M the highest multiplicity,
+in Q(zeta_N)[t][x] after clearing the coefficients' denominators, and
+puts the sum in lowest terms once.  It does so when every Scalar of the
+decomposition has one order; in mixed orders it adds the terms one at a
+time to a reduced running sum, the only sequence of operations that
+keeps each output coefficient in the field it has always been written in.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import SplitFieldError
-from .rationals import Poly, RatFunc, _is_prime, _mod_coprime
+from .rationals import Poly, RatFunc, _cleared, _is_prime, _mod_coprime, _orders
 from .scalars import Scalar
 
 
@@ -347,6 +355,72 @@ def decompose(g: RatFunc) -> PFDecomp:
 
 
 def reassemble(d: PFDecomp) -> RatFunc:
+    """poly_part + sum coeff/(x - pole)^mult as one element of K(x), in lowest terms.
+
+    When every Scalar of the decomposition has one order, the sum is taken
+    over its known denominator (M. Bronstein, Symbolic Integration I, 2nd
+    ed., 2005, section 1.7).  The poles b_i = p_i/q_i are taken in the
+    order they first appear (equal poles by ==), M_i is the highest
+    multiplicity at b_i, and the coefficients of equal (pole, mult) are
+    summed.  The polynomial part P and the coefficients c_(i,m) are cleared
+    over the lcm Delta of their denominators (_cleared), P = P' / Delta and
+    c_(i,m) = c'_(i,m) / Delta, and each factor is written l_i = q_i x - p_i,
+    so the sum runs in Q(zeta_N)[t][x], where no fraction and no gcd arises:
+
+      D = prod_i l_i^M_i,   N = P' D + sum_i H_i prod_(j != i) l_j^M_j,
+      H_i = sum_m c'_(i,m) q_i^m l_i^(M_i - m)   (by Horner),
+
+    with a multiplicity that has no term skipped.  Then the element is
+    (N / Delta) / D.  Each coefficient of N / Delta is put in lowest terms
+    in K, by a gcd in t only where a coprimality certificate fails, and the
+    constructor makes D monic (it is monic already when no pole has a
+    denominator).  Its certificate decides whether a gcd over K[x] runs: on
+    the output of decompose the top coefficient at each pole is nonzero, so
+    none does, while a hand-built decomposition whose terms share a factor
+    is still reduced.  In one field a value has one representation, so the
+    result is written as the running sum (_running_sum) writes it.
+
+    Mixed orders take the running sum: there each partial sum lands in the
+    field that the rule of the rationals module gives its operands, and
+    only that sequence of sums reproduces the fields of the output.
+    """
+    if len(_orders(d.poly_part, *(v for t in d.terms for v in (t.pole, t.coeff)))) > 1:
+        return _running_sum(d)
+    var, part = d.poly_part.var, d.poly_part.coeffs
+    groups: list[tuple[RatFunc, dict]] = []  # (pole, {mult: coeff})
+    for t in d.terms:
+        for b, cs in groups:
+            if b == t.pole:
+                break
+        else:
+            cs = {}
+            groups.append((t.pole, cs))
+        cs[t.mult] = cs[t.mult] + t.coeff if t.mult in cs else t.coeff
+    values = [*part, *(c for _, cs in groups for c in cs.values())]
+    if not values:
+        return RatFunc.from_poly(d.poly_part)
+    nums, delta = _cleared(values)
+    cleared = iter(nums[len(part):])
+    zero, one = delta.zero_like(), delta.one_like()
+    # num / den is P' plus the groups summed so far, den the product of their l^M
+    num, den = Poly(var, nums[: len(part)], zero), Poly(var, [one], zero)
+    for b, cs in groups:
+        c = {m: next(cleared) for m in cs}  # c'_(i,m)
+        lin = Poly(var, [-b.num, b.den], zero)
+        top = max(c)
+        h, qm = Poly(var, [], zero), one
+        for m in range(1, top + 1):
+            h, qm = h * lin, qm * b.den
+            if m in c:
+                h = h + Poly(var, [c[m] * qm], zero)
+        power = lin**top
+        num, den = num * power + h * den, den * power
+    return RatFunc(Poly(var, [RatFunc(n, delta) for n in num.coeffs], d.poly_part.czero),
+                   Poly(var, [RatFunc.from_poly(p) for p in den.coeffs], d.poly_part.czero))
+
+
+def _running_sum(d: PFDecomp) -> RatFunc:
+    """poly_part + sum coeff/(x - pole)^mult, adding one term at a time to a reduced sum."""
     out = RatFunc.from_poly(d.poly_part)
     for t in d.terms:
         lin = Poly(d.poly_part.var, [-t.pole, t.pole.one_like()], t.pole.zero_like())

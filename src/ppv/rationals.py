@@ -23,14 +23,16 @@ has one order (_orders: the coefficients with the zeros beneath them, and a
 product's czero), arithmetic stays in that field, and a field has one
 representation per value.  Then a product over scalars or a division goes
 to scalars.poly_mul or scalars.poly_divmod, a product over K starts
-each output at its first term instead of at czero, and a composition or
+each output at its first term instead of at czero, a composition or
 right division of operators in ore reads Leibniz's rule off a table of
-derivatives and reduces each output coefficient once.  A product over scalars
-with a one-coefficient factor goes to poly_mul in any fields: it takes each
-output's lcm itself.  Two constants of K (denominator 1, numerator of degree
-<= 0) whose Scalars, czeros included, all share one order are summed,
-multiplied or inverted as one Scalar; any other pair of constants takes the
-general RatFunc path.
+derivatives and reduces each output coefficient once, and
+partial_fractions.reassemble sums a partial fraction decomposition over
+its product denominator and reduces each output coefficient once.  A
+product over scalars with a one-coefficient factor goes to poly_mul in any
+fields: it takes each output's lcm itself.  Two constants of K (denominator
+1, numerator of degree <= 0) whose Scalars, czeros included, all share one
+order are summed, multiplied or inverted as one Scalar; any other pair of
+constants takes the general RatFunc path.
 
 Gcds.  Poly.gcd over the constants (Q(zeta_N)[t]) is Euclid's algorithm,
 _euclid.  Over K[x] it clears both operands to numerators over
@@ -39,8 +41,8 @@ Q(zeta_N)[t] and runs the subresultant remainder sequence there
 in t; only the monic result is written in lowest terms.  The one helper
 that clears a list of RatFuncs over the lcm of their denominators,
 _cleared, and the one exact division, _exact, serve it, the
-fraction-free elimination of linalg, OrePoly.apply on K and the Leibniz
-composition of ore.
+fraction-free elimination of linalg, OrePoly.apply on K, the Leibniz
+composition of ore and partial_fractions.reassemble.
 """
 
 from __future__ import annotations

@@ -156,6 +156,24 @@ def test_sl2_decomposition_document():
     assert [str(p.h) for p in back_parts] == ["1", "1", "t", "1/t"]
 
 
+def _pf_doc():
+    from ppv.parser import parse_xrat
+    from ppv.partial_fractions import decompose
+
+    return jsonio.encode(decompose(parse_xrat("1/((x - 1)^2*(x + 2))")))
+
+
+@pytest.mark.parametrize("mult", [0, -1])
+def test_decode_refuses_a_multiplicity_below_one(mult):
+    # reassemble read mult 0 as a constant term and mult -1 as an inverse
+    doc = _pf_doc()
+    assert [t.mult for t in jsonio.decode(doc).terms] == [term["mult"] for term in doc["terms"]]
+    doc["terms"][1]["mult"] = mult
+    with pytest.raises(DecodeError) as info:
+        jsonio.decode(doc)
+    assert str(info.value) == "pf_decomp.terms[1].mult %d is below 1" % mult
+
+
 def _integer_fields():
     """(name, node builder) for every integer field the decoder reads."""
     galois = {"type": "galois", "e": 2, "field_order": 4, "base_order": 1, "generators": [[3, 0]]}
@@ -164,6 +182,7 @@ def _integer_fields():
     one = TruncLaurent("w", {0: rational(1)}, 5)
     series = jsonio.encode(one)
     two = jsonio.encode(TwoVarLaurent(rational(1), {0: one}, 5))
+    pf = _pf_doc()
     return [
         ("scalar order", lambda v: {"type": "scalar", "order": v, "terms": []}),
         ("galois e", lambda v: {**galois, "e": v}),
@@ -176,6 +195,7 @@ def _integer_fields():
         ("part r", lambda v: {**part, "r": v}),
         ("trunc_laurent trunc", lambda v: {**series, "trunc": v}),
         ("two_var trunc", lambda v: {**two, "trunc": v}),
+        ("pf_decomp mult", lambda v: {**pf, "terms": [{**pf["terms"][0], "mult": v}]}),
     ]
 
 

@@ -3,11 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ppv import partial_fractions
+from ppv import jsonio, partial_fractions
 from ppv.errors import SplitFieldError
 from ppv.ore import OrePoly
 from ppv.partial_fractions import (
+    PFDecomp,
+    PFTerm,
     _rational_roots,
     decompose,
     has_antiderivative,
@@ -16,7 +19,7 @@ from ppv.partial_fractions import (
     reassemble,
 )
 from ppv.parser import parse_xrat
-from ppv.rationals import Poly, f_const, k_const, t_var, x_var
+from ppv.rationals import Poly, _orders, f_const, k_const, t_var, x_var
 from ppv.scalars import Scalar
 
 
@@ -215,12 +218,16 @@ def test_round_trip_gcd_count(monkeypatch):
 
 
 def test_tpole_round_trip_gcd_count(monkeypatch):
-    """A double pole at x = 2t + 1 beside two rational poles: 19 Poly.gcd calls.
+    """A double pole at x = 2t + 1 beside two rational poles: 8 Poly.gcd calls.
 
-    The gcds over K[x] (Yun's steps, and the sums of reassemble whose
-    Henrici test fails) run a subresultant sequence over Q[t] and reduce
-    only the monic gcd's coefficients.  Euclid over K[x] reduced every
-    coefficient of every remainder by a gcd in t: 31 calls.
+    decompose makes 4: Yun's gcds over K[x] run a subresultant sequence over
+    Q[t] and reduce only the monic gcd's coefficients (Euclid over K[x]
+    reduced every coefficient of every remainder by a gcd in t: 31 calls in
+    all).  reassemble makes 4, all over Q[t]: one for the lcm of the
+    coefficients' denominators and one for each of the 3 nonzero numerator
+    coefficients, whose denominators cancel.  It sums over the product
+    denominator, so no partial sum is reduced; the running sum made 15 (19
+    in all).
     """
     g = parse_xrat("(3*x^3 - 2*x + 1)/((x - (2*t + 1))^2*(x - 3)*(x + 1/2))")
     calls = []
@@ -232,7 +239,95 @@ def test_tpole_round_trip_gcd_count(monkeypatch):
 
     monkeypatch.setattr(Poly, "gcd", counted)
     assert reassemble(decompose(g)) == g
-    assert len(calls) == 19
+    assert len(calls) == 8
+
+
+# reassemble over the product denominator against the running sum.  In one
+# field each value has one representation, so the two must encode alike.
+
+
+@st.composite
+def _one_field_decomps(draw):
+    """A PFDecomp over Q(zeta_N)(t), every Scalar of order N: poles rational,
+    zeta_N times a rational, a*t + b or 1/(t + c); multiplicities 1 to 3 with gaps,
+    repeated poles and repeated (pole, mult), coefficients that may be zero."""
+    n = draw(st.sampled_from((1, 3, 4, 8)))
+    t, zeta = t_var(n), k_const(Scalar.zeta(n))
+    small = st.integers(-2, 2)
+
+    def k_elem():
+        v = k_const(draw(small), n) + k_const(draw(small), n) * zeta + k_const(draw(small), n) * t
+        return v / (t + draw(st.integers(0, 2))) if draw(st.booleans()) else v
+
+    def pole():
+        kind = draw(st.sampled_from(("rational", "zeta", "linear", "inverse")))
+        r = k_const(Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 2))), n)
+        if kind == "zeta":
+            return r * zeta
+        if kind == "linear":
+            return k_const(draw(st.sampled_from((1, 2, -1))), n) * t + r
+        return 1 / (t + draw(st.integers(0, 2))) if kind == "inverse" else r
+
+    poles = [pole() for _ in range(draw(st.integers(0, 3)))]
+    terms = [PFTerm(p, m, k_elem()) for p in poles
+             for m in draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))]
+    part = Poly("x", [k_elem() for _ in range(draw(st.integers(0, 2)))], k_const(0, n))
+    return PFDecomp(part, tuple(draw(st.permutations(terms))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_one_field_decomps())
+def test_product_denominator_matches_the_running_sum(d):
+    want = partial_fractions._running_sum(d)
+    assert jsonio.encode(reassemble(d)) == jsonio.encode(want)
+    try:
+        back = decompose(want)
+    except SplitFieldError:  # poles of one multiplicity beside a t-dependent one (defect f)
+        return
+    assert jsonio.encode(reassemble(back)) == jsonio.encode(partial_fractions._running_sum(back))
+    assert reassemble(back) == want
+
+
+def test_product_denominator_edge_cases():
+    t, x = t_var(8), x_var(8)
+    zero = Poly("x", [], k_const(0, 8))
+    one = k_const(1, 8)
+    cases = [
+        PFDecomp(zero, ()),  # no terms, zero polynomial part
+        PFDecomp((x + 1).num, ()),
+        # a zero top coefficient: the terms share the factor x - 1
+        PFDecomp(zero, (PFTerm(one, 2, k_const(0, 8)), PFTerm(one, 1, t))),
+        # a gap at multiplicity 2, and (pole, mult) twice
+        PFDecomp(zero, (PFTerm(t, 3, one), PFTerm(t, 1, t), PFTerm(t, 3, t + 1))),
+        # a pole with a denominator in t
+        PFDecomp(zero, (PFTerm(1 / (t + 1), 2, t), PFTerm(k_const(0, 8), 1, one / t))),
+    ]
+    for d in cases:
+        assert jsonio.encode(reassemble(d)) == jsonio.encode(partial_fractions._running_sum(d))
+    assert reassemble(cases[2]) == f_const(t) / (x - 1)
+
+
+def test_mixed_orders_take_the_running_sum(monkeypatch):
+    import hashlib
+    import json
+
+    from test_golden import GOLDEN
+
+    mixed = decompose(parse_xrat("(x^2 - 3*x + 1)/((x + 2)*(x - 3*zeta(8)^3)^2)"))
+    one_field = decompose(parse_xrat("(x + 1)/((x - 1)*(x - (2*t + 1))^2)"))
+    def orders(d):
+        return _orders(d.poly_part, *(v for t in d.terms for v in (t.pole, t.coeff)))
+
+    assert orders(mixed) == {1, 8} and orders(one_field) == {1}
+    calls = []
+    loop = partial_fractions._running_sum
+    monkeypatch.setattr(partial_fractions, "_running_sum", lambda d: calls.append(d) or loop(d))
+    out = reassemble(mixed)
+    assert calls == [mixed]
+    text = json.dumps(jsonio.encode(out), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN["reassemble_zeta8_repeated_pole"]
+    reassemble(one_field)
+    assert calls == [mixed]
 
 
 # sympy.apart over Q(t) as an independent oracle: planted poles, rational or
