@@ -54,10 +54,8 @@ from .groups import (
     GmSub,
     GroupSpec,
     closure_of_additive,
-    contains,
     group_eq,
     is_subgroup,
-    no_proper_subgroups,
 )
 from .realization import (
     Realization,
@@ -67,7 +65,6 @@ from .realization import (
     fundamental_set_in_window,
     necessary_condition_report,
     realize_ga,
-    realize_ga_from_generators,
     realize_gm,
     realize_in_window,
     window_kernel_dimension,

@@ -132,11 +132,6 @@ def is_subgroup(a: GroupSpec, b: GroupSpec) -> bool:
     return right_divides(la, lb)
 
 
-def contains(a: GroupSpec, b: GroupSpec) -> bool:
-    """True iff b is a subgroup of a."""
-    return is_subgroup(b, a)
-
-
 def group_eq(a: GroupSpec, b: GroupSpec) -> bool:
     """Equality of subgroups: operators agree after monic normalization."""
     if isinstance(a, (GmConst, FiniteCyclic)) or isinstance(b, (GmConst, FiniteCyclic)):
@@ -146,15 +141,3 @@ def group_eq(a: GroupSpec, b: GroupSpec) -> bool:
     if type(a) is not type(b):
         return False
     return _operator_of(a).monic() == _operator_of(b).monic()
-
-
-def no_proper_subgroups(a: GroupSpec) -> bool:
-    """Whether a Ga subgroup has no nontrivial differential subgroups.
-
-    Order-one operators have no nontrivial right divisors, so their
-    groups are minimal; order zero is the trivial group (vacuously
-    minimal); anything of higher order properly contains Ga^Dt.
-    """
-    if not isinstance(a, GaSub):
-        raise UnsupportedGroup("minimality test is only defined for Ga subgroups")
-    return a.operator.order() <= 1

@@ -39,12 +39,6 @@ class LogExtElem:
     def __setattr__(self, *a):
         raise AttributeError("LogExtElem is immutable")
 
-    def zero_like(self) -> "LogExtElem":
-        return LogExtElem(self.tail.zero_like())
-
-    def is_zero(self) -> bool:
-        return self.tail.is_zero() and not self.logs
-
     def in_base_field(self) -> bool:
         """True when no log symbol survives, i.e. the element lies in K(x)."""
         return not self.logs
@@ -57,14 +51,6 @@ class LogExtElem:
             cur = logs.get(beta)
             logs[beta] = c if cur is None else cur + c
         return LogExtElem(self.tail + other.tail, logs)
-
-    def __neg__(self):
-        return LogExtElem(-self.tail, {b: -c for b, c in self.logs.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, LogExtElem):
-            return NotImplemented
-        return self + (-other)
 
     def __mul__(self, c) -> "LogExtElem":
         """Multiply by an element of K; any other c (a Scalar) is read as k_const(c)."""

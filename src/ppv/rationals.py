@@ -824,12 +824,6 @@ class RatFunc:
             return self.deriv() * t ** (1 - e) / e
         return self._coeff_deriv(lambda c: c.dt0(e))
 
-    def eval(self, point):
-        dp = self.den.eval(point)
-        if hasattr(dp, "is_zero") and dp.is_zero():
-            raise ZeroDivisionError("denominator vanishes at evaluation point")
-        return self.num.eval(point) / dp
-
     def __repr__(self):
         return "RatFunc(%r, %r)" % (self.num, self.den)
 

@@ -33,7 +33,6 @@ from .ore import (
     solve_in_window,
     wronskian_det,
     wronskian_matrix,
-    wronskian_operator,
 )
 from .partial_fractions import decompose
 from .rationals import RatFunc, f_const, k_const, x_var
@@ -155,12 +154,6 @@ def realize_ga(l: OrePoly, basis) -> Realization:
         raise RealizationError("realization checks failed: %s"
                                % "; ".join(c.name for c in checks if not c.passed))
     return real
-
-
-def realize_ga_from_generators(gens) -> Realization:
-    """Ga group generated by K-rational elements: Wronskian operator, then realize."""
-    l = wronskian_operator(list(gens))
-    return realize_ga(l, list(gens))
 
 
 def _membership(model: LogExtElem, l: OrePoly) -> bool:

@@ -6,8 +6,8 @@ over one positive denominator with no common factor, so equal values in
 one field have equal fields.  Phi_N is monic with integer coefficients,
 so reduction stays in integers, and the inverse is the extended Euclidean
 algorithm modulo Phi_N on integer vectors.  N = 1 gives plain rationals.
-Scalars are the constants of every ring in this package: both
-derivations vanish on them.
+Scalars are the constants of every ring in this package, so they carry
+no derivation; the rings above them differentiate only their variables.
 
 +, -, == and * of two Scalars of one order take a same-field lane: no
 coercion, and a rational (one numerator over Q) is built with one gcd.
@@ -385,17 +385,6 @@ class Scalar:
 
     def __bool__(self):
         return not self.is_zero()
-
-    # derivations: scalars are constants for both
-
-    def dx(self) -> "Scalar":
-        return self.zero_like()
-
-    def dt(self) -> "Scalar":
-        return self.zero_like()
-
-    def dt0(self, e: int) -> "Scalar":
-        return self.zero_like()
 
     # Galois action
 

@@ -9,10 +9,8 @@ from ppv.groups import (
     GmConst,
     GmSub,
     closure_of_additive,
-    contains,
     group_eq,
     is_subgroup,
-    no_proper_subgroups,
 )
 from ppv.ore import OrePoly, monomial_window, right_divides, solve_in_window
 from ppv.rationals import k_const, t_var
@@ -50,12 +48,7 @@ def test_subgroup_examples():
     # constants sit inside every multiplicative subgroup
     assert is_subgroup(GmConst(), GmSub(OrePoly([one, t])))
     # and the reverse containment fails for positive order
-    assert not contains(GmConst(), GmSub(OrePoly([one, t])))
-
-
-def test_contains_is_reverse_of_is_subgroup():
-    a, b = GaSub(dt), GaSub(OrePoly.dt_power(2, one))
-    assert contains(b, a) and not contains(a, b)
+    assert not is_subgroup(GmSub(OrePoly([one, t])), GmConst())
 
 
 def test_incomparable_variants_raise():
@@ -98,14 +91,6 @@ def test_containment_matches_window_kernels():
     assert small_kernel
     for sol in small_kernel:
         assert big.apply(sol).is_zero()
-
-
-def test_no_proper_subgroups():
-    assert no_proper_subgroups(GaSub(OrePoly([-one, t])))
-    assert no_proper_subgroups(GaSub(OrePoly.constant(one)))  # trivial group
-    assert not no_proper_subgroups(GaSub(OrePoly.dt_power(2, one)))
-    with pytest.raises(UnsupportedGroup):
-        no_proper_subgroups(GmConst())
 
 
 def test_group_eq_normalizes_units():

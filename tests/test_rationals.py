@@ -109,19 +109,24 @@ def test_dt0_scaling():
     assert (f * g).dt0(2) == f.dt0(2) * g + f * g.dt0(2)
 
 
+@pytest.mark.parametrize("e", [2, 3])
+def test_dt0_on_kx_maps_the_coefficients(e):
+    # on K(x), dt0(e) differentiates the coefficients in K; t and x are independent
+    t, x, z = f_const(t_var(8)), x_var(8), f_const(k_const(Scalar.zeta(8)))
+    assert (x * t**e).dt0(e) == x
+    f, g = (x + z * t) / (x - t**2), (t * x**2 + 1) / (x + 1 / t)
+    for h in (f, g, f * g):
+        assert h.dt0(e) == h.dt() * t ** (1 - e) / e
+    # dt0 is a derivation
+    assert (f * g).dt0(e) == f.dt0(e) * g + f * g.dt0(e)
+
+
 def test_cross_variable_mixing_rejected():
     t = t_var()
     x = x_var()
     with pytest.raises(CoefficientFieldMismatch):
         _ = x + RatFunc.gen("w", rational(1))
     assert (x + t).var == "x"  # parameter elements are constants of K(x)
-
-
-def test_eval_exact():
-    t = t_var()
-    f = (t**2 + 1) / (t - 2)
-    val = f.eval(rational(3))
-    assert val == rational(10)
 
 
 def test_hashable_for_log_points():
@@ -673,17 +678,22 @@ def _gcd_scalar(draw, order):
 
 
 def _gcd_coeff(draw, orders, zero_ok=True):
-    """An element of K of t-degree <= 2, maybe over t + a or t^2 + a; zero now and then."""
+    """An element of K of t-degree <= 1, maybe over t + a; zero now and then.
+
+    The bound keeps the Euclid reference, which reduces every coefficient
+    of every remainder by a gcd in t, to a few seconds per property: at
+    t-degree 2 over t^2 + a, one draw took up to 14 s.  Steps of delta > 1
+    and common factors of degree 3 are still drawn.
+    """
     order = draw(st.sampled_from(orders))
     t = t_var(order)
     if zero_ok and draw(st.integers(0, 4)) == 0:
         return k_const(0, order)
     y = k_const(0, order)
-    for k in range(draw(st.integers(0, 2)) + 1):
+    for k in range(draw(st.integers(0, 1)) + 1):
         y = y + k_const(_gcd_scalar(draw, order)) * t**k
-    den = draw(st.integers(0, 2))
-    if den:
-        y = y / (t**den + k_const(draw(st.integers(1, 3)), order))
+    if draw(st.integers(0, 1)):
+        y = y / (t + k_const(draw(st.integers(1, 3)), order))
     return y
 
 

@@ -3,7 +3,7 @@ import pytest
 from ppv.errors import DependentFamily, RealizationError
 from ppv.groups import GmSub, group_eq
 from ppv.logext import LogExtElem
-from ppv.ore import OrePoly, compose_dt
+from ppv.ore import OrePoly, compose_dt, wronskian_operator
 from ppv.rationals import f_const, k_const, t_var, x_var
 from ppv.realization import (
     check_membership_ga,
@@ -11,7 +11,6 @@ from ppv.realization import (
     fundamental_set_in_window,
     necessary_condition_report,
     realize_ga,
-    realize_ga_from_generators,
     realize_gm,
     realize_in_window,
     window_kernel_dimension,
@@ -157,7 +156,8 @@ def test_fundamental_set_found_in_window():
 
 
 def test_corollary_from_generators():
-    real = realize_ga_from_generators([one, t])
+    # the Ga group generated by K-rational elements: their Wronskian operator, realized
+    real = realize_ga(wronskian_operator([one, t]), [one, t])
     assert real.operator == OrePoly.dt_power(2, one)
     assert real.all_checks_passed()
     rep = necessary_condition_report(real.equation_datum, "ga", real.operator)

@@ -92,11 +92,6 @@ def test_galois_rejects_noncoprime_exponent():
         Scalar.zeta(4).galois(2)
 
 
-def test_derivations_vanish():
-    z = Scalar.zeta(5)
-    assert z.dx().is_zero() and z.dt().is_zero() and z.dt0(3).is_zero()
-
-
 small_fracs = st.fractions(
     min_value=-4, max_value=4, max_denominator=6
 )
