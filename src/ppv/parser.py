@@ -14,6 +14,21 @@ promote upward as scalar -> K = Q(zeta)(t) -> K(x) -> operator; x may
 not appear inside operator coefficients.  Errors carry line and column.
 The companion printers in render.py emit strings this grammar re-parses
 to equal values.
+
+Two value domains share the one token walk.  Input that names zeta is
+evaluated in the tower itself, each +, *, / and ^ a reduced Scalar,
+RatFunc or OrePoly: its Scalars mix field orders, and the order of each
+reaches the JSON through the sequence of operations that built it.
+Input without a zeta token is evaluated fraction-free: a value below the
+operators is a _Quotient n/d with n and d in Q[t][x], Polys in x over
+Polys in t over rationals, summed and multiplied by the dense kernel
+with no gcd, and tagged with the tower level it would have had.  It is
+written in the tower once, in lowest terms: at the end of the parse, or
+where it meets an operator (_promote).  Every Scalar of such input has
+order 1, one field, and a value in one field has one representation (a
+reduced Scalar; a RatFunc with coprime parts and a monic denominator), so
+both domains write the same value in the same bytes.  The switch is the
+syntax alone: levels, promotion, bounds and every ParseError are shared.
 """
 
 from __future__ import annotations
@@ -23,7 +38,7 @@ import re
 
 from .errors import ParseError
 from .ore import OrePoly
-from .rationals import RatFunc, f_const, k_const, t_var, x_var
+from .rationals import Poly, RatFunc, _cleared, f_const, k_const, t_var, x_var
 from .scalars import _MAX_INPUT_ORDER, Scalar
 
 # largest |exponent| accepted: powers expand exactly, and (x+t)^64
@@ -69,7 +84,111 @@ def _int(tok) -> int:
 _SCALAR, _K, _F, _ORE = 0, 1, 2, 3
 
 
+class _Quotient:
+    """n/d for n, d in Q[t][x], d nonzero, at tower level `level`; not reduced.
+
+    A denominator of degree 0 in both variables is folded into the
+    numerator, so a constant is written over the one _ONE, and so is zero.
+    Sums over one denominator add numerators; a power of a quotient with a
+    denominator other than 1 is reduced first, which keeps a power of an
+    unreduced quotient from growing.
+    """
+
+    __slots__ = ("num", "den", "level")
+
+    def __init__(self, num: Poly, den: Poly, level: int):
+        if num.is_zero():
+            den = _ONE
+        elif den.degree() == 0 and den.coeffs[0].degree() == 0:
+            c = den.coeffs[0].coeffs[0]
+            if not c.is_one():
+                num = num.scale(Poly.constant("t", c.inv()))
+            den = _ONE
+        self.num, self.den, self.level = num, den, level
+
+    def __add__(self, other):
+        level = max(self.level, other.level)
+        if self.den == other.den:
+            return _Quotient(self.num + other.num, self.den, level)
+        return _Quotient(_times(self.num, other.den) + _times(other.num, self.den),
+                         _times(self.den, other.den), level)
+
+    def __neg__(self):
+        return _Quotient(-self.num, self.den, self.level)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        return _Quotient(_times(self.num, other.num), _times(self.den, other.den),
+                         max(self.level, other.level))
+
+    def __truediv__(self, other):
+        return _Quotient(_times(self.num, other.den), _times(self.den, other.num),
+                         max(self.level, other.level))
+
+    def __pow__(self, k: int):
+        num, den = self.num, self.den
+        if den is not _ONE:
+            # lowest terms n/d, written back over Q[t][x] by clearing the
+            # coefficients' denominators: n^k and d^k stay coprime
+            v = self.tower()
+            v = v if self.level == _F else f_const(v)
+            nums = _cleared([*v.num.coeffs, *v.den.coeffs])[0]
+            split = len(v.num.coeffs)
+            num, den = Poly("x", nums[:split], _ZERO_T), Poly("x", nums[split:], _ZERO_T)
+        if k < 0:
+            num, den, k = den, num, -k
+        return _Quotient(_raised(num, k), _raised(den, k), self.level)
+
+    def is_zero(self) -> bool:
+        return self.num.is_zero()
+
+    def tower(self):
+        """The value in lowest terms, a Scalar, RatFunc in t or RatFunc in x by its level."""
+        if self.level == _SCALAR:
+            return self.num.coeff(0).coeff(0)  # over _ONE: constants fold their denominators
+        if self.level == _K:
+            num, den = self.num.coeff(0), self.den.coeff(0)
+        else:
+            num, den = (p.map_coeffs(RatFunc.from_poly) for p in (self.num, self.den))
+        return RatFunc(num, den)
+
+
+def _raised(p: Poly, k: int) -> Poly:
+    """p**k for k >= 0; a constant in x is raised in t."""
+    if p is _ONE:
+        return p
+    return Poly.constant("x", p.coeffs[0] ** k) if p.degree() == 0 else p**k
+
+
+def _times(a: Poly, b: Poly) -> Poly:
+    """a * b, skipping a factor _ONE."""
+    if b is _ONE:
+        return a
+    return b if a is _ONE else a * b
+
+
+_ZERO_T = Poly("t", [], Scalar.from_rational(0))
+_ONE = Poly.constant("x", Poly.constant("t", Scalar.from_rational(1)))
+# the atoms of zeta-free input
+_T = _Quotient(Poly.constant("x", Poly.gen("t", Scalar.from_rational(1))), _ONE, _K)
+_X = _Quotient(Poly.gen("x", _ONE.coeffs[0]), _ONE, _F)
+
+
+def _zeta_free(tokens: list[tuple]) -> bool:
+    """True when no token is zeta: then every Scalar has order 1, and the parse is fraction-free."""
+    return all(tok[0] != "zeta" for tok in tokens)
+
+
+def _tower(v):
+    """v written in the tower: a _Quotient converts once, anything else is already there."""
+    return v.tower() if isinstance(v, _Quotient) else v
+
+
 def _level(v) -> int:
+    if isinstance(v, _Quotient):
+        return v.level
     if isinstance(v, Scalar):
         return _SCALAR
     if isinstance(v, RatFunc):
@@ -80,6 +199,15 @@ def _level(v) -> int:
 
 
 def _promote(v, lvl: int, tok):
+    """v at level lvl, climbed one level at a time.
+
+    A _Quotient below the operators stays one, since its arithmetic takes
+    the higher level itself; it meets an operator as its tower value.
+    """
+    if isinstance(v, _Quotient):
+        if lvl < _ORE:
+            return v
+        v = v.tower()
     cur = _level(v)
     while cur < lvl:
         if cur == _SCALAR:
@@ -102,6 +230,7 @@ class _Parser:
     def __init__(self, tokens: list[tuple]):
         self.tokens = tokens
         self.pos = 0
+        self.free = _zeta_free(tokens)
 
     def peek(self) -> tuple:
         return self.tokens[self.pos]
@@ -125,7 +254,7 @@ class _Parser:
         tok = self.peek()
         if tok[0] != "eof":
             raise ParseError("unexpected %r" % tok[1], *tok[2:])
-        return value
+        return _tower(value)
 
     def expr(self, floor: int = 1):
         """Factors joined by binary operators of precedence >= floor, left to right."""
@@ -166,11 +295,14 @@ class _Parser:
         tok = self.next()
         kind = tok[0]
         if kind == "int":
-            return Scalar.from_rational(_int(tok))
+            c = Scalar.from_rational(_int(tok))
+            if self.free:
+                return _Quotient(Poly.constant("x", Poly.constant("t", c)), _ONE, _SCALAR)
+            return c
         if kind == "t":
-            return t_var()
+            return _T if self.free else t_var()
         if kind == "x":
-            return x_var()
+            return _X if self.free else x_var()
         if kind == "z":
             raise ParseError(
                 "z-line elements are built by the block and certify commands; "
@@ -204,7 +336,7 @@ class _Parser:
                 raise ParseError("division by zero", *tok[2:])
             if isinstance(a, OrePoly):
                 # composition with the inverse constant, e.g. (t*Dt)/t
-                return a * _promote(_promote(b, _K, tok).inv(), _ORE, tok)
+                return a * _promote(_promote(_tower(b), _K, tok).inv(), _ORE, tok)
         lvl = max(_level(a), _level(b))
         return _BINARY[tok[0]][1](_promote(a, lvl, tok), _promote(b, lvl, tok))
 

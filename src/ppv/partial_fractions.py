@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import SplitFieldError
-from .rationals import Poly, RatFunc, _cleared, _is_prime, _mod_coprime, _orders
+from .rationals import Poly, RatFunc, _cleared, _coprime, _is_prime, _mod_coprime, _orders
 from .scalars import Scalar
 
 
@@ -198,7 +198,13 @@ def _roots_in_field(coeffs: list[Scalar], order: int) -> list[Scalar]:
 
 
 def _squarefree_factors(p: Poly) -> list[tuple[Poly, int]]:
-    """Yun's algorithm: [(factor, multiplicity)] with factors square-free."""
+    """Yun's algorithm: [(factor, multiplicity)] with factors square-free, for p of degree >= 1.
+
+    In one field order a coprimality certificate for p and p' comes
+    first: then p is square-free, and Yun's steps would divide by a unit.
+    """
+    if len(_orders(p)) == 1 and _coprime(p, p.deriv()):
+        return [(p.monic(), 1)]
     out = []
     g = p.gcd(p.deriv())
     c = p.divmod(g)[0]

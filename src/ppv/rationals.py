@@ -42,7 +42,9 @@ in t; only the monic result is written in lowest terms.  The one helper
 that clears a list of RatFuncs over the lcm of their denominators,
 _cleared, and the one exact division, _exact, serve it, the
 fraction-free elimination of linalg, OrePoly.apply on K, the Leibniz
-composition of ore and partial_fractions.reassemble.
+composition of ore and partial_fractions.reassemble.  The lcm of two
+denominators whose Scalars share one order is their product, with no
+gcd, when _coprime certifies them coprime.
 """
 
 from __future__ import annotations
@@ -198,9 +200,15 @@ def _exact(a, b):
 
 
 def _lcm(a, b):
-    """The monic lcm of two monic polynomials; a gcd only when neither divides the other."""
+    """The monic lcm of two monic polynomials; a gcd only when neither divides the other.
+
+    In one field order a coprimality certificate comes first: then the lcm
+    is a * b, which is what a * (b / 1) writes there.
+    """
     if a == b or b.degree() == 0:
         return a
+    if len(_orders(a, b)) == 1 and _coprime(a, b):
+        return a * b
     if b.divmod(a)[1].is_zero():
         return b
     if a.divmod(b)[1].is_zero():

@@ -1,13 +1,18 @@
+import importlib.util
+import json
+import pathlib
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from ppv import jsonio, parser
 from ppv.errors import ParseError
 from ppv.ore import OrePoly
 from ppv.parser import _tokenize, parse_basis, parse_expr, parse_k, parse_operator, parse_xrat
-from ppv.rationals import f_const, k_const, t_var, x_var
+from ppv.rationals import RatFunc, f_const, k_const, t_var, x_var
 from ppv.render import _join, _wrap, format_ore, format_ratfunc, format_scalar
 from ppv.scalars import Scalar, cyclotomic_coeffs, rational
 
@@ -297,3 +302,136 @@ def _scalars(draw):
 @example(Scalar(8, [-1, 1, Fraction(-1, 2), Fraction(2, 3)]))
 def test_format_scalar_matches_the_fraction_printer(s):
     assert format_scalar(s) == _reference_format_scalar(s)
+
+
+# ---------------------------------------------------------------------------
+# zeta-free input is evaluated fraction-free over Q[t][x] and converted to
+# the tower once; the tower evaluation, forced here, is the reference
+
+
+def _outcome(parse, src: str):
+    """The JSON and repr of parse(src), or the error it raises with its position."""
+    try:
+        value = parse(src)
+    except ParseError as exc:
+        return "ParseError", str(exc), exc.line, exc.column
+    except Exception as exc:  # noqa: BLE001 - both paths must fail alike
+        return type(exc).__name__, str(exc)
+    return json.dumps(jsonio.encode(value)), repr(value)
+
+
+_PARSERS = (parse_expr, parse_k, parse_xrat, parse_operator)
+
+
+def _assert_paths_agree(src: str, parsers=_PARSERS):
+    assert "zeta" not in src
+    for parse in parsers:
+        free = _outcome(parse, src)
+        with mock.patch.object(parser, "_zeta_free", lambda tokens: False):
+            tower = _outcome(parse, src)
+        assert free == tower, (parse.__name__, src)
+
+
+def _zeta_free_exprs(leaves, depth: int = 4):
+    """Grammar expressions over the leaves without zeta, nested at most depth deep."""
+    if depth == 0:
+        return leaves
+    inner = _zeta_free_exprs(leaves, depth - 1)
+    shapes = st.sampled_from(["{} + {}", "{} - {}", "{}*{}", "{}/{}", "({} + {})", "({})*({})",
+                              "({})/({})", "-{}"])
+    joined = st.tuples(shapes, inner, inner).map(lambda s: s[0].format(*s[1:]))
+    return st.one_of(
+        leaves, joined, joined,
+        st.tuples(inner, st.sampled_from(["0", "1", "2", "3", "-1", "-2"]))
+        .map("({0[0]})^{0[1]}".format),
+    )
+
+
+# zeta-free expressions over leaf sets with and without x and Dt, some
+# ended by a token that breaks them: a division by zero, a negative power
+# of zero, an operator divisor, x in an operator, a stray symbol
+_LEAVES = ("1", "2", "3", "12", "0", "t", "t", "t")
+_ZETA_FREE = st.tuples(
+    st.sampled_from([_LEAVES, _LEAVES + ("x",) * 3, _LEAVES + ("Dt",) * 2,
+                     _LEAVES + ("x", "x", "Dt")])
+    .flatmap(lambda leaves: _zeta_free_exprs(st.sampled_from(leaves))),
+    st.sampled_from(["", "", "", "", ")", "(", "^", "/0", "/(t - t)", "^-1", "*Dt", "/Dt", "z"]),
+).map("".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_ZETA_FREE)
+@example("((((x+1)/(x+1))^2)^-2)/(x-1)")
+@example("(t*Dt)/(t + 1/t)")
+@example("(x - x)^-1")
+@example("Dt/(x + 1)")
+@example("(x/t - 1/2)^-2 + 3/(t*x)")
+def test_fraction_free_parse_matches_the_tower(src):
+    _assert_paths_agree(src)
+
+
+def _bench_workloads():
+    path = pathlib.Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _pool_inputs():
+    """(parser, input) for every zeta-free string the fractions and operators pools parse."""
+    workloads, out = _bench_workloads(), []
+    for task in workloads.generate("fractions", 0):
+        out.append((parse_xrat, task["expr"]))
+    for task in workloads.generate("operators", 0):
+        if task["query"] == "wronskian":
+            out += [(parse_k, piece) for piece in task["elements"].split(",")]
+        elif task["query"] == "realize":
+            out.append((parse_operator, task["op"]))
+        else:
+            out += [(parse_operator, task["a"]), (parse_operator, task["b"])]
+    return sorted({(p, src) for p, src in out if "zeta" not in src},
+                  key=lambda row: (row[0].__name__, row[1]))
+
+
+def test_pool_strings_parse_alike_on_both_paths():
+    rows = _pool_inputs()
+    assert len(rows) > 100
+    for parse, src in rows:
+        _assert_paths_agree(src, (parse,))
+
+
+def _counting(monkeypatch):
+    """Counters of RatFunc + and * calls, and of conversions with the counts each found."""
+    calls = {"ops": 0, "conversions": []}
+
+    def counted(fn):
+        def wrapper(*args):
+            calls["ops"] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("__add__", "__mul__"):
+        monkeypatch.setattr(RatFunc, name, counted(getattr(RatFunc, name)))
+    tower = parser._Quotient.tower
+
+    def converting(self):
+        calls["conversions"].append(calls["ops"])
+        return tower(self)
+
+    monkeypatch.setattr(parser._Quotient, "tower", converting)
+    return calls
+
+
+def test_zeta_free_input_converts_once_without_ratfunc_arithmetic(monkeypatch):
+    src = "(3*x^2 - t*x + 1/2)/((x - 1)^2*(x + t)*(x - (-5/2)))"
+    calls = _counting(monkeypatch)
+    parse_xrat(src)
+    assert calls["conversions"] == [0]
+    _assert_paths_agree(src, (parse_xrat,))
+
+
+def test_input_naming_zeta_takes_the_tower_path(monkeypatch):
+    calls = _counting(monkeypatch)
+    parse_xrat("(x + zeta(8))/(x*(x - 1))")
+    assert calls["conversions"] == [] and calls["ops"] > 0

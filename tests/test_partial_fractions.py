@@ -107,6 +107,23 @@ def test_linear_roots_multiplicity():
     assert roots == {"1": 2, "-3": 1}
 
 
+def test_squarefree_denominator_takes_no_gcd(monkeypatch):
+    # one field: a certificate that p and p' are coprime replaces Yun's first gcd
+    x = x_var()
+    calls, gcd = [], Poly.gcd
+
+    def counted(a, b):
+        calls.append(None)
+        return gcd(a, b)
+
+    monkeypatch.setattr(Poly, "gcd", counted)
+    roots = linear_roots(((x - 1) * (x + 3) * (2 * x - 1)).num)
+    assert sorted(str(r) for r, _ in roots) == ["-3", "1", "1/2"] and {m for _, m in roots} == {1}
+    assert calls == []
+    linear_roots(((x - 1) ** 2 * (x + 3)).num)
+    assert calls
+
+
 def test_antiderivative_examples():
     x = x_var()
     assert has_antiderivative(1 / ((x - 1) * (x - 1)))
@@ -218,14 +235,15 @@ def test_round_trip_gcd_count(monkeypatch):
 
 
 def test_tpole_round_trip_gcd_count(monkeypatch):
-    """A double pole at x = 2t + 1 beside two rational poles: 8 Poly.gcd calls.
+    """A double pole at x = 2t + 1 beside two rational poles: 7 Poly.gcd calls.
 
     decompose makes 4: Yun's gcds over K[x] run a subresultant sequence over
     Q[t] and reduce only the monic gcd's coefficients (Euclid over K[x]
     reduced every coefficient of every remainder by a gcd in t: 31 calls in
-    all).  reassemble makes 4, all over Q[t]: one for the lcm of the
-    coefficients' denominators and one for each of the 3 nonzero numerator
-    coefficients, whose denominators cancel.  It sums over the product
+    all).  reassemble makes 3, all over Q[t], one for each of the 3 nonzero
+    numerator coefficients, whose denominators cancel; the lcm of the
+    coefficients' denominators takes none, since a certificate proves them
+    coprime (an exact gcd there made 8 in all).  It sums over the product
     denominator, so no partial sum is reduced; the running sum made 15 (19
     in all).
     """
@@ -239,7 +257,7 @@ def test_tpole_round_trip_gcd_count(monkeypatch):
 
     monkeypatch.setattr(Poly, "gcd", counted)
     assert reassemble(decompose(g)) == g
-    assert len(calls) == 8
+    assert len(calls) == 7
 
 
 # reassemble over the product denominator against the running sum.  In one

@@ -577,6 +577,30 @@ def test_mixed_fields_take_the_coefficient_loop(monkeypatch, p, d):
     assert calls == {"poly_mul": 0, "poly_divmod": 0}
 
 
+def _count_gcds(monkeypatch) -> list:
+    calls, gcd = [], Poly.gcd
+
+    def counted(a, b):
+        calls.append(None)
+        return gcd(a, b)
+
+    monkeypatch.setattr(Poly, "gcd", counted)
+    return calls
+
+
+def test_lcm_of_certified_coprime_denominators_takes_no_gcd(monkeypatch):
+    t = t_var()
+    calls = _count_gcds(monkeypatch)
+    a, b = (t - 1).num, (t * t + 2).num
+    assert rationals._lcm(a, b) == a * b and calls == []
+    # a common factor fails the certificate, and the exact gcd runs
+    c, d = ((t - 1) * (t + 3)).num, ((t - 1) * (t + 2)).num
+    assert rationals._lcm(c, d) == ((t - 1) * (t + 2) * (t + 3)).num and len(calls) == 1
+    # so do mixed orders, where the certificate is not tried
+    assert rationals._lcm(_D1.monic(), _D8.monic()) == _D1.monic() * _D8.monic()
+    assert len(calls) == 2
+
+
 # Constants of K.  Two constants whose Scalars all share one order take one
 # Scalar sum, product or inverse; any other pair takes the general path,
 # kept here as the reference.

@@ -31,6 +31,9 @@ class Box:
     def __repr__(self):
         return "Box"
 
+    def __rsub__(self, other):
+        return other
+
     def size(self):
         return (lambda: 1)()
 '''
@@ -62,8 +65,16 @@ def package(tmp_path, monkeypatch):
 
 def test_an_uncalled_function_fails(package):
     root, reached = package
-    problems = reach.verdict(root, reached, {})
+    problems = reach.verdict(root, reached, {"shapes.Box.__rsub__": "a reason"})
     assert [p.split(" (")[0] for p in problems] == ["unreached: shapes.unused"]
+
+
+def test_an_uncalled_arithmetic_operator_fails(package):
+    # unlike __repr__, no hook calls it, so it needs a caller or a KEPT row
+    root, reached = package
+    kept = {"shapes.unused": "a reason"}
+    problems = [p.split(" (")[0] for p in reach.verdict(root, reached, kept)]
+    assert problems == ["unreached: shapes.Box.__rsub__"]
 
 
 def test_an_uncalled_dunder_passes_by_rule(package):
@@ -75,12 +86,14 @@ def test_an_uncalled_dunder_passes_by_rule(package):
 
 def test_a_kept_row_with_a_reason_passes(package):
     root, reached = package
-    assert reach.verdict(root, reached, {"shapes.unused": "a reason"}) == []
+    kept = {"shapes.unused": "a reason", "shapes.Box.__rsub__": "a reason"}
+    assert reach.verdict(root, reached, kept) == []
 
 
 def test_a_kept_row_that_is_reached_or_names_nothing_is_stale(package):
     root, reached = package
-    kept = {"shapes.unused": "a reason", "uses.run": "reached", "shapes.gone": "deleted"}
+    kept = {"shapes.unused": "a reason", "shapes.Box.__rsub__": "a reason", "uses.run": "reached",
+            "shapes.gone": "deleted"}
     problems = [p.split(" (")[0] for p in reach.verdict(root, reached, kept)]
     assert problems == ["stale: uses.run is reached now", "stale: shapes.gone names nothing defined"]
 
