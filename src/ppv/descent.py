@@ -109,8 +109,8 @@ class GaloisDatum:
         return cls(e, field_order, base_order, zeta_e, elements)
 
     @classmethod
-    def trivial(cls, field_order: int = 1) -> "GaloisDatum":
-        return cls.build(1, field_order=field_order)
+    def trivial(cls) -> "GaloisDatum":
+        return cls.build(1)
 
     @classmethod
     def ramified(cls, e: int, field_order: int | None = None) -> "GaloisDatum":

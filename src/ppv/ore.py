@@ -64,9 +64,9 @@ class OrePoly:
         return cls([one.zero_like()] * k + [one], one.zero_like(), e)
 
     @classmethod
-    def dt_gen(cls, order: int = 1, e: int = 1) -> "OrePoly":
-        """The bare operator Dt over K = Q(zeta_order)(t)."""
-        return cls.dt_power(1, k_const(1, order), e)
+    def dt_gen(cls) -> "OrePoly":
+        """The bare operator Dt over K = Q(t)."""
+        return cls.dt_power(1, k_const(1))
 
     # structure
 

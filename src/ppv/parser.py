@@ -15,20 +15,21 @@ not appear inside operator coefficients.  Errors carry line and column.
 The companion printers in render.py emit strings this grammar re-parses
 to equal values.
 
-Two value domains share the one token walk.  Input that names zeta is
-evaluated in the tower itself, each +, *, / and ^ a reduced Scalar,
-RatFunc or OrePoly: its Scalars mix field orders, and the order of each
-reaches the JSON through the sequence of operations that built it.
-Input without a zeta token is evaluated fraction-free: a value below the
-operators is a _Quotient n/d with n and d in Q[t][x], Polys in x over
-Polys in t over rationals, summed and multiplied by the dense kernel
-with no gcd, and tagged with the tower level it would have had.  It is
-written in the tower once, in lowest terms: at the end of the parse, or
-where it meets an operator (_promote).  Every Scalar of such input has
-order 1, one field, and a value in one field has one representation (a
-reduced Scalar; a RatFunc with coprime parts and a monic denominator), so
-both domains write the same value in the same bytes.  The switch is the
-syntax alone: levels, promotion, bounds and every ParseError are shared.
+One evaluation rule.  Every integer, t and x is a _Quotient n/d with n
+and d in Q[t][x], Polys in x over Polys in t over rationals, tagged with
+the tower level it would have had; +, -, *, / and ^ of quotients stay
+quotients, summed and multiplied by the dense kernel with no gcd.  A
+quotient is written in the tower once, in lowest terms, where it meets a
+value that is not a quotient -- a zeta(N) Scalar, an operator, or the
+end of the parse (_tower) -- and from there on each operation is the
+tower's own: a reduced Scalar, RatFunc or OrePoly.  Every Scalar of a
+quotient has order 1, one field, and a value in one field has one
+representation (a reduced Scalar; a RatFunc with coprime parts and a
+monic denominator), so a quotient is written in the bytes the tower
+would have given the same subexpression, and every later operation takes
+the operands it would have taken.  Values that carry zeta mix field
+orders, and the order of each reaches the JSON through the sequence of
+tower operations that built it.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import re
 
 from .errors import ParseError
 from .ore import OrePoly
-from .rationals import Poly, RatFunc, _cleared, f_const, k_const, t_var, x_var
+from .rationals import Poly, RatFunc, _cleared, f_const, k_const
 from .scalars import _MAX_INPUT_ORDER, Scalar
 
 # largest |exponent| accepted: powers expand exactly, and (x+t)^64
@@ -171,14 +172,9 @@ def _times(a: Poly, b: Poly) -> Poly:
 
 _ZERO_T = Poly("t", [], Scalar.from_rational(0))
 _ONE = Poly.constant("x", Poly.constant("t", Scalar.from_rational(1)))
-# the atoms of zeta-free input
+# the atoms t and x
 _T = _Quotient(Poly.constant("x", Poly.gen("t", Scalar.from_rational(1))), _ONE, _K)
 _X = _Quotient(Poly.gen("x", _ONE.coeffs[0]), _ONE, _F)
-
-
-def _zeta_free(tokens: list[tuple]) -> bool:
-    """True when no token is zeta: then every Scalar has order 1, and the parse is fraction-free."""
-    return all(tok[0] != "zeta" for tok in tokens)
 
 
 def _tower(v):
@@ -199,15 +195,8 @@ def _level(v) -> int:
 
 
 def _promote(v, lvl: int, tok):
-    """v at level lvl, climbed one level at a time.
-
-    A _Quotient below the operators stays one, since its arithmetic takes
-    the higher level itself; it meets an operator as its tower value.
-    """
-    if isinstance(v, _Quotient):
-        if lvl < _ORE:
-            return v
-        v = v.tower()
+    """v written in the tower at level lvl, climbed one level at a time."""
+    v = _tower(v)
     cur = _level(v)
     while cur < lvl:
         if cur == _SCALAR:
@@ -230,7 +219,6 @@ class _Parser:
     def __init__(self, tokens: list[tuple]):
         self.tokens = tokens
         self.pos = 0
-        self.free = _zeta_free(tokens)
 
     def peek(self) -> tuple:
         return self.tokens[self.pos]
@@ -296,13 +284,11 @@ class _Parser:
         kind = tok[0]
         if kind == "int":
             c = Scalar.from_rational(_int(tok))
-            if self.free:
-                return _Quotient(Poly.constant("x", Poly.constant("t", c)), _ONE, _SCALAR)
-            return c
+            return _Quotient(Poly.constant("x", Poly.constant("t", c)), _ONE, _SCALAR)
         if kind == "t":
-            return _T if self.free else t_var()
+            return _T
         if kind == "x":
-            return _X if self.free else x_var()
+            return _X
         if kind == "z":
             raise ParseError(
                 "z-line elements are built by the block and certify commands; "
@@ -336,7 +322,9 @@ class _Parser:
                 raise ParseError("division by zero", *tok[2:])
             if isinstance(a, OrePoly):
                 # composition with the inverse constant, e.g. (t*Dt)/t
-                return a * _promote(_promote(_tower(b), _K, tok).inv(), _ORE, tok)
+                return a * _promote(_promote(b, _K, tok).inv(), _ORE, tok)
+        if isinstance(a, _Quotient) and isinstance(b, _Quotient):
+            return _BINARY[tok[0]][1](a, b)
         lvl = max(_level(a), _level(b))
         return _BINARY[tok[0]][1](_promote(a, lvl, tok), _promote(b, lvl, tok))
 

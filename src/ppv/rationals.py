@@ -862,8 +862,8 @@ def x_var(order: int = 1) -> RatFunc:
     return RatFunc.gen("x", k_const(1, order))
 
 
-def f_const(value, order: int = 1) -> RatFunc:
+def f_const(value) -> RatFunc:
     """Constant of F = K(x) from a K-element, Scalar, or rational."""
     if isinstance(value, RatFunc) and value.var in PARAM_VARS:
         return RatFunc.constant("x", value)
-    return RatFunc.constant("x", k_const(value, order))
+    return RatFunc.constant("x", k_const(value))

@@ -105,55 +105,47 @@ def _verify_basis(l: OrePoly, target: OrePoly, basis, needed: int, what: str):
         raise DependentFamily("candidate solutions are dependent over constants")
 
 
-def realize_gm(l: OrePoly, basis) -> Realization:
-    """Realize Gm^(L o dlog) from a fundamental set of L o Dt inside K."""
+def _realize(kind: str, l: OrePoly, basis) -> Realization:
+    """The order-one realization of the kind from a fundamental set inside K.
+
+    gm reads the basis through L o Dt and models f with the dt(b_i); ga
+    reads it through L and models y with the b_i.
+    """
+    gm = kind == "gm"
     basis = tuple(basis)
-    target = compose_dt(l)
-    _verify_basis(l, target, basis, l.order() + 1, "L o Dt")
+    what, y = ("L o Dt", "f") if gm else ("L", "y")
+    _verify_basis(l, compose_dt(l) if gm else l, basis, l.order() + gm, what)
     order = _scalar_order(l)
     a = _pole_sum(basis, order)
-    model = _log_model([b.dt() for b in basis], order)
-    dmodel = model.dx()  # the model satisfies dx(model) = dt(a) exactly
+    model = _log_model([b.dt() for b in basis] if gm else list(basis), order)
+    dmodel = model.dx()  # gm: dx(f) = dt(a) exactly; ga: dx(y) = a
     checks = [
-        CheckRecord("basis solves L o Dt", True),
+        CheckRecord("basis solves %s" % what, True),
         CheckRecord("basis independent over constants", True),
-        CheckRecord("model identity dx(f) = dt(a)", dmodel.tail == a.dt() and dmodel.in_base_field()),
+        CheckRecord("model identity dx(%s) = %s" % (y, "dt(a)" if gm else "a"),
+                    dmodel.tail == (a.dt() if gm else a) and dmodel.in_base_field()),
     ]
-    witness = any(not b.dt().is_zero() for b in basis)
-    checks.append(
-        CheckRecord(
-            "transcendence witness: some dt(b_i) nonzero",
-            witness,
-            note="syntactic sufficient test",
-        )
-    )
-    checks.append(CheckRecord("membership L(f) in K(x)", check_membership_gm(model, l)))
-    real = Realization("gm", l, basis, a, GmSub(l), model, tuple(checks))
+    if gm:
+        checks.append(CheckRecord("transcendence witness: some dt(b_i) nonzero",
+                                  any(not b.dt().is_zero() for b in basis),
+                                  note="syntactic sufficient test"))
+    member = check_membership_gm if gm else check_membership_ga
+    checks.append(CheckRecord("membership L(%s) in K(x)" % y, member(model, l)))
+    real = Realization(kind, l, basis, a, GmSub(l) if gm else GaSub(l), model, tuple(checks))
     if not real.all_checks_passed():
         raise RealizationError("realization checks failed: %s"
                                % "; ".join(c.name for c in checks if not c.passed))
     return real
+
+
+def realize_gm(l: OrePoly, basis) -> Realization:
+    """Realize Gm^(L o dlog) from a fundamental set of L o Dt inside K."""
+    return _realize("gm", l, basis)
 
 
 def realize_ga(l: OrePoly, basis) -> Realization:
     """Realize Ga^L from a fundamental set of L inside K."""
-    basis = tuple(basis)
-    _verify_basis(l, l, basis, l.order(), "L")
-    order = _scalar_order(l)
-    a = _pole_sum(basis, order)
-    model = _log_model(list(basis), order)
-    dmodel = model.dx()
-    checks = [
-        CheckRecord("basis solves L", True),
-        CheckRecord("basis independent over constants", True),
-        CheckRecord("model identity dx(y) = a", dmodel.tail == a and dmodel.in_base_field()),
-        CheckRecord("membership L(y) in K(x)", check_membership_ga(model, l)),
-    ]
-    real = Realization("ga", l, basis, a, GaSub(l), model, tuple(checks))
-    if not real.all_checks_passed():
-        raise RealizationError("realization checks failed: %s"
-                               % "; ".join(c.name for c in checks if not c.passed))
-    return real
+    return _realize("ga", l, basis)
 
 
 def _membership(model: LogExtElem, l: OrePoly) -> bool:
@@ -245,5 +237,5 @@ def realize_in_window(l: OrePoly, kind: str, width: int = 12) -> Realization:
     """Find a fundamental set in the window and realize; refuses when absent."""
     _require_unramified(l)
     basis = fundamental_set_in_window(l, kind, width)
-    real = realize_gm(l, basis) if kind == "gm" else realize_ga(l, basis)
-    return replace(real, window_note="basis found in monomial window |j| <= %d" % width)
+    return replace(_realize(kind, l, basis),
+                   window_note="basis found in monomial window |j| <= %d" % width)

@@ -526,25 +526,17 @@ class TwoVarLaurent:
         return "<%s>" % format_two_var(self)
 
 
-def random_trunc_laurent(rng, var="w", val_range=(-3, 1), trunc=12, order=1) -> TruncLaurent:
-    lo = rng.randint(*val_range)
-    one = Scalar.from_rational(1, order)
+def random_two_var(rng, q: Scalar, outer_trunc=12, inner_trunc=12) -> TwoVarLaurent:
+    """A random series in t over series in w; each lowest exponent is drawn from -2..1."""
+    one = Scalar.from_rational(1, q.order)
     coeffs = {}
-    for n in range(lo, trunc):
-        if rng.random() < 0.5:
-            num = rng.randint(-4, 4)
-            if num:
-                coeffs[n] = scaled(one, num, rng.randint(1, 3))
-    return TruncLaurent(var, coeffs, trunc)
-
-
-def random_two_var(rng, q: Scalar, outer_trunc=12, inner_trunc=12, val_range=(-2, 1)) -> TwoVarLaurent:
-    lo = rng.randint(*val_range)
-    coeffs = {}
-    for n in range(lo, outer_trunc):
+    for n in range(rng.randint(-2, 1), outer_trunc):
         if rng.random() < 0.6:
-            inner = random_trunc_laurent(
-                rng, "w", val_range=val_range, trunc=inner_trunc, order=q.order
-            )
-            coeffs[n] = inner
+            inner = {}
+            for m in range(rng.randint(-2, 1), inner_trunc):
+                if rng.random() < 0.5:
+                    num = rng.randint(-4, 4)
+                    if num:
+                        inner[m] = scaled(one, num, rng.randint(1, 3))
+            coeffs[n] = TruncLaurent("w", inner, inner_trunc)
     return TwoVarLaurent(q, coeffs, outer_trunc)

@@ -305,8 +305,23 @@ def test_format_scalar_matches_the_fraction_printer(s):
 
 
 # ---------------------------------------------------------------------------
-# zeta-free input is evaluated fraction-free over Q[t][x] and converted to
-# the tower once; the tower evaluation, forced here, is the reference
+# every integer, t and x is evaluated fraction-free over Q[t][x] and written
+# in the tower where it meets zeta, an operator or the end of the parse; a
+# parser whose atoms are tower values, evaluating every operation in the
+# tower, is the reference
+
+
+class _TowerParser(parser._Parser):
+    """The parser with tower atoms: each +, *, / and ^ is a Scalar, RatFunc or OrePoly one."""
+
+    def atom(self):
+        kind = self.peek()[0]
+        if kind == "int":
+            return Scalar.from_rational(parser._int(self.next()))
+        if kind in ("t", "x"):
+            self.next()
+            return t_var() if kind == "t" else x_var()
+        return super().atom()
 
 
 def _outcome(parse, src: str):
@@ -324,19 +339,18 @@ _PARSERS = (parse_expr, parse_k, parse_xrat, parse_operator)
 
 
 def _assert_paths_agree(src: str, parsers=_PARSERS):
-    assert "zeta" not in src
     for parse in parsers:
-        free = _outcome(parse, src)
-        with mock.patch.object(parser, "_zeta_free", lambda tokens: False):
+        got = _outcome(parse, src)
+        with mock.patch.object(parser, "_Parser", _TowerParser):
             tower = _outcome(parse, src)
-        assert free == tower, (parse.__name__, src)
+        assert got == tower, (parse.__name__, src)
 
 
-def _zeta_free_exprs(leaves, depth: int = 4):
-    """Grammar expressions over the leaves without zeta, nested at most depth deep."""
+def _exprs(leaves, depth: int = 4):
+    """Grammar expressions over the leaves, nested at most depth deep."""
     if depth == 0:
         return leaves
-    inner = _zeta_free_exprs(leaves, depth - 1)
+    inner = _exprs(leaves, depth - 1)
     shapes = st.sampled_from(["{} + {}", "{} - {}", "{}*{}", "{}/{}", "({} + {})", "({})*({})",
                               "({})/({})", "-{}"])
     joined = st.tuples(shapes, inner, inner).map(lambda s: s[0].format(*s[1:]))
@@ -347,25 +361,32 @@ def _zeta_free_exprs(leaves, depth: int = 4):
     )
 
 
-# zeta-free expressions over leaf sets with and without x and Dt, some
-# ended by a token that breaks them: a division by zero, a negative power
-# of zero, an operator divisor, x in an operator, a stray symbol
+# expressions over leaf sets with and without x, Dt and roots of unity, so
+# that a quotient meets zeta and zeta meets Dt; some are ended by a token that
+# breaks them: a division by zero, a negative power of zero, an operator
+# divisor, x in an operator, a stray symbol
 _LEAVES = ("1", "2", "3", "12", "0", "t", "t", "t")
-_ZETA_FREE = st.tuples(
+_ZETA = ("zeta(8)", "zeta(3)", "zeta(4)", "zeta(8)^3")
+_EXPRS = st.tuples(
     st.sampled_from([_LEAVES, _LEAVES + ("x",) * 3, _LEAVES + ("Dt",) * 2,
-                     _LEAVES + ("x", "x", "Dt")])
-    .flatmap(lambda leaves: _zeta_free_exprs(st.sampled_from(leaves))),
-    st.sampled_from(["", "", "", "", ")", "(", "^", "/0", "/(t - t)", "^-1", "*Dt", "/Dt", "z"]),
+                     _LEAVES + ("x", "x", "Dt"), _LEAVES + _ZETA, _LEAVES + _ZETA + ("x", "x"),
+                     _LEAVES + _ZETA + ("Dt", "Dt"), _LEAVES + _ZETA + ("x", "Dt")])
+    .flatmap(lambda leaves: _exprs(st.sampled_from(leaves))),
+    st.sampled_from(["", "", "", "", ")", "(", "^", "/0", "/(t - t)", "^-1", "*Dt", "/Dt", "z",
+                     "*zeta(8)", "/(zeta(4)^2 + 1)"]),
 ).map("".join)
 
 
 @settings(max_examples=400, deadline=None)
-@given(_ZETA_FREE)
+@given(_EXPRS)
 @example("((((x+1)/(x+1))^2)^-2)/(x-1)")
 @example("(t*Dt)/(t + 1/t)")
 @example("(x - x)^-1")
 @example("Dt/(x + 1)")
 @example("(x/t - 1/2)^-2 + 3/(t*x)")
+@example("(x + zeta(8))/(x*(x - 1))")
+@example("(t + 1/2)*zeta(3)*Dt + (t^2 - 1)/(t + zeta(8))")
+@example("((x + 1)/(x - 1))^-2*zeta(4) + x/(zeta(8)*x - 1)")
 def test_fraction_free_parse_matches_the_tower(src):
     _assert_paths_agree(src)
 
@@ -379,7 +400,7 @@ def _bench_workloads():
 
 
 def _pool_inputs():
-    """(parser, input) for every zeta-free string the fractions and operators pools parse."""
+    """(parser, input) for every string the fractions and operators pools parse."""
     workloads, out = _bench_workloads(), []
     for task in workloads.generate("fractions", 0):
         out.append((parse_xrat, task["expr"]))
@@ -390,13 +411,12 @@ def _pool_inputs():
             out.append((parse_operator, task["op"]))
         else:
             out += [(parse_operator, task["a"]), (parse_operator, task["b"])]
-    return sorted({(p, src) for p, src in out if "zeta" not in src},
-                  key=lambda row: (row[0].__name__, row[1]))
+    return sorted(set(out), key=lambda row: (row[0].__name__, row[1]))
 
 
 def test_pool_strings_parse_alike_on_both_paths():
     rows = _pool_inputs()
-    assert len(rows) > 100
+    assert len(rows) > 100 and any("zeta" in src for _, src in rows)
     for parse, src in rows:
         _assert_paths_agree(src, (parse,))
 
@@ -431,7 +451,9 @@ def test_zeta_free_input_converts_once_without_ratfunc_arithmetic(monkeypatch):
     _assert_paths_agree(src, (parse_xrat,))
 
 
-def test_input_naming_zeta_takes_the_tower_path(monkeypatch):
+def test_zeta_free_operand_converts_once_where_it_meets_zeta(monkeypatch):
+    src = "(3*x^2 - t*x + 1/2)/((x - 1)^2*(x + t)) + zeta(8)"
     calls = _counting(monkeypatch)
-    parse_xrat("(x + zeta(8))/(x*(x - 1))")
-    assert calls["conversions"] == [] and calls["ops"] > 0
+    parse_xrat(src)
+    assert calls["conversions"] == [0] and calls["ops"] > 0
+    _assert_paths_agree(src, (parse_xrat,))
