@@ -36,7 +36,7 @@ from .realization import (
     realize_gm,
 )
 from .render import format_ore, format_poly, format_ratfunc
-from .scalars import Scalar
+from .scalars import _MAX_INPUT_ORDER, Scalar
 from .series import DEFAULT_ORDER
 from . import jsonio
 
@@ -51,6 +51,15 @@ def _positive(text: str) -> int:
     value = int(text) if _INTEGER.fullmatch(text) else 0
     if value < 1:
         raise argparse.ArgumentTypeError("expected an integer >= 1, got %r" % text)
+    return value
+
+
+def _ramification(text: str) -> int:
+    """A ramification index in 1.._MAX_INPUT_ORDER, the range jsonio decodes."""
+    value = _positive(text)
+    if value > _MAX_INPUT_ORDER:
+        raise argparse.ArgumentTypeError(
+            "expected an integer in 1..%d, got %r" % (_MAX_INPUT_ORDER, text))
     return value
 
 
@@ -284,7 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", required=True, help="the point z = q")
     p.add_argument("--r", type=_positive, help="cyclic order (kind=cyclic)")
     p.add_argument("--h", help="element of K (kind=ga)")
-    p.add_argument("--e", type=_positive, default=1, help="ramification index")
+    p.add_argument("--e", type=_ramification, default=1,
+                   help="ramification index, 1..%d" % _MAX_INPUT_ORDER)
     p.add_argument("--order", type=_positive, default=None,
                    help="working order (default: PPV_TRUNC, else %d)" % DEFAULT_ORDER)
     p.add_argument("--json", action="store_true")

@@ -113,9 +113,9 @@ class GaloisDatum:
         return cls.build(1)
 
     @classmethod
-    def ramified(cls, e: int, field_order: int | None = None) -> "GaloisDatum":
+    def ramified(cls, e: int) -> "GaloisDatum":
         """Pure ramification: k = k0, t an e-th root of t0."""
-        return cls.build(e, field_order=field_order)
+        return cls.build(e)
 
     # -- group structure ---------------------------------------------------
 

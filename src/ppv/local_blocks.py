@@ -146,9 +146,9 @@ def block_cyclic(q: Scalar, r: int, e: int, order: int = DEFAULT_ORDER) -> Local
         ),
         _commutation_check(y, dt0_y, e, order),
     ]
-    a_entry = y.dx().div(y, cap=(order + 1, order + 1))
+    a_entry = y.dx().div(y, cap=order + 1)
     clear = _w_poly(q, (0, 2, 1), (1, 1, -1))  # w^2 - w t
-    dt0_log = dt0_y.div(y, cap=(order + 1, order + 1))
+    dt0_log = dt0_y.div(y, cap=order + 1)
     witnesses = (
         ("dx(y)/y in F_P", a_entry, clear),
         ("dt0(y)/y in F_P", dt0_log, _shift_clear(clear, e)),
@@ -172,7 +172,7 @@ def block_ga_closure(q: Scalar, h: RatFunc, e: int, order: int = DEFAULT_ORDER) 
         raise PpvError("the additive building block needs a nonzero element h")
     build = order + e + 1
     f = _t_over_w_series(q, [0] + [Fraction((-1) ** (n + 1), n) for n in range(1, build + 1)])
-    cap = (order + 2, order + 2)
+    cap = order + 2
 
     checks = []
     # dx(f) = -1/((z-q)^2 + t(z-q)), checked against the geometric expansion
@@ -227,7 +227,7 @@ def block_gm_const(q: Scalar, e: int, order: int = DEFAULT_ORDER) -> LocalBlock:
     """Multiplicative-constants block: y = exp(t/(z-q))."""
     build = order + e + 1
     y = _t_over_w_series(q, [Fraction(1, math.factorial(n)) for n in range(build + 1)])
-    cap = (order + 1, order + 1)
+    cap = order + 1
     checks = []
     dlog = y.dx().div(y, cap=cap)
     target = _w_poly(q, (0, -2, -1))  # -1/(z-q)^2 = dx(t/(z-q))

@@ -30,7 +30,7 @@ from math import comb
 
 from .errors import CoefficientFieldMismatch, DependentFamily, ZeroOperatorDivision
 from .linalg import det, nullspace
-from .rationals import (PARAM_VARS, Poly, RatFunc, _add, _cleared, _coeff, _euclid, _is_zero,
+from .rationals import (Poly, RatFunc, _add, _cleared, _coeff, _euclid, _is_zero,
                         _leading, _monic, _neg, _orders, _scale, _strip, _sub, _zero_like,
                         k_const)
 from .scalars import Scalar, _power
@@ -150,7 +150,7 @@ class OrePoly:
         derivs = [f]
         for _ in range(self.order()):
             derivs.append(derivs[-1].dt0(self.e))
-        if (not self.is_zero() and isinstance(f, RatFunc) and f.var in PARAM_VARS
+        if (not self.is_zero() and isinstance(f, RatFunc) and f.var == "t"
                 and isinstance(self.czero, RatFunc) and self.czero.var == f.var):
             nums, den = _cleared(derivs)
             cnums, cden = _cleared(self.coeffs)
@@ -347,7 +347,7 @@ def monomial_window(width: int, order: int = 1) -> list[RatFunc]:
 def _monomial_term(b: RatFunc) -> tuple:
     """(c, j) with b = c*t^j; a ValueError for any other element."""
     num, den = b.num, b.den
-    if b.var in PARAM_VARS and not any(num.coeffs[:-1] + den.coeffs[:-1]):
+    if b.var == "t" and not any(num.coeffs[:-1] + den.coeffs[:-1]):
         return num.leading(), num.degree() - den.degree()
     raise ValueError("the window search needs monomials c*t^j, got %s" % (b,))
 

@@ -56,9 +56,6 @@ from functools import lru_cache
 from .errors import CoefficientFieldMismatch
 from .scalars import Scalar, _power, poly_divmod, poly_mul
 
-PARAM_VARS = ("t",)
-MAIN_VARS = ("x",)
-
 
 def _as_coeff(sample, value):
     """Coerce value into the coefficient field of sample."""
@@ -697,7 +694,7 @@ class RatFunc:
             if other.var == self.var:
                 return other
             # a parameter-field element is a constant of the main field
-            if self.var in MAIN_VARS and other.var in PARAM_VARS:
+            if self.var == "x" and other.var == "t":
                 return RatFunc.constant(self.var, other, self.czero)
             raise CoefficientFieldMismatch(
                 "cannot mix rational functions in %s and %s" % (self.var, other.var)
@@ -772,7 +769,7 @@ class RatFunc:
     def __eq__(self, other):
         # an element of K meeting one of K(x): Python then asks the K(x) side,
         # which reads this one as a constant, so == agrees both ways
-        if isinstance(other, RatFunc) and self.var in PARAM_VARS and other.var in MAIN_VARS:
+        if isinstance(other, RatFunc) and self.var == "t" and other.var == "x":
             return NotImplemented
         b = self._coerce(other)
         if b is None:
@@ -814,12 +811,12 @@ class RatFunc:
         return RatFunc(num, self.den * self.den)
 
     def dx(self) -> "RatFunc":
-        if self.var in MAIN_VARS:
+        if self.var == "x":
             return self.deriv()
         return self.zero_like()
 
     def dt(self) -> "RatFunc":
-        if self.var in PARAM_VARS:
+        if self.var == "t":
             return self.deriv()
         return self._coeff_deriv(lambda c: c.dt())
 
@@ -827,7 +824,7 @@ class RatFunc:
         """The parameter derivation through t = t0^(1/e), scaling by t^(1-e)/e."""
         if e == 1:
             return self.dt()
-        if self.var in PARAM_VARS:
+        if self.var == "t":
             t = RatFunc.gen(self.var, self.czero.one_like())
             return self.deriv() * t ** (1 - e) / e
         return self._coeff_deriv(lambda c: c.dt0(e))
@@ -864,6 +861,6 @@ def x_var(order: int = 1) -> RatFunc:
 
 def f_const(value) -> RatFunc:
     """Constant of F = K(x) from a K-element, Scalar, or rational."""
-    if isinstance(value, RatFunc) and value.var in PARAM_VARS:
+    if isinstance(value, RatFunc) and value.var == "t":
         return RatFunc.constant("x", value)
     return RatFunc.constant("x", k_const(value))

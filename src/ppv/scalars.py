@@ -250,9 +250,9 @@ class Scalar:
         return a.promote(n), b.promote(n)
 
     def _coerce(self, other):
-        """(self, other) in one field: the general lane of +, -, == and /.
+        """(self, other) in one field: the general lane of +, == and /.
 
-        + - and == skip it for two Scalars of one order; a mixed pair is
+        + and == skip it for two Scalars of one order; a mixed pair is
         promoted to the lcm of the orders, and an int or a Fraction is read
         in self's field.
         """
@@ -282,16 +282,9 @@ class Scalar:
         return _scalar(self.order, [-c for c in self._nums], self._den)
 
     def __sub__(self, other):
-        a, b = self, other
-        if b.__class__ is not Scalar or b.order != a.order:
-            pair = a._coerce(b)
-            if pair is None:
-                return NotImplemented
-            a, b = pair
-        da, db = a._den, b._den
-        if da == db:
-            return _scalar(a.order, [x - y for x, y in zip(a._nums, b._nums)], da)
-        return _scalar(a.order, [x * db - y * da for x, y in zip(a._nums, b._nums)], da * db)
+        if isinstance(other, (Scalar, int, Fraction)):
+            return self + -other
+        return NotImplemented
 
     def __rsub__(self, other):
         return -(self - other)

@@ -202,8 +202,8 @@ class TruncLaurent:
     # constructors
 
     @classmethod
-    def zero(cls, var: str, trunc=INF) -> "TruncLaurent":
-        return cls(var, {}, trunc)
+    def zero(cls, var: str) -> "TruncLaurent":
+        return cls(var, {})
 
     @classmethod
     def monomial(cls, var: str, c, n: int = 0) -> "TruncLaurent":
@@ -341,8 +341,8 @@ class TwoVarLaurent:
     # constructors
 
     @classmethod
-    def zero(cls, q: Scalar, trunc=INF) -> "TwoVarLaurent":
-        return cls(q, {}, trunc)
+    def zero(cls, q: Scalar) -> "TwoVarLaurent":
+        return cls(q, {})
 
     @classmethod
     def z_elem(cls, q: Scalar) -> "TwoVarLaurent":
@@ -369,7 +369,7 @@ class TwoVarLaurent:
         num = cls.from_t_poly(f.num, q)
         if f.den.degree() == 0:
             return num
-        return num * cls.from_t_poly(f.den, q).inv(cap=(order + 1, order + 1))
+        return num * cls.from_t_poly(f.den, q).inv(cap=order + 1)
 
     # structure
 
@@ -438,22 +438,21 @@ class TwoVarLaurent:
     def truncate(self, outer) -> "TwoVarLaurent":
         return TwoVarLaurent(self.q, self.coeffs, min(self.trunc, outer))
 
-    def inv(self, cap: tuple | None = None) -> "TwoVarLaurent":
+    def inv(self, cap: int | None = None) -> "TwoVarLaurent":
         """Inverse by geometric expansion off the leading t-coefficient.
 
-        cap = (outer, inner) bounds for expansions that would otherwise
+        cap bounds, in t and in w alike, the expansions that would otherwise
         be infinite.  The leading inner series, at the lowest stored
         t-order, must itself be invertible inside its stored window; one
         that is zero so far raises NonInvertibleLeadingTerm.
         """
-        outer_cap, inner_cap = cap if cap is not None else (None, None)
         if not self.coeffs:
             raise NonInvertibleLeadingTerm(
                 "no invertible leading t-coefficient below order %s" % self.trunc
             )
         v = min(self.coeffs)
-        lead_inv = self.coeffs[v].inv(cap=inner_cap)
-        validity = min(self.trunc - 2 * v, INF if outer_cap is None else outer_cap)
+        lead_inv = self.coeffs[v].inv(cap=cap)
+        validity = min(self.trunc - 2 * v, INF if cap is None else cap)
         if len(self.coeffs) == 1 and validity == INF:
             # exact monomial in t: exact inverse
             return TwoVarLaurent(self.q, {-v: lead_inv})

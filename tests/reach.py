@@ -214,6 +214,8 @@ def _verbs(failures: list, tmp: Path):
         (["ore", "divmod", "t*Dt + 1", "Dt"], 0),
         (["ore", "mul", "Dt", "t"], 0),
         (["ore", "apply", "t*Dt + 1", "t"], 0),
+        # the gcrd verb, on two operators that share the right factor t*Dt - 1
+        (["ore", "gcrd", "(Dt + 1)*(t*Dt - 1)", "Dt*(t*Dt - 1)"], 0),
         (["decompose", "(x+1)/(x*(x-1))"], 0),
         (["realize", "--kind", "gm", "--op", "Dt", "--basis", "1,t"], 0),
         (["check", "--membership", "--realization", at["real"], "--op", "t*Dt - 1"], 0),
@@ -222,6 +224,9 @@ def _verbs(failures: list, tmp: Path):
         (["orbits", "--gd", at["galois"], "--count", "2"], 0),
         (["certify", "--group", at["group"], "--galois", at["galois"], "--trunc", "10",
           "--out", at["cert"]], 0),
+        # the README's orbits at c + zeta_N: an element of Gamma moves k = Q(zeta_4)
+        (["certify", "--group", at["group"], "--galois", at["moves_k"], "--trunc", "4",
+          "--samples", "2"], 0),
         (["selftest"], 0),
         (["selftest", "--trunc", "4"], 0),
         (["selftest", "--criteria", "7,8"], 0),

@@ -1,5 +1,10 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import ppv
 from ppv.checks import window_check
@@ -86,6 +91,41 @@ def _environment_reads(path: Path) -> bool:
 def test_only_the_cli_reads_the_environment():
     paths = sorted(Path(ppv.__file__).parent.glob("*.py"))
     assert {path.stem for path in paths if _environment_reads(path)} == {"cli"}
+
+
+def _unused_imports(path: Path) -> set:
+    """Names a module binds by a module-level import and never reads; __future__ is exempt."""
+    tree = ast.parse(path.read_text())
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return bound - read
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    paths = sorted(Path(ppv.__file__).parent.glob("*.py"))
+    assert {(path.stem, name) for path in paths for name in _unused_imports(path)} == set()
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in Path(ppv.__file__).parent.glob("*.py")))
+def test_every_module_imports_on_its_own(module):
+    # the package imports none of its modules, so an import cycle would
+    # otherwise show only for whichever module a caller imports first
+    name = "ppv" if module == "__init__" else "ppv." + module
+    src = str(Path(ppv.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = "import sys, %s; print(sorted(m for m in sys.modules if m.startswith('ppv.')))" % name
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    if module == "__init__":
+        assert done.stdout.strip() == "[]"
 
 
 def _imported_modules(path: Path) -> set:

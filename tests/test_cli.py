@@ -135,6 +135,16 @@ def test_block_reads_a_constant_of_k_as_its_coefficient(capsys):
     assert code == 2 and "constant point" in capsys.readouterr().err
 
 
+def test_block_refuses_an_e_that_its_decoder_refuses(capsys):
+    # every node the encoder writes decodes, so --e stops where jsonio stops
+    argv = ["block", "--kind", "gmconst", "--q", "1", "--order", "1", "--json"]
+    code, out = run(capsys, *argv, "--e", "1024")
+    assert code == 0 and jsonio.decode(json.loads(out)).e == 1024
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--e", "1025"])
+    assert exc.value.code == 2 and "1..1024" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("model", [
     TwoVarLaurent(rational(1), {0: TruncLaurent("w", {0: rational(1)}, 4)}, 4),
     rational(1),

@@ -269,7 +269,7 @@ def test_mutation_detection(gd2, sigma):
     assert bad.passed
     good = twist_mutation_detected(gd2, sigma, gd2.zeta_e, samples=10, order=10, seed=5)
     assert not good.passed and good.coefficients_compared == 449
-    gd4 = GaloisDatum.ramified(4, field_order=4)
+    gd4 = GaloisDatum.build(4, field_order=4)
     sig4 = next(g for g in gd4.elements if g.n == 1)
     assert twist_mutation_detected(gd4, sig4, gd4.zeta_e**2, samples=10, order=10, seed=5).passed
 
