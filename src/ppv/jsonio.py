@@ -312,6 +312,14 @@ def _galois(e, field_order=None, base_order=1, elements=(), generators=None):
     return GaloisDatum.build(e, field_order=field_order, base_order=base_order, generators=gens)
 
 
+def _logext(tail, logs=()):
+    # encode writes each point once; a repeated one would keep only its last coefficient
+    points = dict(logs)
+    if len(points) != len(logs):
+        raise DecodeError("the field 'logs' of a 'logext' node names a point twice")
+    return LogExtElem(tail, points)
+
+
 def _enc_check(c: CheckRecord) -> dict:
     # three encodings of the one record: realization checks have no window,
     # membership checks name their clearing factor
@@ -344,7 +352,7 @@ _ROWS = (
          _f("coeffs", _exponents(_tagged("trunc_laurent")))),
     _Row("logext", LogExtElem, _f("tail", _KX),
          _f("logs", _pairs("point", _K, "coeff", _K), "opt", get=lambda m: m.logs.items()),
-         make=lambda tail, logs=(): LogExtElem(tail, dict(logs))),
+         make=_logext),
     _Row("group", GaSub, _f("operator", _ORE), sub=("kind", "ga")),
     _Row("group", GmSub, _f("operator", _ORE), sub=("kind", "gm")),
     _Row("group", GmConst, sub=("kind", "gm_const")),

@@ -19,8 +19,8 @@ Poly.__mul__), where a value has one representation; mixed orders keep
 the skew loop, Dt^(i+1) o B built from Dt^i o B one commutation at a
 time, whose sums fix the field orders that reach the JSON.
 
-Operators act on K, K(x) and log extensions by one rule, L(f) = sum
-dt0(e)^i(f) * c_i through the argument's own *; local series raise TypeError.
+Operators act on K and K(x), not on log extensions, by one rule, L(f) =
+sum dt0(e)^i(f) * c_i through the argument's own *; series raise TypeError.
 """
 
 from __future__ import annotations
@@ -141,7 +141,7 @@ class OrePoly:
     # action
 
     def apply(self, f):
-        """Apply the operator: sum dt0(e)^i (f) * c_i, the product taken in f's ring.
+        """Apply the operator to f in K or K(x): sum dt0(e)^i (f) * c_i, taken in f's ring.
 
         On an element f of K, with coefficients in K, the terms are summed
         over one common denominator and reduced once, instead of by a gcd

@@ -423,17 +423,10 @@ class Poly:
         return Poly(self.var, [fn(c) for c in self.coeffs], fn(self.czero).zero_like())
 
     def eval(self, point):
-        """Horner evaluation; the point must multiply with the coefficients."""
-        if self.is_zero():
-            if isinstance(point, (int, Fraction)):
-                return self.czero
-            return point * self.czero
-        acc = None
-        for c in reversed(self.coeffs):
-            if acc is None:
-                acc = c
-            else:
-                acc = acc * point + c
+        """Horner evaluation of a nonzero polynomial at a point its coefficients multiply."""
+        acc = self.coeffs[-1]
+        for c in reversed(self.coeffs[:-1]):
+            acc = acc * point + c
         return acc
 
     def __eq__(self, other):

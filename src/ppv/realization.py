@@ -10,7 +10,9 @@ place the solutions as residues at the poles x = 1, 2, ..., so
 The solution model lives in a log extension: f = sum log(x-i)*dt(b_i)
 for gm (f plays the role of dt(y)/y) and y = sum log(x-i)*b_i for ga.
 Membership of the group in Ga^L / Gm^(L o dlog) is the exact statement
-that applying L to the model lands back in K(x).
+that L(model) lies in K(x), which holds exactly when L kills every log
+coefficient of the model: the residue condition (P. J. Cassidy and
+M. F. Singer, IRMA Lect. Math. Theor. Phys. 9, 2007).
 
 Everything here is window-bounded on the search side: absence of a
 fundamental set inside a monomial window is reported as such, never as
@@ -81,7 +83,7 @@ def _log_model(coeffs, order: int) -> LogExtElem:
 
 
 def _require_unramified(l: OrePoly):
-    # the log-extension model carries dt, not dt0: its membership test needs e = 1
+    # the residue rule reads dt(c*log(x - beta)) with dt, not dt0: it needs e = 1
     if l.e != 1:
         raise RealizationError(
             "realizations are built only for unramified operators (e = 1), got e = %d" % l.e
@@ -149,7 +151,13 @@ def realize_ga(l: OrePoly, basis) -> Realization:
 
 
 def _membership(model: LogExtElem, l: OrePoly) -> bool:
-    return l.apply(model).in_base_field()
+    """L(model) lies in K(x) iff L kills every log coefficient: the residue rule.
+
+    The log part of L(model) is sum L(c_beta)*log(x - beta) (ppv.logext);
+    necessary_condition_report applies the same rule to the residues of a.
+    """
+    _require_unramified(l)
+    return all(l.apply(c).is_zero() for c in model.logs.values())
 
 
 def check_membership_gm(model: LogExtElem, l: OrePoly) -> bool:
@@ -182,10 +190,11 @@ def necessary_condition_report(a: RatFunc, kind: str, l: OrePoly) -> NecessaryRe
     """Residue annihilation and minimality checks for an order-one datum.
 
     Extracts the logarithmic part of a; L must kill every dt(gamma_i)
-    (gm) or gamma_i (ga), and the targets must span a space of constant
-    dimension order(L), the fundamental-set criterion.  Minimality is
-    window-free but the fundamental set itself remains a window-bounded
-    notion.
+    (gm) or gamma_i (ga), the residue rule _membership applies to a
+    model's log coefficients, and the targets must span a space of
+    constant dimension order(L), the fundamental-set criterion.
+    Minimality is window-free but the fundamental set itself remains a
+    window-bounded notion.
     """
     if kind not in ("gm", "ga"):
         raise ValueError("kind must be 'gm' or 'ga'")

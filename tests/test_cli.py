@@ -162,6 +162,21 @@ def test_check_refuses_a_model_that_is_not_logext(tmp_path, capsys, model):
     assert "model must be a 'logext' node" in err and "internal error" not in err
 
 
+def test_check_refuses_a_model_that_names_a_point_twice(tmp_path, capsys):
+    # t*log(x-1) - t*log(x-1) is zero, a member of every group; read as
+    # -t*log(x-1), it would not be a member of Ga^Dt
+    assert main(["realize", "--kind", "ga", "--op", "t*Dt - 1", "--basis", "t", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    logs = doc["realization"]["model"]["logs"]
+    logs.append({"point": logs[0]["point"], "coeff": jsonio.encode(-t_var())})
+    path = tmp_path / "real.json"
+    path.write_text(json.dumps(doc))
+    code = main(["check", "--membership", "--realization", str(path), "--op", "Dt"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "names a point twice" in err and "internal error" not in err
+
+
 def test_orbits_verb(tmp_path, capsys):
     gd_path = tmp_path / "gd.json"
     gd_path.write_text(json.dumps(jsonio.encode(GaloisDatum.ramified(2))))

@@ -79,8 +79,17 @@ def test_series_round_trip():
 
 def test_logext_round_trip():
     t = t_var()
-    model = LogExtElem(f_const(t.zero_like()), {k_const(2): t}) + LogExtElem(1 / (x_var() - 1))
+    model = LogExtElem(1 / (x_var() - 1), {k_const(2): t})
     assert round_trip(model) == model
+
+
+def test_logext_refuses_a_point_named_twice():
+    # t*log(x-2) - t*log(x-2) is zero; keeping the last coefficient would read -t*log(x-2)
+    t = t_var()
+    node = jsonio.encode(LogExtElem(f_const(t.zero_like()), {k_const(2): t}))
+    node["logs"].append({"point": node["logs"][0]["point"], "coeff": jsonio.encode(-t)})
+    with pytest.raises(DecodeError, match="'logs' of a 'logext' node names a point twice"):
+        jsonio.decode(node)
 
 
 def test_group_round_trip():

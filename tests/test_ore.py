@@ -168,8 +168,8 @@ def test_apply_on_k_reduces_the_sum_once(monkeypatch):
     TwoVarLaurent(rational(0), {2: TruncLaurent.monomial("w", rational(1), 1)}),
 ], ids=["trunc_laurent", "two_var_laurent"])
 def test_apply_refuses_local_series(k, series):
-    # operators act on K, K(x) and log extensions; a local series has no
-    # product with an element of K, so the one action rule meets a TypeError
+    # operators act on K and K(x); a local series has no product with an
+    # element of K, so the one action rule meets a TypeError
     one, t, dt = k
     for l in (dt, OrePoly([one / t, one]), OrePoly([t])):
         with pytest.raises(TypeError):

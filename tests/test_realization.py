@@ -1,9 +1,10 @@
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ppv.errors import DependentFamily, RealizationError
 from ppv.groups import GmSub, group_eq
 from ppv.logext import LogExtElem
-from ppv.ore import OrePoly, compose_dt, wronskian_operator
+from ppv.ore import OrePoly, compose_dt, right_divides, wronskian_operator
 from ppv.rationals import f_const, k_const, t_var, x_var
 from ppv.realization import (
     check_membership_ga,
@@ -105,6 +106,60 @@ def test_membership_monotone_under_right_multiples():
     for q in (dt, OrePoly([one, one]), OrePoly([t, one / t])):
         bigger = q * l
         assert check_membership_ga(model, bigger)
+
+
+def _k_sum(draw):
+    """A sum of one or two terms c * t^j, -2 <= j <= 3."""
+    terms = draw(st.lists(st.tuples(st.sampled_from([-2, -1, 1, 3]), st.integers(-2, 3)),
+                          min_size=1, max_size=2))
+    return sum((k_const(c) * t**j for c, j in terms[1:]), k_const(terms[0][0]) * t**terms[0][1])
+
+
+def _random_operator(draw, order):
+    cs = [k_const(draw(st.integers(-2, 2))) * t**draw(st.integers(-1, 1)) for _ in range(order)]
+    return OrePoly(cs + [k_const(draw(st.sampled_from([-1, 1, 2]))) * t**draw(st.integers(0, 1))])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["ga", "gm"]), st.data())
+def test_membership_agrees_with_the_group_lattice(kind, data):
+    # oracle: M kills a fundamental set of L exactly when L right-divides M;
+    # gm models hold dt(B) for a fundamental set B of L o Dt, and Dt cancels
+    # on the right in K[Dt], so its verdict is again right_divides(L, M)
+    basis = [_k_sum(data.draw) for _ in range(data.draw(st.integers(1, 2)))]
+    try:
+        if kind == "ga":
+            l, coeffs = wronskian_operator(basis), basis
+        else:
+            w = wronskian_operator([one, *basis])
+            l, coeffs = OrePoly(w.coeffs[1:]), [b.dt() for b in [one, *basis]]
+    except DependentFamily:
+        assume(False)
+    model = LogExtElem(f_const(one.zero_like()),
+                       {k_const(i): c for i, c in enumerate(coeffs, start=1)})
+    member = check_membership_gm if kind == "gm" else check_membership_ga
+    q = _random_operator(data.draw, data.draw(st.integers(0, 1)))
+    assert member(model, q * l)
+    # random, and the Wronskian operator of some coefficients, which may kill only part
+    part = data.draw(st.lists(st.sampled_from(list(model.logs.values())), min_size=1,
+                              max_size=2, unique_by=str))
+    for m in (_random_operator(data.draw, data.draw(st.integers(0, 2))),
+              wronskian_operator(part)):
+        assert member(model, m) == right_divides(l, m)
+
+
+def test_membership_with_a_moving_pole():
+    # dt(log(x-t)) = -1/(x-t) lies in K(x); only dt of the coefficient stays a log
+    for member in (check_membership_ga, check_membership_gm):
+        assert member(LogExtElem(f_const(one.zero_like()), {t: one}), dt)
+        assert not member(LogExtElem(f_const(one.zero_like()), {t: t}), dt)
+
+
+def test_membership_refuses_a_ramified_operator():
+    model = LogExtElem(f_const(one.zero_like()), {k_const(1): t})
+    for member in (check_membership_ga, check_membership_gm):
+        with pytest.raises(RealizationError, match="e = 2"):
+            member(model, OrePoly([one.zero_like(), one], e=2))
 
 
 def test_necessary_condition_round_trip():
